@@ -10,8 +10,9 @@ validate the quadratic accuracy of the perturbation estimator.
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, DegenerateDeformation, DomainUQError,
-                     EigFailed, MeshMismatch, NonPositiveCoefficient,
-                     NonPositiveData, NotPSD, OutOfHoldAll, SolverDiverged)
+                     EigFailed, MeshMismatch, NonFiniteValue,
+                     NonPositiveCoefficient, NonPositiveData, NotPSD,
+                     OutOfHoldAll, SolverDiverged)
 from .mesh import Mesh, build_disc_mesh, displace, refine
 from .fem import (NodalField, assemble_load, assemble_mass,
                   assemble_perturbation_load, assemble_stiffness, h1_norm,

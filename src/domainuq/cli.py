@@ -137,14 +137,18 @@ def cmd_solve_one(cfg: ExperimentConfig, y_text: str, z_text: str,
 def cmd_mc(cfg: ExperimentConfig, threads: int) -> None:
     vf, sf = _load_artifacts(cfg)
     mesh = build_disc_mesh(cfg.mesh_level)
-    rows = []
-    for eps in cfg.eps_list:
-        def solver(sample, _eps=eps):
-            dp = DeformedProblem(mesh, vf, sf, sample.z)
-            return dp.solve_u_eps(sample.y, _eps)
 
-        stats = mc_estimate(solver, (sf.n_modes, vf.n_modes), cfg.n_mc,
-                            cfg.seed, threads=threads)
+    def solver(sample):
+        dp = DeformedProblem(mesh, vf, sf, sample.z)
+        a_r_q = dp.rough_qvalues(sample.y)
+        K_r = dp.rough_stiffness(a_r_q)
+        return [dp.solve_u_eps_from_parts(a_r_q, K_r, eps)
+                for eps in cfg.eps_list]
+
+    per_eps = mc_estimate(solver, (sf.n_modes, vf.n_modes), cfg.n_mc,
+                          cfg.seed, threads=threads)
+    rows = []
+    for eps, stats in zip(cfg.eps_list, per_eps):
         path = os.path.join(cfg.out_dir, f"mc_stats_eps{eps:g}.txt")
         save_statistics(stats, path)
         print(f"wrote {path}")
@@ -317,7 +321,7 @@ def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
                 return dp.solve_u_eps_from_parts(a_r_q, K_r, sign * eps).values
 
             def delta():
-                return dp.solve_delta_u(sample.y, u0).values
+                return dp.solve_delta_u_from_parts(a_r_q, u0).values
             return u0.values, solve, delta
 
     rule = smolyak_rule(dims[1], cfg.quad_level)

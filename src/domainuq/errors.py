@@ -17,6 +17,10 @@ class SolverDiverged(DomainUQError):
     """The iterative linear solver hit its iteration cap before converging."""
 
 
+class NonFiniteValue(DomainUQError):
+    """A load, matrix or residual of a linear solve held a NaN or an infinity."""
+
+
 class NotPSD(DomainUQError):
     """A pivot diagonal of the covariance fell significantly below zero."""
 

@@ -3,7 +3,16 @@
 All coefficient-dependent integrals use the same 3-point edge-midpoint rule
 (exact for quadratic integrands).  Using one rule everywhere keeps the
 assembly exactly linear in the coefficient, which the perturbation solves
-rely on.  Stiffness and mass matrices are stored in CSR format.
+rely on.  Stiffness and mass matrices are stored in CSR format with the
+sparsity pattern of their mesh topology, built once per topology and shared
+by every displaced copy of the mesh.
+
+Dirichlet problems are solved by conjugate gradients preconditioned with a
+geometric multigrid V-cycle for the unit-coefficient Laplacian on the
+reference (undeformed) mesh.  A mildly deformed domain with a coefficient
+bounded above and below gives an operator spectrally equivalent to that
+one, so one preconditioner, built once per topology, serves every solve and
+keeps the iteration count independent of the mesh size.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .errors import MeshMismatch, NonPositiveCoefficient, SolverDiverged
+from .errors import (MeshMismatch, NonFiniteValue, NonPositiveCoefficient,
+                     SolverDiverged)
 from .mesh import Mesh
 from .textio import fmt
 
@@ -29,6 +39,13 @@ CG_RTOL = 1e-10
 
 #: Iteration cap factor: at most this many iterations per unknown.
 CG_CAP_FACTOR = 10
+
+#: The V-cycle inverts the operator densely at this refinement level
+#: (113 interior unknowns on the disc) or at the mesh's own level if lower.
+COARSE_LEVEL = 3
+
+#: Damping of the Jacobi sweeps of the V-cycle.
+SMOOTHING_WEIGHT = 2.0 / 3.0
 
 
 @dataclass
@@ -57,16 +74,7 @@ class NodalField:
     __rmul__ = __mul__
 
 
-def element_geometry(mesh: Mesh):
-    """Per-element areas, P1 basis gradients, and edge-midpoint quadrature points.
-
-    Returns (areas (m,), grads (m, 3, 2), qpoints (m, 3, 2)); cached on the mesh.
-    """
-    cached = mesh._cache.get("geometry")
-    if cached is not None:
-        return cached
-    p = mesh.nodes
-    t = mesh.triangles
+def _geometry(p: np.ndarray, t: np.ndarray):
     v0, v1, v2 = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
     det = ((v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1])
            - (v1[:, 1] - v0[:, 1]) * (v2[:, 0] - v0[:, 0]))
@@ -84,9 +92,19 @@ def element_geometry(mesh: Mesh):
         0.5 * (v0 + v2),
         0.5 * (v0 + v1),
     ], axis=1)
-    result = (areas, grads, qpoints)
-    mesh._cache["geometry"] = result
-    return result
+    return areas, grads, qpoints
+
+
+def element_geometry(mesh: Mesh):
+    """Per-element areas, P1 basis gradients, and edge-midpoint quadrature points.
+
+    Returns (areas (m,), grads (m, 3, 2), qpoints (m, 3, 2)); cached on the mesh.
+    """
+    cached = mesh._cache.get("geometry")
+    if cached is None:
+        cached = mesh._cache["geometry"] = _geometry(mesh.nodes,
+                                                     mesh.triangles)
+    return cached
 
 
 def _eval_at_points(fn, pts: np.ndarray) -> np.ndarray:
@@ -109,17 +127,53 @@ def _eval_at_quadrature(mesh: Mesh, fn) -> np.ndarray:
     return _eval_at_points(fn, qpts.reshape(-1, 2)).reshape(m, 3)
 
 
+@dataclass(frozen=True)
+class _Pattern:
+    """CSR structure of the element matrices of one topology.
+
+    `slots[k]` is the position in the CSR data of the k-th entry of the
+    flattened (m, 3, 3) element matrices, so summing element matrices is
+    one `np.bincount`.  Rows hold sorted column indices.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+
+    @classmethod
+    def build(cls, triangles: np.ndarray, n: int) -> "_Pattern":
+        rows = np.repeat(triangles, 3, axis=1).reshape(-1)
+        cols = np.tile(triangles, (1, 3)).reshape(-1)
+        keys = rows * n + cols
+        unique = np.unique(keys)
+        counts = np.bincount(unique // n, minlength=n)
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        return cls(indptr=indptr, indices=(unique % n).astype(np.int32),
+                   slots=np.searchsorted(unique, keys))
+
+
+def _pattern(mesh: Mesh) -> _Pattern:
+    return mesh.topology.cached(
+        "pattern", lambda: _Pattern.build(mesh.triangles, mesh.n_nodes))
+
+
 def _scatter(mesh: Mesh, local: np.ndarray) -> csr_matrix:
     """Sum (m, 3, 3) element matrices into a global CSR matrix.
 
-    The COO to CSR conversion sums duplicates in a fixed order, so two
-    matrices assembled on the same mesh share identical sparsity arrays.
+    Duplicates are summed in element order, and every matrix assembled on
+    a topology has the same `indptr` and `indices`.
     """
-    t = mesh.triangles
+    pattern = _pattern(mesh)
     n = mesh.n_nodes
-    rows = np.repeat(t, 3, axis=1).reshape(-1)
-    cols = np.tile(t, (1, 3)).reshape(-1)
-    return coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+    data = np.bincount(pattern.slots, weights=local.reshape(-1),
+                       minlength=len(pattern.indices))
+    return csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+
+
+def _local_stiffness(areas: np.ndarray, grads: np.ndarray,
+                     cbar) -> np.ndarray:
+    return (cbar * areas)[:, None, None] * np.einsum(
+        "mid,mjd->mij", grads, grads)
 
 
 def stiffness_from_qvalues(mesh: Mesh, coeff_q: np.ndarray,
@@ -129,10 +183,7 @@ def stiffness_from_qvalues(mesh: Mesh, coeff_q: np.ndarray,
         raise NonPositiveCoefficient(
             f"coefficient minimum {coeff_q.min():.6e} at a quadrature point")
     areas, grads, _ = element_geometry(mesh)
-    cbar = coeff_q.mean(axis=1)
-    local = (cbar * areas)[:, None, None] * np.einsum(
-        "mid,mjd->mij", grads, grads)
-    return _scatter(mesh, local)
+    return _scatter(mesh, _local_stiffness(areas, grads, coeff_q.mean(axis=1)))
 
 
 def stiffness_from_element_tensors(mesh: Mesh, tensors: np.ndarray) -> csr_matrix:
@@ -160,13 +211,17 @@ def assemble_mass(mesh: Mesh) -> csr_matrix:
     return _scatter(mesh, local)
 
 
+def _scatter_vector(mesh: Mesh, local: np.ndarray) -> np.ndarray:
+    """Sum (m, 3) element vectors into a nodal vector, in element order."""
+    return np.bincount(mesh.triangles.reshape(-1), weights=local.reshape(-1),
+                       minlength=mesh.n_nodes)
+
+
 def load_from_qvalues(mesh: Mesh, fq: np.ndarray) -> np.ndarray:
     """Load vector from right-hand side values at the (m, 3) quadrature points."""
     areas, _, _ = element_geometry(mesh)
-    local = (areas / 3.0)[:, None] * (fq @ _PHI_AT_MIDPOINTS)
-    b = np.zeros(mesh.n_nodes)
-    np.add.at(b, mesh.triangles.reshape(-1), local.reshape(-1))
-    return b
+    return _scatter_vector(mesh,
+                           (areas / 3.0)[:, None] * (fq @ _PHI_AT_MIDPOINTS))
 
 
 def assemble_load(mesh: Mesh, f) -> np.ndarray:
@@ -178,14 +233,10 @@ def perturbation_load_from_qvalues(mesh: Mesh, aq: np.ndarray,
                                    u0_values: np.ndarray) -> np.ndarray:
     """Load -int a_r grad(u0) . grad(phi_i) dx from quadrature values of a_r."""
     areas, grads, _ = element_geometry(mesh)
-    t = mesh.triangles
-    grad_u = np.einsum("mi,mid->md", u0_values[t], grads)
+    grad_u = np.einsum("mi,mid->md", u0_values[mesh.triangles], grads)
     gdot = np.einsum("md,mjd->mj", grad_u, grads)
     abar = aq.mean(axis=1)
-    local = -(abar * areas)[:, None] * gdot
-    b = np.zeros(mesh.n_nodes)
-    np.add.at(b, t.reshape(-1), local.reshape(-1))
-    return b
+    return _scatter_vector(mesh, -(abar * areas)[:, None] * gdot)
 
 
 def assemble_perturbation_load(mesh: Mesh, a_r, u0: NodalField) -> np.ndarray:
@@ -194,67 +245,188 @@ def assemble_perturbation_load(mesh: Mesh, a_r, u0: NodalField) -> np.ndarray:
         mesh, _eval_at_quadrature(mesh, a_r), u0.values)
 
 
-def solve_dirichlet(K: csr_matrix, b: np.ndarray, boundary: np.ndarray,
-                    level: int = -1, rtol: float = CG_RTOL,
-                    diag_out: dict | None = None) -> NodalField:
-    """Solve K u = b with u = 0 on the boundary nodes.
+def _prolongation(edges: np.ndarray, n_coarse: int, fine_interior: np.ndarray,
+                  coarse_interior: np.ndarray) -> csr_matrix:
+    """Interpolation from coarse to fine interior nodes of one refinement.
 
+    A parent node keeps its value; a midpoint takes the mean of its edge
+    endpoints, where boundary endpoints carry the Dirichlet zero.
+    """
+    column = np.full(n_coarse, -1)
+    column[coarse_interior] = np.arange(len(coarse_interior))
+    n_parents = len(coarse_interior)  # fine_interior lists them first
+    mids = fine_interior[n_parents:]
+    ends = column[edges[mids - n_coarse]]
+    rows = np.concatenate([np.arange(n_parents),
+                           np.repeat(n_parents + np.arange(len(mids)), 2)])
+    cols = np.concatenate([np.arange(n_parents), ends.reshape(-1)])
+    vals = np.concatenate([np.ones(n_parents), np.full(ends.size, 0.5)])
+    keep = cols >= 0
+    return coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                      shape=(len(fine_interior), n_parents)).tocsr()
+
+
+class ReferenceSolver:
+    """Interior restriction and multigrid preconditioner of one topology.
+
+    Every matrix assembled on a mesh, or on a mesh displaced from it, has
+    the sparsity pattern of that topology.  Built once per topology, this
+    object holds
+
+    * `slots`, `indptr`, `indices`: the positions in such a matrix's CSR
+      data of its interior-interior entries, and the CSR structure they
+      form, so eliminating the Dirichlet boundary is one gather;
+    * a V-cycle for the unit-coefficient interior stiffness of the
+      reference mesh: Galerkin coarse operators `P^T A P` along the
+      refinement chain (`P` keeps parent values and averages the two edge
+      endpoints at midpoints), one damped Jacobi sweep before and one
+      after each coarse correction, and a dense inverse at level
+      `min(level, COARSE_LEVEL)`.  Both sweeps apply the same symmetric
+      smoother, so the V-cycle is symmetric and positive definite.
+
+    A mesh without a refinement chain (one read from text, say) is its
+    own coarsest level, inverted densely.
+    """
+
+    def __init__(self, mesh: Mesh):
+        pattern = _pattern(mesh)
+        n = mesh.n_nodes
+        self.level = mesh.level
+        self.n_nodes = n
+        self.pattern = pattern
+        is_interior = np.ones(n, dtype=bool)
+        is_interior[mesh.boundary] = False
+        self.interior = np.flatnonzero(is_interior)
+        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        keep = is_interior[rows] & is_interior[pattern.indices]
+        relabel = np.cumsum(is_interior) - 1
+        counts = np.bincount(relabel[rows[keep]],
+                             minlength=len(self.interior))
+        self.slots = np.flatnonzero(keep)
+        self.indices = relabel[pattern.indices[keep]].astype(np.int32)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+
+        areas, grads, _ = _geometry(mesh.topology.reference_nodes,
+                                    mesh.triangles)
+        A = self.interior_matrix(np.bincount(
+            pattern.slots, weights=_local_stiffness(areas, grads, 1.0).ravel(),
+            minlength=len(pattern.indices)))
+        steps = max(0, min(len(mesh.refinements), mesh.level - COARSE_LEVEL))
+        self._levels = []
+        fine_interior, n_fine = self.interior, n
+        for edges in mesh.refinements[len(mesh.refinements) - steps:][::-1]:
+            n_coarse = n_fine - len(edges)
+            coarse_interior = fine_interior[fine_interior < n_coarse]
+            P = _prolongation(edges, n_coarse, fine_interior, coarse_interior)
+            R = P.T.tocsr()
+            self._levels.append((A, SMOOTHING_WEIGHT / A.diagonal(), P, R))
+            A = (R @ A @ P).tocsr()
+            fine_interior, n_fine = coarse_interior, n_coarse
+        inverse = np.linalg.inv(A.toarray())
+        self._coarse_inverse = 0.5 * (inverse + inverse.T)
+
+    def interior_matrix(self, data: np.ndarray) -> csr_matrix:
+        """Interior block of the matrix with CSR data `data` on this topology."""
+        m = len(self.interior)
+        return csr_matrix((data[self.slots], self.indices, self.indptr),
+                          shape=(m, m))
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """One V-cycle applied to an interior residual."""
+        return self._vcycle(0, r)
+
+    def _vcycle(self, k: int, r: np.ndarray) -> np.ndarray:
+        if k == len(self._levels):
+            return self._coarse_inverse @ r
+        A, weighted_inverse_diagonal, P, R = self._levels[k]
+        x = weighted_inverse_diagonal * r
+        x += P @ self._vcycle(k + 1, R @ (r - A @ x))
+        x += weighted_inverse_diagonal * (r - A @ x)
+        return x
+
+
+def reference_solver(mesh: Mesh) -> ReferenceSolver:
+    """The ReferenceSolver of the mesh's topology, built on first use."""
+    return mesh.topology.cached("reference_solver",
+                                lambda: ReferenceSolver(mesh))
+
+
+def solve_dirichlet(K: csr_matrix, b: np.ndarray, mesh: Mesh,
+                    rtol: float = CG_RTOL,
+                    diag_out: dict | None = None) -> NodalField:
+    """Solve K u = b with u = 0 on the boundary nodes of `mesh`.
+
+    `K` must be assembled on `mesh` or on a mesh displaced from it.
     Boundary unknowns are eliminated symmetrically (the system is
     restricted to the interior), and the reduced SPD system is solved by
-    diagonally preconditioned conjugate gradients with relative residual
-    target `rtol` and an iteration cap of 10 per unknown.
+    conjugate gradients preconditioned with one V-cycle of the topology's
+    `ReferenceSolver`, to relative residual target `rtol` with an
+    iteration cap of `CG_CAP_FACTOR` per unknown.
 
     `diag_out`, if given, receives the iteration count and final residual.
 
     Raises
     ------
+    MeshMismatch
+        If `K` does not have the sparsity pattern of the mesh topology.
+    NonFiniteValue
+        If the interior load, the interior matrix or a residual holds a
+        NaN or an infinity.
     SolverDiverged
         If the iteration cap is reached before the residual target.
     """
-    n = K.shape[0]
-    boundary = np.asarray(boundary, dtype=np.int64)
-    interior = np.setdiff1d(np.arange(n), boundary)
-    Kii = K[interior][:, interior].tocsr()
-    bi = b[interior]
-    m = len(interior)
+    ref = reference_solver(mesh)
+    n = ref.n_nodes
+    if K.shape != (n, n) or not (
+            np.array_equal(K.indptr, ref.pattern.indptr)
+            and np.array_equal(K.indices, ref.pattern.indices)):
+        raise MeshMismatch(
+            "matrix sparsity pattern differs from the mesh topology's")
+    bi = b[ref.interior]
+    if not np.all(np.isfinite(bi)):
+        raise NonFiniteValue("load vector is not finite at an interior node")
+    A = ref.interior_matrix(K.data)
+    if not np.all(np.isfinite(A.data)):
+        raise NonFiniteValue("stiffness matrix has a non-finite interior entry")
 
     u = np.zeros(n)
-    norm_b = np.linalg.norm(bi)
+    norm_b = float(np.linalg.norm(bi))
     if norm_b == 0.0:
         if diag_out is not None:
             diag_out.update(iterations=0, residual=0.0)
-        return NodalField(u, level)
+        return NodalField(u, ref.level)
 
-    diag = Kii.diagonal()
     tol = rtol * norm_b
-    cap = CG_CAP_FACTOR * m
-
-    x = np.zeros(m)
+    cap = CG_CAP_FACTOR * len(bi)
+    x = np.zeros(len(bi))
     r = bi.copy()
-    z = r / diag
-    p = z.copy()
-    rz = float(r @ z)
+    p = ref.precondition(r)
+    rz = float(r @ p)
     iterations = 0
     res = norm_b
     while res > tol:
         if iterations >= cap:
             raise SolverDiverged(
                 f"no convergence in {cap} iterations, residual {res:.3e} > {tol:.3e}")
-        q = Kii @ p
+        q = A @ p
         alpha = rz / float(p @ q)
         x += alpha * p
         r -= alpha * q
-        z = r / diag
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
         iterations += 1
-        res = np.linalg.norm(r)
+        res = float(np.linalg.norm(r))
+        if not np.isfinite(res):
+            raise NonFiniteValue(
+                f"residual {res} after {iterations} iterations")
+        if res > tol:
+            z = ref.precondition(r)
+            rz_next = float(r @ z)
+            p = z + (rz_next / rz) * p
+            rz = rz_next
 
-    u[interior] = x
+    u[ref.interior] = x
     if diag_out is not None:
-        diag_out.update(iterations=iterations, residual=float(res))
-    return NodalField(u, level)
+        diag_out.update(iterations=iterations, residual=res)
+    return NodalField(u, ref.level)
 
 
 def _h1_gram(mesh: Mesh) -> csr_matrix:

@@ -8,11 +8,15 @@ triangulation of an inscribed polygon whose rim nodes lie exactly on the
 circle.
 
 Meshes are immutable after construction by convention; all operations
-return new `Mesh` instances.
+return new `Mesh` instances.  Every refinement records which edge each new
+node bisects, and a displaced mesh shares its topology with the mesh it
+came from, so solvers can build multigrid hierarchies and sparsity maps
+once per topology.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +46,31 @@ _BASE_TRIANGLES = np.array([
 _BASE_BOUNDARY = np.array([1, 2, 3, 4])
 
 
+class Topology:
+    """What depends only on the connectivity and the refinement chain.
+
+    `displace` hands the same instance to the moved mesh, so an object
+    built through `cached` serves every domain realization of a mesh.
+    `reference_nodes` are the node positions of the mesh the topology was
+    created with, the undeformed reference.
+    """
+
+    def __init__(self, reference_nodes: np.ndarray):
+        self.reference_nodes = reference_nodes
+        self._items: dict = {}
+        self._lock = threading.RLock()
+
+    def cached(self, key: str, build):
+        """The object stored under `key`, built by `build()` on first use.
+
+        Concurrent first uses build it once; `build` may itself call `cached`.
+        """
+        with self._lock:
+            if key not in self._items:
+                self._items[key] = build()
+            return self._items[key]
+
+
 @dataclass
 class Mesh:
     """Conforming triangle mesh with counterclockwise elements.
@@ -53,6 +82,10 @@ class Mesh:
     triangles : (m, 3) int array of node indices, counterclockwise
     boundary : sorted int array of node indices on the outer rim
     patch_id : (m,) int array mapping each triangle to its base patch
+    refinements : one (k, 2) int array per refinement step, coarse to
+        fine: the endpoints of the coarse edge that each node appended by
+        that step bisects (empty for a mesh not built by `refine`)
+    topology : shared by every displaced copy of this mesh
     """
 
     level: int
@@ -60,7 +93,13 @@ class Mesh:
     triangles: np.ndarray
     boundary: np.ndarray
     patch_id: np.ndarray
+    refinements: tuple = ()
+    topology: Topology | None = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.topology is None:
+            self.topology = Topology(self.nodes)
 
     @property
     def n_nodes(self) -> int:
@@ -105,7 +144,8 @@ def refine(mesh: Mesh) -> Mesh:
 
     Midpoints of boundary edges are projected radially onto the unit
     circle.  Parent nodes keep their indices; new nodes are appended in
-    the order of their (min index, max index) edge keys.
+    the order of their (min index, max index) edge keys, which are
+    recorded as the new mesh's last `refinements` entry.
     """
     nodes = mesh.nodes
     tris = mesh.triangles
@@ -143,11 +183,13 @@ def refine(mesh: Mesh) -> Mesh:
         triangles=children,
         boundary=new_boundary,
         patch_id=np.repeat(mesh.patch_id, 4),
+        refinements=mesh.refinements + (edges,),
     )
 
 
 def displace(mesh: Mesh, displacement: np.ndarray) -> Mesh:
-    """Move every node by its displacement vector, keeping the topology.
+    """Move every node by its displacement vector, keeping the topology
+    (the moved mesh shares `refinements` and `topology`).
 
     Raises
     ------
@@ -166,6 +208,8 @@ def displace(mesh: Mesh, displacement: np.ndarray) -> Mesh:
         triangles=mesh.triangles,
         boundary=mesh.boundary,
         patch_id=mesh.patch_id,
+        refinements=mesh.refinements,
+        topology=mesh.topology,
     )
     min_area = signed_areas(moved).min()
     if min_area <= DEGENERACY_EPS:

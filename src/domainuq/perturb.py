@@ -6,7 +6,10 @@ solution computed on the deformed mesh pulls back to the reference disc by
 reusing the node values.  The smooth-part stiffness matrix is assembled
 once per domain realization and shared by all three solves; the rough-part
 stiffness enters as an exact linear combination, which keeps the zero
-amplitude solve bit-identical to the smooth solve.
+amplitude solve bit-identical to the smooth solve.  Every solve passes the
+reference mesh to `solve_dirichlet`, whose multigrid preconditioner and
+interior restriction are built once for the topology that all deformed
+meshes share.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ class DeformedProblem:
     Builds the deformed mesh, evaluates the smooth coefficient at the
     deformed quadrature points, and assembles the smooth stiffness and the
     load once.  Rough-part stiffnesses are linear combinations added onto
-    the shared CSR data, so the sparsity pattern never changes.
+    the shared CSR data, so the sparsity pattern never changes.  Solves
+    pass the reference mesh to `solve_dirichlet`, which preconditions them
+    with the multigrid V-cycle of the shared topology.
     """
 
     def __init__(self, mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
@@ -77,8 +82,7 @@ class DeformedProblem:
                                       require_positive=False)
 
     def solve_u0(self, diag_out: dict | None = None) -> NodalField:
-        return solve_dirichlet(self.K_s, self.b, self.mesh.boundary,
-                               level=self.mesh.level, diag_out=diag_out)
+        return solve_dirichlet(self.K_s, self.b, self.mesh, diag_out=diag_out)
 
     def solve_u_eps_from_parts(self, a_r_q: np.ndarray, K_r, eps: float,
                                diag_out: dict | None = None) -> NodalField:
@@ -89,8 +93,7 @@ class DeformedProblem:
                 f"coefficient minimum {full_q.min():.6e} at amplitude {eps}")
         K = self.K_s.copy()
         K.data = self.K_s.data + eps * K_r.data
-        return solve_dirichlet(K, self.b, self.mesh.boundary,
-                               level=self.mesh.level, diag_out=diag_out)
+        return solve_dirichlet(K, self.b, self.mesh, diag_out=diag_out)
 
     def solve_u_eps(self, y: np.ndarray, eps: float,
                     diag_out: dict | None = None) -> NodalField:
@@ -101,10 +104,14 @@ class DeformedProblem:
     def solve_delta_u(self, y: np.ndarray, u0: NodalField,
                       diag_out: dict | None = None) -> NodalField:
         """Derivative solve: smooth operator on the left, rough load on the right."""
-        a_r_q = self.rough_qvalues(y)
+        return self.solve_delta_u_from_parts(self.rough_qvalues(y), u0,
+                                             diag_out)
+
+    def solve_delta_u_from_parts(self, a_r_q: np.ndarray, u0: NodalField,
+                                 diag_out: dict | None = None) -> NodalField:
+        """Derivative solve from precomputed rough quadrature values."""
         b = perturbation_load_from_qvalues(self.deformed, a_r_q, u0.values)
-        return solve_dirichlet(self.K_s, b, self.mesh.boundary,
-                               level=self.mesh.level, diag_out=diag_out)
+        return solve_dirichlet(self.K_s, b, self.mesh, diag_out=diag_out)
 
 
 def solve_u0(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
@@ -224,4 +231,4 @@ def solve_transported(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
     else:
         fq = _eval_at_points(f, qflat).reshape(m, 3)
     b = load_from_qvalues(mesh, fq * detVp[:, None])
-    return solve_dirichlet(K, b, mesh.boundary, level=mesh.level)
+    return solve_dirichlet(K, b, mesh)

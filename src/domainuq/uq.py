@@ -107,9 +107,14 @@ def sample_blocks(n_samples: int, block_size: int = MC_BLOCK_SIZE):
 
 
 def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
-                threads: int = 1) -> Statistics:
+                threads: int = 1):
     """Plain Monte Carlo mean and variance of solver(sample) over i.i.d.
     draws of (y, z).
+
+    `solver(sample)` returns a NodalField, and the result is its
+    Statistics; or it returns a list of NodalFields, several quantities
+    computed from one sample, and the result is a list of Statistics in
+    the same order, each from its own accumulators.
 
     Sample i is generated from the stream (seed, i), so the estimate is a
     pure function of (seed, n_samples) regardless of the thread count.
@@ -118,30 +123,35 @@ def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     n_y, n_z = dims
-    level_holder: dict = {}
 
-    def run_block(block) -> RunningMoments:
+    def run_block(block):
         lo, hi = block
-        acc = None
+        accs = None
         for i in range(lo, hi):
             sample = draw_sample(n_y, n_z, seed, i)
             try:
-                field = solver(sample)
+                out = solver(sample)
             except DomainUQError as e:
                 raise type(e)(f"sample {i}: {e}") from e
-            if acc is None:
-                acc = RunningMoments(field.n)
-            level_holder.setdefault("level", field.level)
-            acc.update(field.values)
-        return acc
+            fields = [out] if isinstance(out, NodalField) else out
+            if accs is None:
+                accs = [RunningMoments(f.n) for f in fields]
+            for acc, f in zip(accs, fields):
+                acc.update(f.values)
+        return accs, out
 
     blocks = sample_blocks(n_samples)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            accs = list(pool.map(run_block, blocks))
+            results = list(pool.map(run_block, blocks))
     else:
-        accs = [run_block(b) for b in blocks]
-    return tree_merge(accs).freeze(level_holder.get("level", -1))
+        results = [run_block(b) for b in blocks]
+    first = results[0][1]
+    single = isinstance(first, NodalField)
+    fields = [first] if single else first
+    stats = [tree_merge([accs[k] for accs, _ in results]).freeze(f.level)
+             for k, f in enumerate(fields)]
+    return stats[0] if single else stats
 
 
 def quadrature_estimate(solver, rule: "QuadratureRule",

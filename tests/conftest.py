@@ -48,6 +48,11 @@ def vf4(mesh4):
 
 
 @pytest.fixture(scope="session")
+def vf5(mesh5):
+    return dq.build_vector_field_kl(mesh5, 1e-2)
+
+
+@pytest.fixture(scope="session")
 def sf64():
     return dq.build_coefficient_kl(64, 1e-2)
 

@@ -43,7 +43,7 @@ def test_criterion_1_fem_order():
         mesh = build_disc_mesh(level)
         K = assemble_stiffness(mesh, lambda p: 1.0)
         b = assemble_load(mesh, lambda p: 1.0)
-        u = solve_dirichlet(K, b, mesh.boundary, level=level)
+        u = solve_dirichlet(K, b, mesh)
         from domainuq.fem import element_geometry
         areas, grads, qpts = element_geometry(mesh)
         vt = u.values[mesh.triangles]

@@ -226,6 +226,48 @@ class TestSecondOrderVariance:
         assert all(c < p for c, p in zip(e_corr, e_plain))
 
 
+class TestWorkPerSample:
+    @staticmethod
+    def artifacts_copy(tiny_run, target):
+        cfg, out = tiny_run
+        os.makedirs(target)
+        for name in ("vector_field.txt", "coefficient.txt"):
+            (target / name).write_bytes(
+                open(os.path.join(out, name), "rb").read())
+        return cfg, str(target)
+
+    def test_mc_builds_one_problem_per_sample(self, tiny_run, tmp_path,
+                                              monkeypatch):
+        from domainuq import cli
+        cfg, out = self.artifacts_copy(tiny_run, tmp_path / "mc")
+        builds = []
+
+        class Counting(cli.DeformedProblem):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "DeformedProblem", Counting)
+        assert main(["mc", "--config", cfg, "--out", out]) == 0
+        assert len(builds) == parse_config(TINY).n_mc
+
+    def test_convergence_evaluates_rough_part_once_per_pair(
+            self, tiny_run, tmp_path, monkeypatch):
+        from domainuq.perturb import DeformedProblem
+        cfg, out = self.artifacts_copy(tiny_run, tmp_path / "conv")
+        calls = []
+        original = DeformedProblem.rough_qvalues
+
+        def counting(self, y):
+            calls.append(1)
+            return original(self, y)
+
+        monkeypatch.setattr(DeformedProblem, "rough_qvalues", counting)
+        assert main(["convergence", "--config", cfg, "--out", out,
+                     "--second-order-variance"]) == 0
+        assert len(calls) == parse_config(TINY).n_mc // 2
+
+
 class TestConvergenceCSV:
     def test_eps_column_echoes_config(self, tiny_run):
         cfg, out = tiny_run

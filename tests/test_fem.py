@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 import domainuq as dq
-from domainuq.errors import NonPositiveCoefficient, SolverDiverged
-from domainuq.fem import (NodalField, assemble_load, assemble_mass,
-                          assemble_perturbation_load, assemble_stiffness,
-                          element_geometry, field_from_text, field_to_text,
-                          h1_norm, l2_norm, solve_dirichlet, w11_norm)
+from domainuq.errors import (MeshMismatch, NonFiniteValue,
+                             NonPositiveCoefficient, SolverDiverged)
+from domainuq.fem import (NodalField, _prolongation, assemble_load,
+                          assemble_mass, assemble_perturbation_load,
+                          assemble_stiffness, element_geometry,
+                          field_from_text, field_to_text, h1_norm, l2_norm,
+                          reference_solver, solve_dirichlet, w11_norm)
 from domainuq.mesh import build_disc_mesh, signed_areas
 
 
 def poisson_solve(mesh, coeff=lambda p: 1.0, f=lambda p: 1.0):
     K = assemble_stiffness(mesh, coeff)
     b = assemble_load(mesh, f)
-    return K, b, solve_dirichlet(K, b, mesh.boundary, level=mesh.level)
+    return K, b, solve_dirichlet(K, b, mesh)
 
 
 def h1_error_vs_analytic(mesh, u):
@@ -126,7 +128,7 @@ class TestDirichletSolve:
 
     def test_zero_rhs(self, mesh3):
         K = assemble_stiffness(mesh3, lambda p: 1.0)
-        u = solve_dirichlet(K, np.zeros(mesh3.n_nodes), mesh3.boundary)
+        u = solve_dirichlet(K, np.zeros(mesh3.n_nodes), mesh3)
         assert np.array_equal(u.values, np.zeros(mesh3.n_nodes))
 
     def test_coefficient_scaling_halves_solution(self, mesh3):
@@ -153,7 +155,63 @@ class TestDirichletSolve:
         K = assemble_stiffness(mesh2, lambda p: 1.0)
         b = assemble_load(mesh2, lambda p: 1.0)
         with pytest.raises(SolverDiverged):
-            solve_dirichlet(K, b, mesh2.boundary)
+            solve_dirichlet(K, b, mesh2)
+
+    def test_nan_load_raises(self, mesh3):
+        K = assemble_stiffness(mesh3, lambda p: 1.0)
+        b = assemble_load(mesh3, lambda p: 1.0)
+        b[0] = np.nan  # the disc centre, an interior node
+        with pytest.raises(NonFiniteValue):
+            solve_dirichlet(K, b, mesh3)
+
+    def test_nan_matrix_entry_raises(self, mesh3):
+        K = assemble_stiffness(mesh3, lambda p: 1.0)
+        b = assemble_load(mesh3, lambda p: 1.0)
+        K.data[K.indptr[0]] = np.nan  # first entry of the centre's row
+        with pytest.raises(NonFiniteValue):
+            solve_dirichlet(K, b, mesh3)
+
+    def test_foreign_sparsity_pattern_raises(self, mesh2, mesh3):
+        K = assemble_stiffness(mesh2, lambda p: 1.0)
+        b = assemble_load(mesh3, lambda p: 1.0)
+        with pytest.raises(MeshMismatch):
+            solve_dirichlet(K, b, mesh3)
+
+
+class TestReferenceSolver:
+    def test_vcycle_symmetric_positive_definite(self, mesh5):
+        ref = reference_solver(mesh5)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            r1, r2 = rng.standard_normal((2, len(ref.interior)))
+            a = r1 @ ref.precondition(r2)
+            b = r2 @ ref.precondition(r1)
+            assert abs(a - b) <= 1e-12 * abs(a)
+            assert r1 @ ref.precondition(r1) > 0.0
+
+    def test_prolongation_reproduces_linear_functions(self, mesh5):
+        edges = mesh5.refinements[-1]
+        n_coarse = mesh5.n_nodes - len(edges)
+        interior = np.setdiff1d(np.arange(mesh5.n_nodes), mesh5.boundary)
+        coarse = interior[interior < n_coarse]
+        P = _prolongation(edges, n_coarse, interior, coarse)
+        g = lambda p: 0.3 + 2.0 * p[:, 0] - 1.5 * p[:, 1]
+        fine = P @ g(mesh5.nodes[coarse])
+        # midpoints of edges that touch the rim see the Dirichlet zero there
+        touches_rim = np.zeros(mesh5.n_nodes, dtype=bool)
+        touches_rim[n_coarse:] = np.isin(edges, mesh5.boundary).any(axis=1)
+        rows = np.flatnonzero(~touches_rim[interior])
+        exact = interior[rows]
+        assert len(exact) > 0.9 * len(interior)
+        assert np.allclose(fine[rows], g(mesh5.nodes[exact]),
+                           rtol=0.0, atol=1e-14)
+
+    def test_hierarchy_bottoms_out_at_coarse_level(self, mesh2, mesh5):
+        # level 5 coarsens twice down to the 113 unknowns of level 3;
+        # level 2 is inverted directly
+        assert len(reference_solver(mesh5)._levels) == 2
+        assert reference_solver(mesh5)._coarse_inverse.shape == (113, 113)
+        assert reference_solver(mesh2)._levels == []
 
 
 class TestNorms:

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import domainuq as dq
+import domainuq.fem as fem
 from domainuq.fem import NodalField, h1_norm
 from domainuq.fields import rng_stream, sample_uniform
 from domainuq.perturb import (DeformedProblem, solve_sample, solve_transported,
@@ -197,3 +201,69 @@ class TestDiagnostics:
         assert all(v > 0 for v in ss.iterations.values())
         assert all(v >= 0.0 for v in ss.residuals.values())
         assert ss.eps == 0.5
+
+
+class TestMultigridPCG:
+    def test_iterations_independent_of_mesh_size(self, mesh3, mesh4, mesh5,
+                                                 vf3, vf4, vf5, sf64):
+        for mesh, vf in ((mesh3, vf3), (mesh4, vf4), (mesh5, vf5)):
+            iterations = []
+            for i in range(3):
+                s = dq.draw_sample(sf64.n_modes, vf.n_modes, 31, i)
+                dp = DeformedProblem(mesh, vf, sf64, s.z)
+                diag = {}
+                u0 = dp.solve_u0(diag_out=diag)
+                iterations.append(diag["iterations"])
+                dp.solve_delta_u(s.y, u0, diag_out=diag)
+                iterations.append(diag["iterations"])
+                dp.solve_u_eps(s.y, 1.0, diag_out=diag)
+                iterations.append(diag["iterations"])
+            assert 0 < min(iterations) and max(iterations) <= 30, (
+                mesh.level, iterations)
+
+    def test_matches_dense_direct_solve(self, mesh3, vf3, sf64):
+        s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 8, 0)
+        dp = DeformedProblem(mesh3, vf3, sf64, s.z)
+        u = dp.solve_u_eps(s.y, 1.0)
+        K = (dp.K_s + dp.rough_stiffness(dp.rough_qvalues(s.y))).toarray()
+        interior = np.setdiff1d(np.arange(mesh3.n_nodes), mesh3.boundary)
+        direct = np.linalg.solve(K[np.ix_(interior, interior)],
+                                 dp.b[interior])
+        assert (np.abs(u.values[interior] - direct).max()
+                <= 1e-9 * np.abs(direct).max())
+
+    def test_shared_mesh_builds_hierarchy_once(self, vf4, sf64, monkeypatch):
+        builds = []
+
+        class CountingSolver(fem.ReferenceSolver):
+            def __init__(self, mesh):
+                builds.append(threading.get_ident())
+                super().__init__(mesh)
+
+        monkeypatch.setattr(fem, "ReferenceSolver", CountingSolver)
+        mesh = dq.build_disc_mesh(4)  # fresh topology, nothing cached yet
+        s = dq.draw_sample(sf64.n_modes, vf4.n_modes, 12, 0)
+        start = threading.Barrier(4)
+        fields = [None] * 4
+
+        def work(k):
+            dp = DeformedProblem(mesh, vf4, sf64, s.z)
+            start.wait(timeout=30)
+            fields[k] = dp.solve_u_eps(s.y, 1.0).values
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                      for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == 1
+        serial = DeformedProblem(mesh, vf4, sf64, s.z).solve_u_eps(s.y, 1.0)
+        for values in fields:
+            assert np.array_equal(values, serial.values)

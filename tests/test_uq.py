@@ -61,6 +61,22 @@ class TestMCEstimate:
         assert np.array_equal(a.mean.values, b.mean.values)
         assert np.array_equal(a.second_central.values, b.second_central.values)
 
+    def test_list_solver_matches_one_estimate_per_output(self):
+        def first(s):
+            return NodalField(np.array([s.y[0] * s.z[1], s.z[0] ** 2]), 0)
+
+        def second(s):
+            return NodalField(np.array([s.y[1] - s.z[0]]), 0)
+
+        both = mc_estimate(lambda s: [first(s), second(s)], (2, 2), 99,
+                           seed=4, threads=3)
+        for stats, solver in zip(both, (first, second)):
+            alone = mc_estimate(solver, (2, 2), 99, seed=4)
+            assert stats.weight == alone.weight
+            assert np.array_equal(stats.mean.values, alone.mean.values)
+            assert np.array_equal(stats.second_central.values,
+                                  alone.second_central.values)
+
     def test_error_reports_sample_index(self):
         def solver(s):
             if s.z[0] > 0:
