@@ -25,9 +25,7 @@ from .fields import (HoldAllGrid, Sample, ScalarFieldKL, VectorFieldKL,
                      eval_coefficient, eval_displacement, g_hat, rng_stream,
                      sample_uniform)
 from .perturb import (DeformedProblem, SampleSolve, delta_second_moment,
-                      solve_delta_u, solve_sample, solve_transported,
-                      solve_u0, solve_u_eps, taylor_remainder,
-                      taylor_remainders)
+                      solve_sample, solve_transported, taylor_remainders)
 from .uq import (QuadratureRule, Statistics, anisotropy_weights, field_error,
                  gauss_legendre_1d, mc_estimate, quadrature_estimate,
                  slope_fit, smolyak_rule)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,16 +19,16 @@ from . import __version__
 from .config import (ExperimentConfig, config_hash, load_config,
                      override_config, validate_config)
 from .errors import ConfigError, DomainUQError
-from .fem import NodalField, h1_norm, save_field
-from .fields import (RNG_ALGORITHM, build_coefficient_kl,
+from .fem import NodalField, save_field
+from .fields import (RNG_ALGORITHM, Sample, build_coefficient_kl,
                      build_vector_field_kl, draw_sample, load_scalar_field,
                      load_vector_field, save_scalar_field, save_vector_field)
 from .mesh import build_disc_mesh, save_mesh
-from .perturb import DeformedProblem, taylor_remainders
+from .perturb import DeformedProblem, remainders, solve_pair, solve_sample
 from .textio import fmt
-from .uq import (RunningMoments, l2_norm, mc_estimate, norm_by_name,
-                 quadrature_estimate, sample_blocks, save_statistics,
-                 slope_fit, smolyak_rule, tree_merge)
+from .uq import (RunningMoments, l2_norm, map_blocks, mc_estimate,
+                 norm_by_name, quadrature_estimate, sample_blocks,
+                 save_statistics, slope_fit, smolyak_rule, tree_merge)
 
 VECTOR_FIELD_FILE = "vector_field.txt"
 SCALAR_FIELD_FILE = "coefficient.txt"
@@ -108,28 +107,21 @@ def cmd_solve_one(cfg: ExperimentConfig, y_text: str, z_text: str,
     y = _parse_vector(y_text, sf.n_modes, "y")
     z = _parse_vector(z_text, vf.n_modes, "z")
     mesh = build_disc_mesh(cfg.mesh_level)
-    dp = DeformedProblem(mesh, vf, sf, z)
-    diag: dict = {}
-    iters, resids = {}, {}
-    u0 = dp.solve_u0(diag_out=diag)
-    iters["u0"], resids["u0"] = diag["iterations"], diag["residual"]
-    delta = dp.solve_delta_u(y, u0, diag_out=diag)
-    iters["delta_u"], resids["delta_u"] = diag["iterations"], diag["residual"]
-    ueps = dp.solve_u_eps(y, eps, diag_out=diag)
-    iters["u_eps"], resids["u_eps"] = diag["iterations"], diag["residual"]
+    ss = solve_sample(mesh, vf, sf, Sample(y=y, z=z), eps)
 
-    for name, fld in (("u_eps", ueps), ("u0", u0), ("delta_u", delta)):
+    for name, fld in (("u_eps", ss.u_eps), ("u0", ss.u0),
+                      ("delta_u", ss.delta_u)):
         path = os.path.join(cfg.out_dir, f"{name}.txt")
         save_field(fld, path)
         print(f"wrote {path}")
     dmesh_path = os.path.join(cfg.out_dir, "deformed_mesh.txt")
-    save_mesh(dp.deformed, dmesh_path)
+    save_mesh(ss.deformed, dmesh_path)
     print(f"wrote {dmesh_path}")
 
     lines = _header_lines(cfg) + [f"eps={fmt(eps)}"]
     for name in ("u0", "delta_u", "u_eps"):
-        lines.append(f"{name}_iterations={iters[name]}")
-        lines.append(f"{name}_residual={fmt(resids[name])}")
+        lines.append(f"{name}_iterations={ss.iterations[name]}")
+        lines.append(f"{name}_residual={fmt(ss.residuals[name])}")
     _write(os.path.join(cfg.out_dir, "solve_one_diagnostics.txt"),
            "\n".join(lines) + "\n")
 
@@ -162,6 +154,20 @@ def cmd_mc(cfg: ExperimentConfig, threads: int) -> None:
     _write(os.path.join(cfg.out_dir, "mc.csv"), "\n".join(lines) + "\n")
 
 
+class FEModel:
+    """Finite element solves on the domain realizations of the KL artifacts."""
+
+    def __init__(self, mesh, vf, sf):
+        self.mesh, self.vf, self.sf = mesh, vf, sf
+        self.dims = (sf.n_modes, vf.n_modes)
+
+    def u0(self, z) -> NodalField:
+        return DeformedProblem(self.mesh, self.vf, self.sf, z).solve_u0()
+
+    def pair(self, sample):
+        return solve_pair(self.mesh, self.vf, self.sf, sample)
+
+
 class SyntheticModel:
     """Closed-form solver stand-in with an exactly quadratic remainder.
 
@@ -175,6 +181,7 @@ class SyntheticModel:
 
     def __init__(self, mesh):
         self.level = mesh.level
+        self.dims = (self.N_Y, self.N_Z)
         r2 = np.sum(mesh.nodes ** 2, axis=1)
         self.base = 0.25 * (1.0 - r2)
         self.q = 0.05 * self.base
@@ -184,39 +191,39 @@ class SyntheticModel:
         scale = 1.0 + 0.2 * float(np.mean(z)) / np.sqrt(3.0)
         return NodalField(self.base * scale, self.level)
 
-    def delta(self, y) -> NodalField:
-        return NodalField(self.base * float(self.coeffs @ y), self.level)
+    def delta(self, y) -> np.ndarray:
+        return self.base * float(self.coeffs @ y)
 
-    def u_eps(self, y, z, eps: float) -> NodalField:
-        vals = (self.u0(z).values + eps * self.delta(y).values
-                + eps * eps * self.q)
-        return NodalField(vals, self.level)
+    def pair(self, sample):
+        u0 = self.u0(sample.z).values
+
+        def solve(sign, eps):
+            return (u0 + eps * self.delta(sign * sample.y)
+                    + eps * eps * self.q)
+        return u0, solve, lambda: self.delta(sample.y)
+
+
+def _model(cfg: ExperimentConfig, mesh, synthetic: bool):
+    """The closed-form model, or finite element solves on the artifacts.
+
+    Both offer `dims` (n_y, n_z), `u0(z)` and `pair(sample)`, the
+    (u0 values, solve(sign, eps), delta()) triple of `perturb.solve_pair`.
+    """
+    if synthetic:
+        return SyntheticModel(mesh)
+    vf, sf = _load_artifacts(cfg)
+    return FEModel(mesh, vf, sf)
 
 
 def cmd_taylor(cfg: ExperimentConfig, synthetic: bool) -> None:
     mesh = build_disc_mesh(cfg.mesh_level)
-    if synthetic:
-        model = SyntheticModel(mesh)
-        dims = (model.N_Y, model.N_Z)
-    else:
-        vf, sf = _load_artifacts(cfg)
-        dims = (sf.n_modes, vf.n_modes)
-
+    model = _model(cfg, mesh, synthetic)
     eps_grid = [0.0] + list(cfg.eps_list)
     rows = []
     slopes = []
     for s in range(cfg.n_taylor):
-        sample = draw_sample(dims[0], dims[1], cfg.seed, s)
-        if synthetic:
-            rems = []
-            u0 = model.u0(sample.z)
-            delta = model.delta(sample.y)
-            for eps in eps_grid:
-                rem = (model.u_eps(sample.y, sample.z, eps).values
-                       - u0.values - eps * delta.values)
-                rems.append(h1_norm(mesh, NodalField(rem, mesh.level)))
-        else:
-            rems = taylor_remainders(mesh, vf, sf, sample, eps_grid)
+        sample = draw_sample(*model.dims, cfg.seed, s)
+        rems = remainders(mesh, model.pair(sample), eps_grid)
         for eps, rem in zip(eps_grid, rems):
             rows.append(f"{s},{fmt(eps)},{fmt(rem)}")
         positive = [(e, r) for e, r in zip(eps_grid, rems) if e > 0.0]
@@ -266,12 +273,7 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], n_nodes: int,
                 raise type(e)(f"sample pair {p}: {e}") from e
         return accD, accE, acc0, accDelta
 
-    blocks = sample_blocks(n_pairs)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_block, blocks))
-    else:
-        results = [run_block(b) for b in blocks]
+    results = map_blocks(run_block, sample_blocks(n_pairs), threads)
 
     merged = []
     for ei in range(n_eps):
@@ -286,52 +288,16 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], n_nodes: int,
 def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
                     second_order_variance: bool = False) -> None:
     mesh = build_disc_mesh(cfg.mesh_level)
-
-    if synthetic:
-        model = SyntheticModel(mesh)
-        dims = (model.N_Y, model.N_Z)
-
-        def baseline_solver(z):
-            return model.u0(z)
-
-        def factory(sample):
-            u0 = model.u0(sample.z).values
-
-            def solve(sign, eps):
-                return model.u_eps(sign * sample.y, sample.z, eps).values
-
-            def delta():
-                return model.delta(sample.y).values
-            return u0, solve, delta
-    else:
-        vf, sf = _load_artifacts(cfg)
-        dims = (sf.n_modes, vf.n_modes)
-
-        def baseline_solver(z):
-            return DeformedProblem(mesh, vf, sf, z).solve_u0()
-
-        def factory(sample):
-            dp = DeformedProblem(mesh, vf, sf, sample.z)
-            u0 = dp.solve_u0()
-            a_r_q = dp.rough_qvalues(sample.y)
-            K_r = dp.rough_stiffness(a_r_q)
-
-            def solve(sign, eps):
-                # u_eps at (sign * y) equals the solve at amplitude sign * eps
-                return dp.solve_u_eps_from_parts(a_r_q, K_r, sign * eps).values
-
-            def delta():
-                return dp.solve_delta_u_from_parts(a_r_q, u0).values
-            return u0.values, solve, delta
-
-    rule = smolyak_rule(dims[1], cfg.quad_level)
-    baseline = quadrature_estimate(baseline_solver, rule, threads=threads)
+    model = _model(cfg, mesh, synthetic)
+    rule = smolyak_rule(model.dims[1], cfg.quad_level)
+    baseline = quadrature_estimate(model.u0, rule, threads=threads)
     base_path = os.path.join(cfg.out_dir, "baseline_stats.txt")
     save_statistics(baseline, base_path)
     print(f"wrote {base_path}")
 
-    moments, mom_delta = _paired_sweep(cfg, dims, mesh.n_nodes, factory,
-                                       threads, second_order_variance)
+    moments, mom_delta = _paired_sweep(cfg, model.dims, mesh.n_nodes,
+                                       model.pair, threads,
+                                       second_order_variance)
     correction = (mom_delta.freeze(mesh.level).variance().values
                   if second_order_variance else None)
 
@@ -392,12 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads (results are thread-count "
                             "independent)")
-        p.add_argument("--synthetic", action="store_true",
-                       help="replace solves by the closed-form model")
 
     for name in ("build-kl", "solve-one", "mc", "taylor", "convergence"):
         p = sub.add_parser(name)
         add_common(p)
+        if name in ("taylor", "convergence"):
+            p.add_argument("--synthetic", action="store_true",
+                           help="replace solves by the closed-form model")
         if name == "solve-one":
             p.add_argument("--y", required=True,
                            help="comma-separated coefficient parameters "

@@ -108,17 +108,20 @@ def element_geometry(mesh: Mesh):
 
 
 def _eval_at_points(fn, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar function at (k, 2) points, vectorized if possible."""
-    try:
-        vals = np.asarray(fn(pts), dtype=float)
-    except Exception:
-        vals = None
-    if vals is not None:
-        if vals.ndim == 0:
-            return np.full(len(pts), float(vals))
-        if vals.shape == (len(pts),):
-            return vals
-    return np.array([float(fn(p)) for p in pts])
+    """Evaluate a scalar function at (k, 2) points in one call.
+
+    `fn` receives the whole array and returns k values, or one scalar for
+    a constant.  Any other shape raises ValueError; an exception raised by
+    `fn` itself propagates unchanged.
+    """
+    vals = np.asarray(fn(pts), dtype=float)
+    if vals.ndim == 0:
+        return np.full(len(pts), float(vals))
+    if vals.shape != (len(pts),):
+        raise ValueError(
+            f"function of the points returned shape {vals.shape}, "
+            f"expected ({len(pts)},) or a scalar")
+    return vals
 
 
 def _eval_at_quadrature(mesh: Mesh, fn) -> np.ndarray:

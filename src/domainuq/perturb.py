@@ -14,7 +14,7 @@ meshes share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +30,17 @@ from .mesh import Mesh, displace
 
 @dataclass
 class SampleSolve:
-    """The three pulled-back solution fields of one sample plus diagnostics."""
+    """The three pulled-back solution fields of one sample, its deformed
+    mesh, and the iterations and residuals of each solve."""
 
     u_eps: NodalField
     u0: NodalField
     delta_u: NodalField
     sample: Sample
     eps: float
-    iterations: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
+    deformed: Mesh
+    iterations: dict
+    residuals: dict
 
 
 class DeformedProblem:
@@ -114,65 +116,59 @@ class DeformedProblem:
         return solve_dirichlet(self.K_s, b, self.mesh, diag_out=diag_out)
 
 
-def solve_u0(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
-             z: np.ndarray, f=None) -> NodalField:
-    """Solve the smooth-coefficient problem on the domain realization at z
-    and pull the node values back to the reference disc."""
-    return DeformedProblem(mesh, vf, sf, z, f).solve_u0()
-
-
-def solve_delta_u(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
-                  sample: Sample, u0: NodalField) -> NodalField:
-    """Solve the coefficient derivative problem at (y, z); linear in y."""
-    return DeformedProblem(mesh, vf, sf, sample.z).solve_delta_u(sample.y, u0)
-
-
-def solve_u_eps(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
-                sample: Sample, eps: float, f=None) -> NodalField:
-    """Solve the full problem with coefficient a_s + eps * a_r, pulled back."""
-    return DeformedProblem(mesh, vf, sf, sample.z, f).solve_u_eps(sample.y, eps)
-
-
 def solve_sample(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
                  sample: Sample, eps: float, f=None) -> SampleSolve:
     """All three solves of one sample, sharing the domain realization."""
     dp = DeformedProblem(mesh, vf, sf, sample.z, f)
-    iters: dict = {}
-    resids: dict = {}
-    out: dict = {}
-    u0 = dp.solve_u0(diag_out=out)
-    iters["u0"], resids["u0"] = out["iterations"], out["residual"]
-    delta = dp.solve_delta_u(sample.y, u0, diag_out=out)
-    iters["delta_u"], resids["delta_u"] = out["iterations"], out["residual"]
-    ueps = dp.solve_u_eps(sample.y, eps, diag_out=out)
-    iters["u_eps"], resids["u_eps"] = out["iterations"], out["residual"]
-    return SampleSolve(u_eps=ueps, u0=u0, delta_u=delta, sample=sample,
-                       eps=eps, iterations=iters, residuals=resids)
+    diags: dict = {"u0": {}, "delta_u": {}, "u_eps": {}}
+    u0 = dp.solve_u0(diag_out=diags["u0"])
+    delta = dp.solve_delta_u(sample.y, u0, diag_out=diags["delta_u"])
+    ueps = dp.solve_u_eps(sample.y, eps, diag_out=diags["u_eps"])
+    return SampleSolve(
+        u_eps=ueps, u0=u0, delta_u=delta, sample=sample, eps=eps,
+        deformed=dp.deformed,
+        iterations={k: d["iterations"] for k, d in diags.items()},
+        residuals={k: d["residual"] for k, d in diags.items()})
 
 
-def taylor_remainder(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
-                     sample: Sample, eps: float) -> float:
-    """H1 norm (on the reference disc) of u_eps - u0 - eps * delta_u."""
-    ss = solve_sample(mesh, vf, sf, sample, eps)
-    rem = ss.u_eps.values - ss.u0.values - eps * ss.delta_u.values
-    return h1_norm(mesh, NodalField(rem, mesh.level))
+def solve_pair(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
+               sample: Sample):
+    """Coupled solves of one sample on one domain realization.
+
+    Returns (u0 values, solve(sign, eps), delta()): `solve` gives the
+    values of u_eps at the coefficient parameters sign * y, and `delta`
+    those of delta_u at y.  The rough coefficient and its stiffness are
+    evaluated once and shared by every call.
+    """
+    dp = DeformedProblem(mesh, vf, sf, sample.z)
+    u0 = dp.solve_u0()
+    a_r_q = dp.rough_qvalues(sample.y)
+    K_r = dp.rough_stiffness(a_r_q)
+
+    def solve(sign, eps):
+        # u_eps at (sign * y) equals the solve at amplitude sign * eps
+        return dp.solve_u_eps_from_parts(a_r_q, K_r, sign * eps).values
+
+    def delta():
+        return dp.solve_delta_u_from_parts(a_r_q, u0).values
+    return u0.values, solve, delta
+
+
+def remainders(mesh: Mesh, pair, eps_list) -> list[float]:
+    """H1 norms (on the reference disc) of u_eps - u0 - eps * delta_u over
+    several amplitudes, from a `solve_pair`-shaped triple."""
+    u0, solve, delta = pair
+    d = delta()
+    return [h1_norm(mesh, NodalField(solve(1.0, eps) - u0 - eps * d,
+                                     mesh.level))
+            for eps in eps_list]
 
 
 def taylor_remainders(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
                       sample: Sample, eps_list) -> list[float]:
     """Taylor remainders for one sample over several amplitudes, sharing
     the domain realization, u0, and delta_u across amplitudes."""
-    dp = DeformedProblem(mesh, vf, sf, sample.z)
-    u0 = dp.solve_u0()
-    delta = dp.solve_delta_u(sample.y, u0)
-    a_r_q = dp.rough_qvalues(sample.y)
-    K_r = dp.rough_stiffness(a_r_q)
-    out = []
-    for eps in eps_list:
-        ueps = dp.solve_u_eps_from_parts(a_r_q, K_r, eps)
-        rem = ueps.values - u0.values - eps * delta.values
-        out.append(h1_norm(mesh, NodalField(rem, mesh.level)))
-    return out
+    return remainders(mesh, solve_pair(mesh, vf, sf, sample), eps_list)
 
 
 def delta_second_moment(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,

@@ -6,8 +6,6 @@ enough for a bit-exact float64 round trip.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -16,16 +14,3 @@ def fmt(x: float) -> str:
 def fmt_row(values) -> str:
     return " ".join(fmt(v) for v in values)
 
-
-def write_values(lines: list[str], values: np.ndarray) -> None:
-    """Append one value per line."""
-    for v in np.asarray(values).ravel():
-        lines.append(fmt(v))
-
-
-def read_floats(tokens: list[str], count: int, pos: int) -> tuple[np.ndarray, int]:
-    """Consume `count` float tokens starting at `pos`."""
-    vals = np.array([float(t) for t in tokens[pos:pos + count]])
-    if len(vals) != count:
-        raise ValueError(f"expected {count} values, found {len(vals)}")
-    return vals, pos + count

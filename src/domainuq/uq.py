@@ -4,7 +4,8 @@ rules against the uniform density, and error and slope evaluation.
 Monte Carlo estimation uses the Welford recurrence per fixed-size sample
 block and a fixed binary tree merge over block index, so results are bit
 identical for any thread count.  Quadrature estimation accumulates first
-and second weighted moments in rule order.
+and second weighted moments in rule order.  `map_blocks` is the one place
+where work is handed to worker threads.
 """
 
 from __future__ import annotations
@@ -106,6 +107,18 @@ def sample_blocks(n_samples: int, block_size: int = MC_BLOCK_SIZE):
             for s in range(0, n_samples, block_size)]
 
 
+def map_blocks(fn, items, threads: int = 1) -> list:
+    """[fn(item) for item in items], spread over `threads` worker threads.
+
+    Results come back in the order of `items`, whatever order the tasks
+    finish in, and an exception raised by a task reaches the caller.
+    """
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
                 threads: int = 1):
     """Plain Monte Carlo mean and variance of solver(sample) over i.i.d.
@@ -140,12 +153,7 @@ def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
                 acc.update(f.values)
         return accs, out
 
-    blocks = sample_blocks(n_samples)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_block, blocks))
-    else:
-        results = [run_block(b) for b in blocks]
+    results = map_blocks(run_block, sample_blocks(n_samples), threads)
     first = results[0][1]
     single = isinstance(first, NodalField)
     fields = [first] if single else first
@@ -163,26 +171,13 @@ def quadrature_estimate(solver, rule: "QuadratureRule",
     """
     if len(rule.nodes) == 0:
         raise ValueError("quadrature rule is empty")
-    level_holder: dict = {}
-
-    def solve_node(i):
-        field = solver(rule.nodes[i])
-        level_holder.setdefault("level", field.level)
-        return field.values
-
-    idx = range(len(rule.nodes))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solutions = list(pool.map(solve_node, idx))
-    else:
-        solutions = [solve_node(i) for i in idx]
-
-    s1 = np.zeros_like(solutions[0])
-    s2 = np.zeros_like(solutions[0])
-    for w, u in zip(rule.weights, solutions):
+    fields = map_blocks(solver, rule.nodes, threads)
+    s1 = np.zeros(fields[0].n)
+    s2 = np.zeros(fields[0].n)
+    for w, u in zip(rule.weights, (f.values for f in fields)):
         s1 += w * u
         s2 += w * (u * u)
-    level = level_holder.get("level", -1)
+    level = fields[0].level
     return Statistics(weight=float(rule.weights.sum()),
                       mean=NodalField(s1, level),
                       second_central=NodalField(s2 - s1 * s1, level),
@@ -371,8 +366,3 @@ def statistics_from_text(text: str) -> Statistics:
 def save_statistics(stats: Statistics, path) -> None:
     with open(path, "w") as f:
         f.write(statistics_to_text(stats))
-
-
-def load_statistics(path) -> Statistics:
-    with open(path) as f:
-        return statistics_from_text(f.read())

@@ -202,6 +202,18 @@ class TestSyntheticMode:
         assert all(l.rsplit(",", 1)[1] == "0" for l in zero_rows)
 
 
+@pytest.mark.parametrize("command", [
+    ["build-kl"], ["mc"],
+    ["solve-one", "--y", "0", "--z", "0", "--eps", "0.5"],
+], ids=["build-kl", "mc", "solve-one"])
+def test_synthetic_rejected_where_it_does_nothing(command, tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", TINY)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--config", cfg, "--out", str(tmp_path / "o"),
+                        "--synthetic"])
+    assert exc.value.code == 2
+
+
 class TestSecondOrderVariance:
     def test_correction_reduces_variance_error(self, tiny_run, tmp_path):
         cfg, out = tiny_run

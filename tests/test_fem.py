@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,25 @@ class TestAssembly:
     def test_load_odd_integrand_cancels(self, mesh4):
         b = assemble_load(mesh4, lambda p: p[..., 0])
         assert abs(b.sum()) < 1e-12
+
+    @pytest.mark.parametrize("shape", [lambda k: (k + 1,),
+                                       lambda k: (k, 1),
+                                       lambda k: (1,)],
+                             ids=["one_extra", "column", "single"])
+    def test_wrong_shape_callable_raises(self, mesh2, shape):
+        k = 3 * len(mesh2.triangles)
+        expected = re.escape(f"shape {shape(k)}, expected ({k},)")
+        with pytest.raises(ValueError, match=expected):
+            assemble_load(mesh2, lambda p: np.ones(shape(len(p))))
+
+    def test_callable_exception_propagates(self, mesh2):
+        def one_point_only(p):
+            if np.ndim(p) != 1:
+                raise TypeError("takes a single point")
+            return 1.0
+
+        with pytest.raises(TypeError, match="takes a single point"):
+            assemble_stiffness(mesh2, one_point_only)
 
 
 class TestPerturbationLoad:

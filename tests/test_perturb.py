@@ -23,18 +23,19 @@ def negation_partner(mesh):
 class TestSmoothSolve:
     def test_unit_coefficient_matches_poisson(self, mesh4, vf4,
                                               unit_coefficient):
-        u = dq.solve_u0(mesh4, vf4, unit_coefficient, np.zeros(vf4.n_modes))
+        u = DeformedProblem(mesh4, vf4, unit_coefficient,
+                            np.zeros(vf4.n_modes)).solve_u0()
         assert abs(u.values[0] - 0.25) < 5e-3
 
     def test_even_symmetry_at_nominal_domain(self, mesh3, vf3, sf64):
-        u = dq.solve_u0(mesh3, vf3, sf64, np.zeros(vf3.n_modes))
+        u = DeformedProblem(mesh3, vf3, sf64, np.zeros(vf3.n_modes)).solve_u0()
         partner = negation_partner(mesh3)
         assert np.abs(u.values - u.values[partner]).max() <= 1e-8
 
     def test_load_scaling(self, mesh3, vf3, sf64):
         z = sample_uniform(vf3.n_modes, rng_stream(0, 0))
-        u1 = dq.solve_u0(mesh3, vf3, sf64, z)
-        u2 = dq.solve_u0(mesh3, vf3, sf64, z, f=lambda p: 2.0)
+        u1 = DeformedProblem(mesh3, vf3, sf64, z).solve_u0()
+        u2 = DeformedProblem(mesh3, vf3, sf64, z, f=lambda p: 2.0).solve_u0()
         assert np.abs(u2.values - 2.0 * u1.values).max() <= 1e-8 * np.abs(
             u1.values).max()
 
@@ -82,7 +83,7 @@ class TestFullSolve:
         interior = np.setdiff1d(np.arange(mesh3.n_nodes), mesh3.boundary)
         for i in range(100):
             s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 77, i)
-            u = dq.solve_u_eps(mesh3, vf3, sf64, s, 1.0)
+            u = DeformedProblem(mesh3, vf3, sf64, s.z).solve_u_eps(s.y, 1.0)
             assert (u.values[interior] > 0.0).all()
             assert np.array_equal(u.values[mesh3.boundary],
                                   np.zeros(len(mesh3.boundary)))
@@ -97,13 +98,13 @@ class TestFullSolve:
         y[y == 0.0] = SQRT3
         s = dq.Sample(y=y, z=np.zeros(vf3.n_modes))
         with pytest.raises(dq.NonPositiveCoefficient):
-            dq.solve_u_eps(mesh3, vf3, sf64, s, 50.0)
+            DeformedProblem(mesh3, vf3, sf64, s.z).solve_u_eps(s.y, 50.0)
 
 
 class TestTaylorRemainder:
     def test_zero_amplitude_exactly_zero(self, mesh3, vf3, sf64):
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 9, 0)
-        assert dq.taylor_remainder(mesh3, vf3, sf64, s, 0.0) == 0.0
+        assert taylor_remainders(mesh3, vf3, sf64, s, [0.0])[0] == 0.0
 
     def test_halving_ratios(self, mesh3, vf3, sf64):
         eps = [1.0, 0.5, 0.25, 0.125]
@@ -119,7 +120,7 @@ class TestTaylorRemainder:
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 10, 1)
         eps = 0.5
         ss = solve_sample(mesh3, vf3, sf64, s, eps)
-        rem = dq.taylor_remainder(mesh3, vf3, sf64, s, eps)
+        rem = taylor_remainders(mesh3, vf3, sf64, s, [eps])[0]
         bound = (h1_norm(mesh3, ss.u_eps - ss.u0)
                  + eps * h1_norm(mesh3, ss.delta_u))
         assert rem <= bound * (1 + 1e-12)
@@ -186,7 +187,7 @@ class TestTransportedCrossCheck:
         mesh = dq.build_disc_mesh(level)
         vf = dq.build_vector_field_kl(mesh, 1e-2)
         s = dq.draw_sample(sf64.n_modes, vf.n_modes, 42, 1)
-        u_moving = dq.solve_u_eps(mesh, vf, sf64, s, 0.5)
+        u_moving = DeformedProblem(mesh, vf, sf64, s.z).solve_u_eps(s.y, 0.5)
         u_transported = solve_transported(mesh, vf, sf64, s, 0.5)
         rel = (h1_norm(mesh, u_moving - u_transported)
                / h1_norm(mesh, u_moving))
@@ -201,6 +202,8 @@ class TestDiagnostics:
         assert all(v > 0 for v in ss.iterations.values())
         assert all(v >= 0.0 for v in ss.residuals.values())
         assert ss.eps == 0.5
+        assert ss.deformed.n_nodes == mesh3.n_nodes
+        assert not np.array_equal(ss.deformed.nodes, mesh3.nodes)
 
 
 class TestMultigridPCG:

@@ -1,14 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import domainuq as dq
 from domainuq.errors import MeshMismatch, NonPositiveData
 from domainuq.fem import NodalField, h1_norm, _h1_gram
 from domainuq.perturb import DeformedProblem
 from domainuq.uq import (RunningMoments, Statistics, field_error,
-                         gauss_legendre_1d, mc_estimate, quadrature_estimate,
-                         sample_blocks, slope_fit, smolyak_rule,
-                         statistics_from_text, statistics_to_text, tree_merge)
+                         gauss_legendre_1d, map_blocks, mc_estimate,
+                         quadrature_estimate, sample_blocks, slope_fit,
+                         smolyak_rule, statistics_from_text,
+                         statistics_to_text, tree_merge)
 
 
 class TestRunningMoments:
@@ -89,6 +94,61 @@ class TestMCEstimate:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             mc_estimate(lambda s: NodalField(np.zeros(1), 0), (1, 1), 1, 0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_samples=st.integers(2, 200), threads=st.integers(1, 4))
+    @example(n_samples=33, threads=2)
+    @example(n_samples=200, threads=4)
+    def test_bit_identical_for_any_thread_count(self, n_samples, threads):
+        def solver(s):
+            return NodalField(np.array([s.y[0] * s.z[1], s.z[0] ** 2,
+                                        np.exp(s.y[1])]), 0)
+
+        serial = mc_estimate(solver, (2, 2), n_samples, seed=3)
+        spread = mc_estimate(solver, (2, 2), n_samples, seed=3,
+                             threads=threads)
+        assert spread.weight == serial.weight == n_samples
+        assert np.array_equal(spread.mean.values, serial.mean.values)
+        assert np.array_equal(spread.second_central.values,
+                              serial.second_central.values)
+
+    def test_worker_error_reports_sample_index(self):
+        bad = dq.draw_sample(1, 1, 0, 37)
+
+        def solver(s):
+            if np.array_equal(s.y, bad.y) and np.array_equal(s.z, bad.z):
+                raise dq.NonPositiveCoefficient("negative")
+            return NodalField(np.zeros(1), 0)
+
+        with pytest.raises(dq.NonPositiveCoefficient, match="sample 37: "):
+            mc_estimate(solver, (1, 1), 100, seed=0, threads=3)
+
+
+class TestMapBlocks:
+    def test_order_kept_when_later_tasks_finish_first(self):
+        finished = []
+        last_done = threading.Event()
+
+        def fn(i):
+            if i == 0:
+                assert last_done.wait(timeout=30)
+            finished.append(i)
+            if i == 3:
+                last_done.set()
+            return 10 * i
+
+        assert map_blocks(fn, range(4), threads=4) == [0, 10, 20, 30]
+        assert finished[-1] == 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_task_exception_reaches_caller(self, threads):
+        def fn(i):
+            if i == 2:
+                raise dq.SolverDiverged(f"item {i}")
+            return i
+
+        with pytest.raises(dq.SolverDiverged, match="item 2"):
+            map_blocks(fn, range(5), threads=threads)
 
 
 class TestQuadratureEstimate:
