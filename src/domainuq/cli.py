@@ -106,8 +106,12 @@ def cmd_solve_one(cfg: ExperimentConfig, y_text: str, z_text: str,
     vf, sf = _load_artifacts(cfg)
     y = _parse_vector(y_text, sf.n_modes, "y")
     z = _parse_vector(z_text, vf.n_modes, "z")
+    try:
+        sample = Sample(y=y, z=z)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     mesh = build_disc_mesh(cfg.mesh_level)
-    ss = solve_sample(mesh, vf, sf, Sample(y=y, z=z), eps)
+    ss = solve_sample(mesh, vf, sf, sample, eps)
 
     for name, fld in (("u_eps", ss.u_eps), ("u0", ss.u0),
                       ("delta_u", ss.delta_u)):
@@ -133,9 +137,8 @@ def cmd_mc(cfg: ExperimentConfig, threads: int) -> None:
     def solver(sample):
         dp = DeformedProblem(mesh, vf, sf, sample.z)
         a_r_q = dp.rough_qvalues(sample.y)
-        K_r = dp.rough_stiffness(a_r_q)
-        return [dp.solve_u_eps_from_parts(a_r_q, K_r, eps)
-                for eps in cfg.eps_list]
+        return dp.solve_amplitudes(a_r_q, dp.rough_stiffness(a_r_q),
+                                   cfg.eps_list)
 
     per_eps = mc_estimate(solver, (sf.n_modes, vf.n_modes), cfg.n_mc,
                           cfg.seed, threads=threads)
@@ -164,8 +167,8 @@ class FEModel:
     def u0(self, z) -> NodalField:
         return DeformedProblem(self.mesh, self.vf, self.sf, z).solve_u0()
 
-    def pair(self, sample):
-        return solve_pair(self.mesh, self.vf, self.sf, sample)
+    def pair(self, sample, amplitudes):
+        return solve_pair(self.mesh, self.vf, self.sf, sample, amplitudes)
 
 
 class SyntheticModel:
@@ -194,7 +197,7 @@ class SyntheticModel:
     def delta(self, y) -> np.ndarray:
         return self.base * float(self.coeffs @ y)
 
-    def pair(self, sample):
+    def pair(self, sample, amplitudes):
         u0 = self.u0(sample.z).values
 
         def solve(sign, eps):
@@ -206,8 +209,9 @@ class SyntheticModel:
 def _model(cfg: ExperimentConfig, mesh, synthetic: bool):
     """The closed-form model, or finite element solves on the artifacts.
 
-    Both offer `dims` (n_y, n_z), `u0(z)` and `pair(sample)`, the
-    (u0 values, solve(sign, eps), delta()) triple of `perturb.solve_pair`.
+    Both offer `dims` (n_y, n_z), `u0(z)` and `pair(sample, amplitudes)`,
+    the (u0 values, solve(sign, eps), delta()) triple of
+    `perturb.solve_pair` serving the signed amplitudes sign * eps listed.
     """
     if synthetic:
         return SyntheticModel(mesh)
@@ -223,7 +227,7 @@ def cmd_taylor(cfg: ExperimentConfig, synthetic: bool) -> None:
     slopes = []
     for s in range(cfg.n_taylor):
         sample = draw_sample(*model.dims, cfg.seed, s)
-        rems = remainders(mesh, model.pair(sample), eps_grid)
+        rems = remainders(mesh, model.pair(sample, eps_grid), eps_grid)
         for eps, rem in zip(eps_grid, rems):
             rows.append(f"{s},{fmt(eps)},{fmt(rem)}")
         positive = [(e, r) for e, r in zip(eps_grid, rems) if e > 0.0]
@@ -240,8 +244,9 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], n_nodes: int,
                   factory, threads: int, with_delta: bool = False):
     """Common-random-number sweep over eps with antithetic (y, -y) pairs.
 
-    `factory(sample)` returns (u0_values, solve(sign, eps) -> values,
-    delta() -> values).  Returns per-eps (momD, momE, mom0): moments of the
+    `factory(sample, amplitudes)` returns (u0_values, solve(sign, eps) ->
+    values, delta() -> values) for the signed amplitudes sign * eps of
+    both signs.  Returns per-eps (momD, momE, mom0): moments of the
     coupled difference, of u_eps, and of u0, over 2 * n_pairs samples, plus
     the moments of the derivative solve when `with_delta` is set.
     """
@@ -249,6 +254,7 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], n_nodes: int,
     if n_pairs < 1:
         raise ConfigError("n_mc must be at least 2 for the paired sweep")
     n_eps = len(cfg.eps_list)
+    amplitudes = [sign * eps for sign in (1.0, -1.0) for eps in cfg.eps_list]
 
     def run_block(block):
         lo, hi = block
@@ -259,7 +265,7 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], n_nodes: int,
         for p in range(lo, hi):
             sample = draw_sample(dims[0], dims[1], cfg.seed, p)
             try:
-                u0, solve, delta = factory(sample)
+                u0, solve, delta = factory(sample, amplitudes)
                 delta_vals = delta() if with_delta else None
                 for sign in (1.0, -1.0):
                     for ei, eps in enumerate(cfg.eps_list):

@@ -9,6 +9,7 @@ effective settings, so comments and key order do not affect it.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -79,8 +80,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("grid_cells must be at least 16")
     if not cfg.eps_list:
         raise ConfigError("eps_list must not be empty")
-    if any(e <= 0.0 for e in cfg.eps_list):
-        raise ConfigError("eps_list entries must be positive")
+    if not all(0.0 < e < math.inf for e in cfg.eps_list):
+        raise ConfigError("eps_list entries must be positive and finite")
     if list(cfg.eps_list) != sorted(cfg.eps_list):
         raise ConfigError("eps_list must be ascending")
     if cfg.n_mc < 2:

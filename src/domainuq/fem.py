@@ -12,7 +12,12 @@ geometric multigrid V-cycle for the unit-coefficient Laplacian on the
 reference (undeformed) mesh.  A mildly deformed domain with a coefficient
 bounded above and below gives an operator spectrally equivalent to that
 one, so one preconditioner, built once per topology, serves every solve and
-keeps the iteration count independent of the mesh size.
+keeps the iteration count independent of the mesh size.  Because the
+preconditioner is fixed, `solve_dirichlet` runs several systems
+`(K + c_j K_r) u_j = b_j` in lockstep on an (m, k) block: each iteration
+applies the two sparse matrices and one V-cycle to all unconverged
+columns, so the per-call overhead of numpy and scipy is paid once per
+block, not once per column.  A plain solve is the one-column case.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix, diags
 
 from .errors import (MeshMismatch, NonFiniteValue, NonPositiveCoefficient,
                      SolverDiverged)
@@ -282,10 +287,15 @@ class ReferenceSolver:
     * a V-cycle for the unit-coefficient interior stiffness of the
       reference mesh: Galerkin coarse operators `P^T A P` along the
       refinement chain (`P` keeps parent values and averages the two edge
-      endpoints at midpoints), one damped Jacobi sweep before and one
-      after each coarse correction, and a dense inverse at level
-      `min(level, COARSE_LEVEL)`.  Both sweeps apply the same symmetric
-      smoother, so the V-cycle is symmetric and positive definite.
+      endpoints at midpoints), one damped Jacobi sweep (weights `W`)
+      before and one after each coarse correction, and a dense inverse at
+      level `min(level, COARSE_LEVEL)`.  Both sweeps apply the same
+      symmetric smoother, so the V-cycle is symmetric and positive
+      definite.  Each level stores the sweeps and the transfers folded
+      into two sparse matrices, so one level of a V-cycle `V` applied to
+      `r` is `S r + G V_coarse(G^T r)`, with `S = 2W - W A W` and
+      `G = (I - W A) P`: three sparse products per level instead of four
+      and a handful of vector updates.
 
     A mesh without a refinement chain (one read from text, say) is its
     own coarsest level, inverted densely.
@@ -321,9 +331,11 @@ class ReferenceSolver:
             n_coarse = n_fine - len(edges)
             coarse_interior = fine_interior[fine_interior < n_coarse]
             P = _prolongation(edges, n_coarse, fine_interior, coarse_interior)
-            R = P.T.tocsr()
-            self._levels.append((A, SMOOTHING_WEIGHT / A.diagonal(), P, R))
-            A = (R @ A @ P).tocsr()
+            W = diags(SMOOTHING_WEIGHT / A.diagonal())
+            WA = W @ A
+            G = (P - WA @ P).tocsr()
+            self._levels.append(((2.0 * W - WA @ W).tocsr(), G, G.T.tocsr()))
+            A = (P.T.tocsr() @ A @ P).tocsr()
             fine_interior, n_fine = coarse_interior, n_coarse
         inverse = np.linalg.inv(A.toarray())
         self._coarse_inverse = 0.5 * (inverse + inverse.T)
@@ -335,17 +347,26 @@ class ReferenceSolver:
                           shape=(m, m))
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        """One V-cycle applied to an interior residual."""
-        return self._vcycle(0, r)
+        """One V-cycle applied to an interior residual vector, or to each
+        column of an (m, k) block of them."""
+        return self._vcycle(0, r.reshape(len(r), -1)).reshape(r.shape)
 
     def _vcycle(self, k: int, r: np.ndarray) -> np.ndarray:
         if k == len(self._levels):
             return self._coarse_inverse @ r
-        A, weighted_inverse_diagonal, P, R = self._levels[k]
-        x = weighted_inverse_diagonal * r
-        x += P @ self._vcycle(k + 1, R @ (r - A @ x))
-        x += weighted_inverse_diagonal * (r - A @ x)
+        S, G, Gt = self._levels[k]
+        x = S @ r
+        x += G @ self._vcycle(k + 1, Gt @ r)
         return x
+
+    def check_pattern(self, K: csr_matrix, name: str) -> None:
+        """Raise MeshMismatch unless `K` has this topology's sparsity pattern."""
+        n = self.n_nodes
+        if K.shape != (n, n) or not (
+                np.array_equal(K.indptr, self.pattern.indptr)
+                and np.array_equal(K.indices, self.pattern.indices)):
+            raise MeshMismatch(
+                f"{name} sparsity pattern differs from the mesh topology's")
 
 
 def reference_solver(mesh: Mesh) -> ReferenceSolver:
@@ -356,80 +377,121 @@ def reference_solver(mesh: Mesh) -> ReferenceSolver:
 
 def solve_dirichlet(K: csr_matrix, b: np.ndarray, mesh: Mesh,
                     rtol: float = CG_RTOL,
-                    diag_out: dict | None = None) -> NodalField:
-    """Solve K u = b with u = 0 on the boundary nodes of `mesh`.
+                    diag_out: dict | None = None,
+                    K_r: csr_matrix | None = None,
+                    amplitudes=None):
+    """Solve (K + c_j K_r) u_j = b_j with u_j = 0 on the boundary nodes of
+    `mesh`, for every column j at once.
 
-    `K` must be assembled on `mesh` or on a mesh displaced from it.
+    `b` is one load shared by every column or an (n, k) array of loads.
+    `amplitudes` lists the c_j, one per column; without it every c_j is
+    zero and `b` alone sets the columns.  `K_r` is the matrix the
+    amplitudes scale (no `K_r` means a zero one).  `K` and `K_r` must be
+    assembled on `mesh` or on a mesh displaced from it.
+
     Boundary unknowns are eliminated symmetrically (the system is
-    restricted to the interior), and the reduced SPD system is solved by
+    restricted to the interior), and the columns are solved in lockstep by
     conjugate gradients preconditioned with one V-cycle of the topology's
-    `ReferenceSolver`, to relative residual target `rtol` with an
-    iteration cap of `CG_CAP_FACTOR` per unknown.
+    `ReferenceSolver`: every iteration applies `K`, `K_r` and the V-cycle
+    to the block of unconverged columns.  A column that reaches its own
+    relative residual target `rtol` is frozen, so it takes the iterations
+    of a one-column solve and agrees with it to rounding.  The iteration
+    cap is `CG_CAP_FACTOR` per interior unknown.
 
-    `diag_out`, if given, receives the iteration count and final residual.
+    `diag_out`, if given, receives `iterations` (the lockstep count, the
+    largest over the columns), `residual` (the largest final residual
+    norm) and `column_iterations` (one count per column).
+
+    Returns a NodalField for a one-dimensional `b` without `amplitudes`,
+    otherwise a list of NodalFields, one per column.
 
     Raises
     ------
     MeshMismatch
-        If `K` does not have the sparsity pattern of the mesh topology.
+        If `K` or `K_r` does not have the sparsity pattern of the mesh
+        topology.
     NonFiniteValue
-        If the interior load, the interior matrix or a residual holds a
-        NaN or an infinity.
+        If an interior load, an interior matrix entry or a residual holds
+        a NaN or an infinity.
     SolverDiverged
-        If the iteration cap is reached before the residual target.
+        If the iteration cap is reached before every residual target.
     """
     ref = reference_solver(mesh)
     n = ref.n_nodes
-    if K.shape != (n, n) or not (
-            np.array_equal(K.indptr, ref.pattern.indptr)
-            and np.array_equal(K.indices, ref.pattern.indices)):
-        raise MeshMismatch(
-            "matrix sparsity pattern differs from the mesh topology's")
-    bi = b[ref.interior]
+    ref.check_pattern(K, "matrix")
+    if K_r is not None:
+        ref.check_pattern(K_r, "rough matrix")
+    b = np.asarray(b, dtype=float)
+    loads = b if b.ndim == 2 else b[:, None]
+    c = (np.zeros(loads.shape[1]) if amplitudes is None
+         else np.asarray(amplitudes, dtype=float).reshape(-1))
+    if loads.shape[1] not in (1, len(c)):
+        raise ValueError(f"{loads.shape[1]} load columns for "
+                         f"{len(c)} amplitudes")
+    m = len(ref.interior)
+    bi = np.broadcast_to(loads[ref.interior], (m, len(c)))
     if not np.all(np.isfinite(bi)):
         raise NonFiniteValue("load vector is not finite at an interior node")
     A = ref.interior_matrix(K.data)
-    if not np.all(np.isfinite(A.data)):
-        raise NonFiniteValue("stiffness matrix has a non-finite interior entry")
+    A_r = None if K_r is None else ref.interior_matrix(K_r.data)
+    for M in (A, A_r):
+        if M is not None and not np.all(np.isfinite(M.data)):
+            raise NonFiniteValue(
+                "stiffness matrix has a non-finite interior entry")
 
-    u = np.zeros(n)
-    norm_b = float(np.linalg.norm(bi))
-    if norm_b == 0.0:
-        if diag_out is not None:
-            diag_out.update(iterations=0, residual=0.0)
-        return NodalField(u, ref.level)
-
-    tol = rtol * norm_b
-    cap = CG_CAP_FACTOR * len(bi)
-    x = np.zeros(len(bi))
-    r = bi.copy()
-    p = ref.precondition(r)
-    rz = float(r @ p)
+    norm_b = np.sqrt(np.vecdot(bi, bi, axis=0))
+    cap = CG_CAP_FACTOR * m
+    x = np.zeros((m, len(c)))
+    column_iterations = np.zeros(len(c), dtype=int)
+    final_residual = np.zeros(len(c))
+    # Arrays of the unconverged columns only; `cols` maps them back.
+    cols = np.flatnonzero(norm_b != 0.0)
+    r = bi[:, cols]
+    xs = np.zeros_like(r)
+    p = np.zeros_like(r)  # with rz = 1 the first direction is exactly z
+    rz = np.ones(len(cols))
+    res = norm_b[cols]
+    tol = rtol * res
     iterations = 0
-    res = norm_b
-    while res > tol:
+    while cols.size:
+        z = ref.precondition(r)
+        rz_next = np.vecdot(r, z, axis=0)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
         if iterations >= cap:
+            worst = np.argmax(res / tol)
             raise SolverDiverged(
-                f"no convergence in {cap} iterations, residual {res:.3e} > {tol:.3e}")
+                f"no convergence in {cap} iterations, residual "
+                f"{res[worst]:.3e} > {tol[worst]:.3e} in column {cols[worst]}")
         q = A @ p
-        alpha = rz / float(p @ q)
-        x += alpha * p
+        if A_r is not None:
+            q += (A_r @ p) * c[cols]
+        alpha = rz / np.vecdot(p, q, axis=0)
+        xs += alpha * p
         r -= alpha * q
         iterations += 1
-        res = float(np.linalg.norm(r))
-        if not np.isfinite(res):
-            raise NonFiniteValue(
-                f"residual {res} after {iterations} iterations")
-        if res > tol:
-            z = ref.precondition(r)
-            rz_next = float(r @ z)
-            p = z + (rz_next / rz) * p
-            rz = rz_next
+        res = np.sqrt(np.vecdot(r, r, axis=0))
+        if not np.isfinite(res).all():
+            j = np.flatnonzero(~np.isfinite(res))[0]
+            raise NonFiniteValue(f"residual {res[j]} in column {cols[j]} "
+                                 f"after {iterations} iterations")
+        done = res <= tol
+        if done.any():
+            x[:, cols[done]] = xs[:, done]
+            column_iterations[cols[done]] = iterations
+            final_residual[cols[done]] = res[done]
+            keep = ~done
+            cols, r, xs, p = cols[keep], r[:, keep], xs[:, keep], p[:, keep]
+            rz, res, tol = rz[keep], res[keep], tol[keep]
 
-    u[ref.interior] = x
+    u = np.zeros((len(c), n))
+    u[:, ref.interior] = x.T
     if diag_out is not None:
-        diag_out.update(iterations=iterations, residual=res)
-    return NodalField(u, ref.level)
+        diag_out.update(iterations=iterations,
+                        residual=float(final_residual.max(initial=0.0)),
+                        column_iterations=column_iterations.tolist())
+    fields = [NodalField(values, ref.level) for values in u]
+    return fields[0] if b.ndim == 1 and amplitudes is None else fields
 
 
 def _h1_gram(mesh: Mesh) -> csr_matrix:

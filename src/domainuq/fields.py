@@ -287,11 +287,9 @@ def eval_rough(sf: ScalarFieldKL, pts: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if len(y) != sf.n_modes:
         raise ValueError(f"y has length {len(y)}, expected {sf.n_modes}")
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if sf.n_modes == 0:
-        _ = sf.grid.interpolate(sf.mean, pts)  # range check
-        return np.zeros(len(pts))
-    return y @ sf.grid.interpolate(sf.basis.modes, pts)
+    # Interpolation is linear, so the combination y @ modes is formed on the
+    # grid and interpolated once, not each mode at every point.
+    return sf.grid.interpolate(y @ sf.basis.modes, pts)
 
 
 def eval_coefficient(sf: ScalarFieldKL, pts, y: np.ndarray, eps: float):
@@ -330,8 +328,9 @@ class Sample:
         self.y = np.asarray(self.y, dtype=float)
         self.z = np.asarray(self.z, dtype=float)
         for name, vec in (("y", self.y), ("z", self.z)):
-            if vec.size and np.max(np.abs(vec)) > SQRT3 * (1.0 + 1e-12):
-                raise ValueError(f"{name} has components outside [-sqrt(3), sqrt(3)]")
+            if not np.all(np.abs(vec) <= SQRT3 * (1.0 + 1e-12)):
+                raise ValueError(f"{name} has components outside "
+                                 "[-sqrt(3), sqrt(3)] or not finite")
 
 
 def draw_sample(n_y: int, n_z: int, seed: int, index: int) -> Sample:

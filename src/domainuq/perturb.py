@@ -3,13 +3,18 @@ coefficient derivative problem, realized on the deformed mesh.
 
 Each domain realization moves the mesh nodes and keeps the topology, so a
 solution computed on the deformed mesh pulls back to the reference disc by
-reusing the node values.  The smooth-part stiffness matrix is assembled
-once per domain realization and shared by all three solves; the rough-part
-stiffness enters as an exact linear combination, which keeps the zero
-amplitude solve bit-identical to the smooth solve.  Every solve passes the
-reference mesh to `solve_dirichlet`, whose multigrid preconditioner and
-interior restriction are built once for the topology that all deformed
-meshes share.
+reusing the node values.  The smooth-part stiffness matrix and the load are
+assembled once per domain realization.  Every full solve on it uses an
+operator of the affine family `K_s + c * K_r` with the same load, so
+`DeformedProblem.solve_amplitudes` hands all the amplitudes c of a
+realization (u0 is c = 0) to one lockstep call of `solve_dirichlet`, which
+applies `K_s` and `K_r` to the whole block of columns.  A zero amplitude
+adds exactly nothing, so a one-column solve at amplitude 0 is
+bit-identical to the smooth solve.  Derivative solves for several
+directions share the smooth operator and go through one call with one
+load column each.  Every solve passes the reference mesh to
+`solve_dirichlet`, whose multigrid preconditioner and interior restriction
+are built once for the topology that all deformed meshes share.
 """
 
 from __future__ import annotations
@@ -48,10 +53,11 @@ class DeformedProblem:
 
     Builds the deformed mesh, evaluates the smooth coefficient at the
     deformed quadrature points, and assembles the smooth stiffness and the
-    load once.  Rough-part stiffnesses are linear combinations added onto
-    the shared CSR data, so the sparsity pattern never changes.  Solves
-    pass the reference mesh to `solve_dirichlet`, which preconditions them
-    with the multigrid V-cycle of the shared topology.
+    load once.  A rough-part stiffness has the same sparsity pattern, and
+    `solve_amplitudes` solves with `K_s + c * K_r` for a list of amplitudes
+    c in one lockstep call.  Solves pass the reference mesh to
+    `solve_dirichlet`, which preconditions them with the multigrid V-cycle
+    of the shared topology.
     """
 
     def __init__(self, mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
@@ -83,19 +89,34 @@ class DeformedProblem:
         return stiffness_from_qvalues(self.deformed, a_r_q,
                                       require_positive=False)
 
+    def solve_amplitudes(self, a_r_q: np.ndarray | None, K_r, amplitudes,
+                         diag_out: dict | None = None) -> list[NodalField]:
+        """Full solves with coefficients a_s + c * a_r, one per amplitude c,
+        in one lockstep call of `solve_dirichlet`.
+
+        `a_r_q` and `K_r` are the rough part's quadrature values and
+        stiffness; both None stand for a zero rough part.  Raises
+        NonPositiveCoefficient, naming the amplitude, if a coefficient is
+        not strictly positive (or is NaN) at a quadrature point.
+        """
+        amplitudes = [float(c) for c in amplitudes]
+        if a_r_q is not None:
+            for c in amplitudes:
+                full_q = self.a_s_q + c * a_r_q
+                if not np.all(full_q > 0.0):
+                    raise NonPositiveCoefficient(
+                        f"coefficient minimum {np.min(full_q):.6e} "
+                        f"at amplitude {c}")
+        return solve_dirichlet(self.K_s, self.b, self.mesh, diag_out=diag_out,
+                               K_r=K_r, amplitudes=amplitudes)
+
     def solve_u0(self, diag_out: dict | None = None) -> NodalField:
-        return solve_dirichlet(self.K_s, self.b, self.mesh, diag_out=diag_out)
+        return self.solve_amplitudes(None, None, [0.0], diag_out)[0]
 
     def solve_u_eps_from_parts(self, a_r_q: np.ndarray, K_r, eps: float,
                                diag_out: dict | None = None) -> NodalField:
         """Full solve with coefficient a_s + eps * a_r from precomputed parts."""
-        full_q = self.a_s_q + eps * a_r_q
-        if np.any(full_q <= 0.0):
-            raise NonPositiveCoefficient(
-                f"coefficient minimum {full_q.min():.6e} at amplitude {eps}")
-        K = self.K_s.copy()
-        K.data = self.K_s.data + eps * K_r.data
-        return solve_dirichlet(K, self.b, self.mesh, diag_out=diag_out)
+        return self.solve_amplitudes(a_r_q, K_r, [eps], diag_out)[0]
 
     def solve_u_eps(self, y: np.ndarray, eps: float,
                     diag_out: dict | None = None) -> NodalField:
@@ -132,22 +153,27 @@ def solve_sample(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
 
 
 def solve_pair(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
-               sample: Sample):
+               sample: Sample, amplitudes):
     """Coupled solves of one sample on one domain realization.
 
-    Returns (u0 values, solve(sign, eps), delta()): `solve` gives the
-    values of u_eps at the coefficient parameters sign * y, and `delta`
-    those of delta_u at y.  The rough coefficient and its stiffness are
-    evaluated once and shared by every call.
+    `amplitudes` lists the signed amplitudes sign * eps the caller will
+    ask for.  u0 and u_eps at each of them are solved in one lockstep
+    call.  Returns (u0 values, solve(sign, eps), delta()): `solve` gives
+    the values of u_eps at the coefficient parameters sign * y, which is
+    the solve at amplitude sign * eps (a KeyError for an amplitude not
+    listed), and `delta` those of delta_u at y.  The rough coefficient and
+    its stiffness are evaluated once.
     """
     dp = DeformedProblem(mesh, vf, sf, sample.z)
-    u0 = dp.solve_u0()
     a_r_q = dp.rough_qvalues(sample.y)
     K_r = dp.rough_stiffness(a_r_q)
+    columns = [0.0] + sorted({float(c) for c in amplitudes} - {0.0})
+    fields = dp.solve_amplitudes(a_r_q, K_r, columns)
+    by_amplitude = {c: u.values for c, u in zip(columns, fields)}
+    u0 = fields[0]
 
     def solve(sign, eps):
-        # u_eps at (sign * y) equals the solve at amplitude sign * eps
-        return dp.solve_u_eps_from_parts(a_r_q, K_r, sign * eps).values
+        return by_amplitude[float(sign * eps)]
 
     def delta():
         return dp.solve_delta_u_from_parts(a_r_q, u0).values
@@ -168,7 +194,8 @@ def taylor_remainders(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
                       sample: Sample, eps_list) -> list[float]:
     """Taylor remainders for one sample over several amplitudes, sharing
     the domain realization, u0, and delta_u across amplitudes."""
-    return remainders(mesh, solve_pair(mesh, vf, sf, sample), eps_list)
+    return remainders(mesh, solve_pair(mesh, vf, sf, sample, eps_list),
+                      eps_list)
 
 
 def delta_second_moment(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
@@ -177,17 +204,19 @@ def delta_second_moment(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
     parameters, at a fixed domain realization.
 
     The derivative is linear in the independent unit-variance parameters,
-    so the moment is the sum of squared per-mode solves.  Integrating this
-    field over z gives the second order variance correction term."""
+    so the moment is the sum of squared per-mode solves, which share the
+    smooth operator and run as one solve with a load column per mode.
+    Integrating this field over z gives the second order variance
+    correction term."""
     dp = DeformedProblem(mesh, vf, sf, z)
     u0 = dp.solve_u0()
-    acc = np.zeros(mesh.n_nodes)
-    direction = np.zeros(sf.n_modes)
-    for k in range(sf.n_modes):
-        direction[:] = 0.0
-        direction[k] = 1.0
-        acc += dp.solve_delta_u(direction, u0).values ** 2
-    return NodalField(acc, mesh.level)
+    loads = np.empty((mesh.n_nodes, sf.n_modes))
+    for k, direction in enumerate(np.eye(sf.n_modes)):
+        loads[:, k] = perturbation_load_from_qvalues(
+            dp.deformed, dp.rough_qvalues(direction), u0.values)
+    fields = solve_dirichlet(dp.K_s, loads, mesh)
+    return NodalField(sum((u.values ** 2 for u in fields),
+                          np.zeros(mesh.n_nodes)), mesh.level)
 
 
 def solve_transported(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,

@@ -40,6 +40,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("line", [
         "eps_list = 1, 0.5",          # not ascending
         "eps_list = -1, 1",           # not positive
+        "eps_list = 0.25, nan",       # not finite
+        "eps_list = 0.25, inf",
         "n_mc = 1",
         "kl_tol_v = 0",
         "kl_tol_v = 1.5",
@@ -155,6 +157,22 @@ class TestSolveOne:
         code = main(["solve-one", "--config", cfg, "--out", out,
                      "--y", "0.1,0.2", "--z", "0", "--eps", "0.5"])
         assert code == 2
+
+    @pytest.mark.parametrize("flag,first", [
+        ("--y", "5"), ("--y", "nan"), ("--z", "inf"), ("--z", "1e999")])
+    def test_bad_component_is_config_error(self, tiny_run, flag, first,
+                                           capsys):
+        cfg, out = tiny_run
+        n_y = load_scalar_field(os.path.join(out, "coefficient.txt")).n_modes
+        n_z = load_vector_field(os.path.join(out, "vector_field.txt")).n_modes
+        n = n_y if flag == "--y" else n_z
+        vectors = {"--y": "0", "--z": "0",
+                   flag: ",".join([first] + ["0"] * (n - 1))}
+        code = main(["solve-one", "--config", cfg, "--out", out,
+                     "--y", vectors["--y"], "--z", vectors["--z"],
+                     "--eps", "0.5"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -278,6 +296,39 @@ class TestWorkPerSample:
         assert main(["convergence", "--config", cfg, "--out", out,
                      "--second-order-variance"]) == 0
         assert len(calls) == parse_config(TINY).n_mc // 2
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        """Count `solve_dirichlet` calls; every amplitude of a domain
+        realization goes through one lockstep call."""
+        import domainuq.perturb as perturb
+        calls = []
+        original = perturb.solve_dirichlet
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(perturb, "solve_dirichlet", counting)
+        return calls
+
+    def test_convergence_one_solve_call_per_pair_and_node(
+            self, tiny_run, tmp_path, monkeypatch):
+        from domainuq.uq import smolyak_rule
+        cfg, out = self.artifacts_copy(tiny_run, tmp_path / "c")
+        calls = self.count_solves(monkeypatch)
+        assert main(["convergence", "--config", cfg, "--out", out]) == 0
+        n_z = load_vector_field(os.path.join(out, "vector_field.txt")).n_modes
+        config = parse_config(TINY)
+        nodes = len(smolyak_rule(n_z, config.quad_level).nodes)
+        assert len(calls) == config.n_mc // 2 + nodes
+
+    def test_mc_one_solve_call_per_sample(self, tiny_run, tmp_path,
+                                          monkeypatch):
+        cfg, out = self.artifacts_copy(tiny_run, tmp_path / "m")
+        calls = self.count_solves(monkeypatch)
+        assert main(["mc", "--config", cfg, "--out", out]) == 0
+        assert len(calls) == parse_config(TINY).n_mc
 
 
 class TestConvergenceCSV:

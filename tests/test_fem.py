@@ -141,6 +141,13 @@ class TestPerturbationLoad:
         assert np.array_equal(b2, 2.0 * b1)
 
 
+def rough_pair(mesh):
+    """Smooth and rough stiffness matrices and the unit load on `mesh`."""
+    K = assemble_stiffness(mesh, lambda p: 1.0 + 0.2 * p[..., 0] ** 2)
+    K_r = assemble_stiffness(mesh, lambda p: 0.5 + 0.4 * np.sin(3 * p[..., 1]))
+    return K, K_r, assemble_load(mesh, lambda p: 1.0)
+
+
 class TestDirichletSolve:
     def test_poisson_disc_center_value(self):
         mesh = build_disc_mesh(5)
@@ -197,6 +204,83 @@ class TestDirichletSolve:
         b = assemble_load(mesh3, lambda p: 1.0)
         with pytest.raises(MeshMismatch):
             solve_dirichlet(K, b, mesh3)
+
+    AMPLITUDES = [0.0, 0.25, -0.25, 1.0, -1.0]
+
+    def test_columns_match_one_column_solves(self, mesh4):
+        K, K_r, b = rough_pair(mesh4)
+        diag = {}
+        fields = solve_dirichlet(K, b, mesh4, diag_out=diag, K_r=K_r,
+                                 amplitudes=self.AMPLITUDES)
+        assert isinstance(diag["iterations"], int)
+        assert diag["iterations"] == max(diag["column_iterations"])
+        for c, u, iterations in zip(self.AMPLITUDES, fields,
+                                    diag["column_iterations"]):
+            K_c = K.copy()
+            K_c.data = K.data + c * K_r.data
+            one = {}
+            single = solve_dirichlet(K_c, b, mesh4, diag_out=one)
+            assert iterations == one["iterations"]
+            assert (np.abs(u.values - single.values).max()
+                    <= 1e-12 * np.abs(single.values).max())
+
+    def test_load_columns_match_one_column_solves(self, mesh4):
+        K, _, b = rough_pair(mesh4)
+        loads = np.column_stack([b, assemble_load(mesh4, lambda p: p[:, 0]),
+                                 np.zeros(mesh4.n_nodes), 3.0 * b])
+        diag = {}
+        fields = solve_dirichlet(K, loads, mesh4, diag_out=diag)
+        assert len(fields) == 4
+        assert diag["column_iterations"][2] == 0
+        assert np.array_equal(fields[2].values, np.zeros(mesh4.n_nodes))
+        for j in (0, 1, 3):
+            one = {}
+            single = solve_dirichlet(K, loads[:, j], mesh4, diag_out=one)
+            assert diag["column_iterations"][j] == one["iterations"]
+            assert (np.abs(fields[j].values - single.values).max()
+                    <= 1e-12 * np.abs(single.values).max())
+
+    def test_zero_amplitude_column_equals_plain_solve(self, mesh3):
+        K, K_r, b = rough_pair(mesh3)
+        plain = solve_dirichlet(K, b, mesh3)
+        block = solve_dirichlet(K, b, mesh3, K_r=K_r, amplitudes=[0.0])
+        assert np.array_equal(block[0].values, plain.values)
+
+    def test_non_finite_load_column_raises(self, mesh3):
+        K, _, b = rough_pair(mesh3)
+        loads = np.column_stack([b, b, b])
+        loads[0, 1] = np.inf  # the disc centre, an interior node
+        with pytest.raises(NonFiniteValue):
+            solve_dirichlet(K, loads, mesh3)
+
+    def test_non_finite_amplitude_raises(self, mesh3):
+        K, K_r, b = rough_pair(mesh3)
+        with pytest.raises(NonFiniteValue, match="column 1"):
+            solve_dirichlet(K, b, mesh3, K_r=K_r, amplitudes=[0.5, np.nan])
+
+    def test_non_finite_rough_matrix_raises(self, mesh3):
+        K, K_r, b = rough_pair(mesh3)
+        K_r.data[K_r.indptr[0]] = np.nan
+        with pytest.raises(NonFiniteValue):
+            solve_dirichlet(K, b, mesh3, K_r=K_r, amplitudes=[0.5])
+
+    def test_foreign_rough_pattern_raises(self, mesh2, mesh3):
+        K, _, b = rough_pair(mesh3)
+        K_r, _, _ = rough_pair(mesh2)
+        with pytest.raises(MeshMismatch):
+            solve_dirichlet(K, b, mesh3, K_r=K_r, amplitudes=[0.5])
+
+    def test_iteration_cap_raises_for_block(self, mesh3, monkeypatch):
+        import domainuq.fem as fem
+        K, K_r, b = rough_pair(mesh3)
+        one = {}
+        solve_dirichlet(K, b, mesh3, diag_out=one)
+        # a cap that allows one iteration fewer than column 0 needs
+        m = mesh3.n_nodes - len(mesh3.boundary)
+        monkeypatch.setattr(fem, "CG_CAP_FACTOR",
+                            (one["iterations"] - 1.5) / m)
+        with pytest.raises(SolverDiverged, match="column"):
+            solve_dirichlet(K, b, mesh3, K_r=K_r, amplitudes=[0.0, 0.5])
 
 
 class TestReferenceSolver:

@@ -125,6 +125,14 @@ class TestScalarFieldKL:
             sup = max(sup, np.abs(eval_rough(sf64, pts, y)).max())
         assert 0.6 <= sup <= 0.9
 
+    def test_rough_part_matches_mode_by_mode_interpolation(self, sf64):
+        rng = rng_stream(12, 0)
+        pts = rng.uniform(-2, 2, size=(500, 2))
+        y = sample_uniform(sf64.n_modes, rng)
+        per_mode = y @ sf64.grid.interpolate(sf64.basis.modes, pts)
+        assert (np.abs(eval_rough(sf64, pts, y) - per_mode).max()
+                <= 1e-14 * np.abs(per_mode).max())
+
     def test_ellipticity_window(self, sf64):
         rng = rng_stream(13, 0)
         amin, amax = np.inf, -np.inf
@@ -188,6 +196,13 @@ class TestSampling:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             dq.Sample(y=np.array([2.0]), z=np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sample_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            dq.Sample(y=np.array([0.5, bad]), z=np.zeros(2))
+        with pytest.raises(ValueError):
+            dq.Sample(y=np.zeros(2), z=np.array([bad, 0.5]))
 
 
 class TestDumps:

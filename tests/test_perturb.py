@@ -8,8 +8,8 @@ import domainuq as dq
 import domainuq.fem as fem
 from domainuq.fem import NodalField, h1_norm
 from domainuq.fields import rng_stream, sample_uniform
-from domainuq.perturb import (DeformedProblem, solve_sample, solve_transported,
-                              taylor_remainders)
+from domainuq.perturb import (DeformedProblem, solve_pair, solve_sample,
+                              solve_transported, taylor_remainders)
 from domainuq.uq import smolyak_rule
 
 
@@ -99,6 +99,57 @@ class TestFullSolve:
         s = dq.Sample(y=y, z=np.zeros(vf3.n_modes))
         with pytest.raises(dq.NonPositiveCoefficient):
             DeformedProblem(mesh3, vf3, sf64, s.z).solve_u_eps(s.y, 50.0)
+
+    AMPLITUDES = [0.0, 0.25, 0.5, 1.0, -0.25, -0.5, -1.0]
+
+    def parts(self, mesh, vf, sf, seed):
+        s = dq.draw_sample(sf.n_modes, vf.n_modes, seed, 0)
+        dp = DeformedProblem(mesh, vf, sf, s.z)
+        a_r_q = dp.rough_qvalues(s.y)
+        return dp, a_r_q, dp.rough_stiffness(a_r_q)
+
+    def test_columns_match_one_amplitude_solves(self, mesh4, vf4, sf64):
+        dp, a_r_q, K_r = self.parts(mesh4, vf4, sf64, 21)
+        diag = {}
+        fields = dp.solve_amplitudes(a_r_q, K_r, self.AMPLITUDES, diag)
+        assert diag["iterations"] == max(diag["column_iterations"])
+        for eps, u, iterations in zip(self.AMPLITUDES, fields,
+                                      diag["column_iterations"]):
+            one = {}
+            single = dp.solve_u_eps_from_parts(a_r_q, K_r, eps, one)
+            assert iterations == one["iterations"]
+            assert (np.abs(u.values - single.values).max()
+                    <= 1e-12 * np.abs(single.values).max())
+
+    def test_nonpositive_amplitude_is_named(self, mesh3, vf3, sf64):
+        dp, a_r_q, K_r = self.parts(mesh3, vf3, sf64, 22)
+        with pytest.raises(dq.NonPositiveCoefficient,
+                           match="amplitude 1000000.0"):
+            dp.solve_amplitudes(a_r_q, K_r, [0.5, 1e6])
+
+    def test_nan_amplitude_raises(self, mesh3, vf3, sf64):
+        dp, a_r_q, K_r = self.parts(mesh3, vf3, sf64, 23)
+        with pytest.raises(dq.NonPositiveCoefficient, match="amplitude nan"):
+            dp.solve_amplitudes(a_r_q, K_r, [0.5, float("nan")])
+
+    def test_nan_rough_value_raises(self, mesh3, vf3, sf64):
+        dp, a_r_q, K_r = self.parts(mesh3, vf3, sf64, 24)
+        a_r_q = a_r_q.copy()
+        a_r_q[0, 0] = np.nan
+        with pytest.raises(dq.NonPositiveCoefficient):
+            dp.solve_amplitudes(a_r_q, K_r, [0.5])
+
+    def test_pair_serves_listed_amplitudes_only(self, mesh3, vf3, sf64):
+        s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 25, 0)
+        u0, solve, _ = solve_pair(mesh3, vf3, sf64, s, [0.5, -0.5])
+        dp = DeformedProblem(mesh3, vf3, sf64, s.z)
+        minus = dp.solve_u_eps(-s.y, 0.5).values
+        assert (np.abs(solve(-1.0, 0.5) - minus).max()
+                <= 1e-12 * np.abs(minus).max())
+        smooth = dp.solve_u0().values
+        assert np.abs(u0 - smooth).max() <= 1e-12 * np.abs(smooth).max()
+        with pytest.raises(KeyError):
+            solve(1.0, 0.25)
 
 
 class TestTaylorRemainder:
