@@ -19,16 +19,16 @@ from . import __version__
 from .config import (ExperimentConfig, config_hash, load_config,
                      override_config, validate_config)
 from .errors import ConfigError, DomainUQError
-from .fem import NodalField, save_field
+from .fem import NodalField, reference_solver, save_field
 from .fields import (RNG_ALGORITHM, Sample, build_coefficient_kl,
                      build_vector_field_kl, draw_sample, load_scalar_field,
                      load_vector_field, save_scalar_field, save_vector_field)
 from .mesh import build_disc_mesh, save_mesh
 from .perturb import DeformedProblem, remainders, solve_pair, solve_sample
 from .textio import fmt
-from .uq import (RunningMoments, l2_norm, map_blocks, mc_estimate,
-                 norm_by_name, quadrature_estimate, sample_blocks,
-                 save_statistics, slope_fit, smolyak_rule, tree_merge)
+from .uq import (block_accumulators, l2_norm, map_blocks, mc_estimate,
+                 norm_by_name, quadrature_estimate, save_statistics,
+                 slope_fit, smolyak_rule, tree_merge)
 
 VECTOR_FIELD_FILE = "vector_field.txt"
 SCALAR_FIELD_FILE = "coefficient.txt"
@@ -57,12 +57,22 @@ def _load_artifacts(cfg: ExperimentConfig):
     if not (os.path.exists(vpath) and os.path.exists(spath)):
         raise ConfigError(
             f"KL artifacts not found in {cfg.out_dir!r}; run build-kl first")
-    vf = load_vector_field(vpath)
-    sf = load_scalar_field(spath)
+    try:
+        vf = load_vector_field(vpath)
+    except (ValueError, IndexError) as e:
+        raise ConfigError(f"cannot parse KL artifact {vpath!r}: {e}") from e
+    try:
+        sf = load_scalar_field(spath)
+    except (ValueError, IndexError) as e:
+        raise ConfigError(f"cannot parse KL artifact {spath!r}: {e}") from e
     if vf.level != cfg.mesh_level:
         raise ConfigError(
             f"vector field artifact is for mesh level {vf.level}, "
             f"config says {cfg.mesh_level}")
+    if sf.grid.cells != cfg.grid_cells:
+        raise ConfigError(
+            f"coefficient artifact is for grid_cells {sf.grid.cells}, "
+            f"config says {cfg.grid_cells}")
     return vf, sf
 
 
@@ -133,6 +143,7 @@ def cmd_solve_one(cfg: ExperimentConfig, y_text: str, z_text: str,
 def cmd_mc(cfg: ExperimentConfig, threads: int) -> None:
     vf, sf = _load_artifacts(cfg)
     mesh = build_disc_mesh(cfg.mesh_level)
+    reference_solver(mesh)  # built once here, inherited by forked workers
 
     def solver(sample):
         dp = DeformedProblem(mesh, vf, sf, sample.z)
@@ -163,6 +174,7 @@ class FEModel:
     def __init__(self, mesh, vf, sf):
         self.mesh, self.vf, self.sf = mesh, vf, sf
         self.dims = (sf.n_modes, vf.n_modes)
+        reference_solver(mesh)  # built once here, inherited by forked workers
 
     def u0(self, z) -> NodalField:
         return DeformedProblem(self.mesh, self.vf, self.sf, z).solve_u0()
@@ -240,8 +252,8 @@ def cmd_taylor(cfg: ExperimentConfig, synthetic: bool) -> None:
     _write(os.path.join(cfg.out_dir, "taylor.csv"), "\n".join(lines) + "\n")
 
 
-def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], n_nodes: int,
-                  factory, threads: int, with_delta: bool = False):
+def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
+                  threads: int, with_delta: bool = False):
     """Common-random-number sweep over eps with antithetic (y, -y) pairs.
 
     `factory(sample, amplitudes)` returns (u0_values, solve(sign, eps) ->
@@ -254,41 +266,39 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], n_nodes: int,
     if n_pairs < 1:
         raise ConfigError("n_mc must be at least 2 for the paired sweep")
     n_eps = len(cfg.eps_list)
-    amplitudes = [sign * eps for sign in (1.0, -1.0) for eps in cfg.eps_list]
+    signs = (1.0, -1.0)
+    amplitudes = [sign * eps for sign in signs for eps in cfg.eps_list]
 
-    def run_block(block):
-        lo, hi = block
-        accD = [RunningMoments(n_nodes) for _ in range(n_eps)]
-        accE = [RunningMoments(n_nodes) for _ in range(n_eps)]
-        acc0 = [RunningMoments(n_nodes) for _ in range(n_eps)]
-        accDelta = RunningMoments(n_nodes)
-        for p in range(lo, hi):
-            sample = draw_sample(dims[0], dims[1], cfg.seed, p)
-            try:
-                u0, solve, delta = factory(sample, amplitudes)
-                delta_vals = delta() if with_delta else None
-                for sign in (1.0, -1.0):
-                    for ei, eps in enumerate(cfg.eps_list):
-                        u = solve(sign, eps)
-                        accD[ei].update(u - u0)
-                        accE[ei].update(u)
-                        acc0[ei].update(u0)
-                    if with_delta:
-                        accDelta.update(sign * delta_vals)
-            except DomainUQError as e:
-                raise type(e)(f"sample pair {p}: {e}") from e
-        return accD, accE, acc0, accDelta
+    def pair_fields(p):
+        """u0, u_eps at each (sign, eps) in sign-major order, and the
+        derivative solve or None."""
+        sample = draw_sample(dims[0], dims[1], cfg.seed, p)
+        try:
+            u0, solve, delta = factory(sample, amplitudes)
+            return (u0, [solve(sign, eps) for sign in signs
+                         for eps in cfg.eps_list],
+                    delta() if with_delta else None)
+        except DomainUQError as e:
+            raise type(e)(f"sample pair {p}: {e}") from e
 
-    results = map_blocks(run_block, sample_blocks(n_pairs), threads)
+    def updates():
+        """Per pair, the vectors of each accumulator in update order: for
+        each eps those of u_eps - u0, u_eps and u0, one per sign, then
+        those of the derivative solve."""
+        for u0, u_eps, delta in map_blocks(pair_fields, range(n_pairs),
+                                           threads):
+            out = []
+            for ei in range(n_eps):
+                u = [u_eps[ei], u_eps[n_eps + ei]]
+                out += [[x - u0 for x in u], u, [u0, u0]]
+            if with_delta:
+                out.append([sign * delta for sign in signs])
+            yield out
 
-    merged = []
-    for ei in range(n_eps):
-        momD = tree_merge([r[0][ei] for r in results])
-        momE = tree_merge([r[1][ei] for r in results])
-        mom0 = tree_merge([r[2][ei] for r in results])
-        merged.append((momD, momE, mom0))
-    mom_delta = tree_merge([r[3] for r in results]) if with_delta else None
-    return merged, mom_delta
+    moments = [tree_merge(accs)
+               for accs in block_accumulators(updates(), n_pairs)]
+    merged = [tuple(moments[3 * ei:3 * ei + 3]) for ei in range(n_eps)]
+    return merged, (moments[-1] if with_delta else None)
 
 
 def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
@@ -301,8 +311,7 @@ def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
     save_statistics(baseline, base_path)
     print(f"wrote {base_path}")
 
-    moments, mom_delta = _paired_sweep(cfg, model.dims, mesh.n_nodes,
-                                       model.pair, threads,
+    moments, mom_delta = _paired_sweep(cfg, model.dims, model.pair, threads,
                                        second_order_variance)
     correction = (mom_delta.freeze(mesh.level).variance().values
                   if second_order_variance else None)
@@ -362,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (results are thread-count "
-                            "independent)")
+                       help="worker processes, forked where the platform "
+                            "allows (results do not depend on the count)")
 
     for name in ("build-kl", "solve-one", "mc", "taylor", "convergence"):
         p = sub.add_parser(name)

@@ -187,7 +187,7 @@ def _local_stiffness(areas: np.ndarray, grads: np.ndarray,
 def stiffness_from_qvalues(mesh: Mesh, coeff_q: np.ndarray,
                            require_positive: bool = True) -> csr_matrix:
     """Stiffness matrix from coefficient values at the (m, 3) quadrature points."""
-    if require_positive and np.any(coeff_q <= 0.0):
+    if require_positive and not np.all(coeff_q > 0.0):
         raise NonPositiveCoefficient(
             f"coefficient minimum {coeff_q.min():.6e} at a quadrature point")
     areas, grads, _ = element_geometry(mesh)

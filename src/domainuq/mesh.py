@@ -53,6 +53,11 @@ class Topology:
     built through `cached` serves every domain realization of a mesh.
     `reference_nodes` are the node positions of the mesh the topology was
     created with, the undeformed reference.
+
+    The command line builds what it needs here before it forks worker
+    processes, which then inherit it.  The lock stays because library
+    callers may share one mesh across threads of their own, and the first
+    uses must still build each object once.
     """
 
     def __init__(self, reference_nodes: np.ndarray):

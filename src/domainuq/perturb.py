@@ -69,7 +69,7 @@ class DeformedProblem:
         self._qflat = qpts.reshape(-1, 2)
         m = len(mesh.triangles)
         self.a_s_q = eval_mean(sf, self._qflat).reshape(m, 3)
-        if np.any(self.a_s_q <= 0.0):
+        if not np.all(self.a_s_q > 0.0):
             raise NonPositiveCoefficient(
                 f"smooth coefficient minimum {self.a_s_q.min():.6e}")
         self.K_s = stiffness_from_qvalues(self.deformed, self.a_s_q,
@@ -245,7 +245,7 @@ def solve_transported(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
     qflat = qpts_def.reshape(-1, 2)
     a_q = (eval_mean(sf, qflat)
            + eps * eval_rough(sf, qflat, sample.y)).reshape(m, 3)
-    if np.any(a_q <= 0.0):
+    if not np.all(a_q > 0.0):
         raise NonPositiveCoefficient(
             f"coefficient minimum {a_q.min():.6e} at amplitude {eps}")
     tensors = a_q.mean(axis=1)[:, None, None] * B

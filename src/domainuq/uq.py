@@ -2,17 +2,21 @@
 rules against the uniform density, and error and slope evaluation.
 
 Monte Carlo estimation uses the Welford recurrence per fixed-size sample
-block and a fixed binary tree merge over block index, so results are bit
-identical for any thread count.  Quadrature estimation accumulates first
-and second weighted moments in rule order.  `map_blocks` is the one place
-where work is handed to worker threads.
+block and a fixed binary tree merge over block index.  Quadrature
+estimation accumulates first and second weighted moments in rule order.
+
+`map_blocks` is the one place where work leaves the calling process.  With
+more than one worker it forks a pool of worker processes, each of which
+solves one sample, pair or node per item and sends the solved fields back;
+the calling process folds them in item order into the same accumulators,
+so results are bit identical for any worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 
 import numpy as np
@@ -107,16 +111,80 @@ def sample_blocks(n_samples: int, block_size: int = MC_BLOCK_SIZE):
             for s in range(0, n_samples, block_size)]
 
 
-def map_blocks(fn, items, threads: int = 1) -> list:
-    """[fn(item) for item in items], spread over `threads` worker threads.
+def block_accumulators(streams, n_items: int) -> list[list[RunningMoments]]:
+    """Welford accumulators of per-item vectors, per quantity and block.
 
-    Results come back in the order of `items`, whatever order the tasks
-    finish in, and an exception raised by a task reaches the caller.
+    `streams` yields, for each of `n_items` items in order, one sequence
+    of vectors per quantity (the same number of quantities every time).
+    Each block of `sample_blocks(n_items)` folds its items into fresh
+    accumulators, vector by vector in the order given.  Returns, for each
+    quantity, its accumulators in block order, ready for `tree_merge`.
     """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    blocks = []
+    for lo, hi in sample_blocks(n_items):
+        accs = None
+        for _ in range(lo, hi):
+            vectors = next(streams)
+            if accs is None:
+                accs = [RunningMoments(len(v[0])) for v in vectors]
+            for acc, values in zip(accs, vectors):
+                for x in values:
+                    acc.update(x)
+        blocks.append(accs)
+    return [list(per_quantity) for per_quantity in zip(*blocks)]
+
+
+#: (fn, items) of the running `map_blocks`, inherited by forked workers.
+_TASK = None
+
+#: Pool tasks per worker; more tasks balance better, fewer cost less.
+TASKS_PER_WORKER = 8
+
+
+def _run_item(index: int):
+    fn, items = _TASK
+    return fn(items[index])
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_blocks(fn, items, threads: int = 1):
+    """Yield fn(item) for each item, in the order of `items`.
+
+    With `min(threads, len(items), usable CPUs)` above one and the `fork`
+    start method available, the items are spread over that many forked
+    worker processes in chunked tasks.  The workers inherit `fn` and
+    `items` at fork time, so `fn` may be a closure; results and exceptions
+    travel back by pickle.  Results are yielded as soon as they and all
+    earlier ones have arrived.  An exception raised by a task reaches the
+    caller, and a worker that dies raises `BrokenProcessPool`.  Otherwise
+    `fn` runs in the calling process, one item at a time.
+    """
+    global _TASK
+    items = list(items)
+    workers = min(threads, len(items), _cpu_count())
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures.process import ProcessPoolExecutor
+            chunk = -(-len(items) // (workers * TASKS_PER_WORKER))
+            _TASK = (fn, items)
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"))
+            try:
+                yield from pool.map(_run_item, range(len(items)),
+                                    chunksize=chunk)
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+                _TASK = None
+            return
+    for item in items:
+        yield fn(item)
 
 
 def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
@@ -137,28 +205,24 @@ def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
         raise ValueError("n_samples must be at least 2")
     n_y, n_z = dims
 
-    def run_block(block):
-        lo, hi = block
-        accs = None
-        for i in range(lo, hi):
-            sample = draw_sample(n_y, n_z, seed, i)
-            try:
-                out = solver(sample)
-            except DomainUQError as e:
-                raise type(e)(f"sample {i}: {e}") from e
-            fields = [out] if isinstance(out, NodalField) else out
-            if accs is None:
-                accs = [RunningMoments(f.n) for f in fields]
-            for acc, f in zip(accs, fields):
-                acc.update(f.values)
-        return accs, out
+    def solve(i):
+        try:
+            return solver(draw_sample(n_y, n_z, seed, i))
+        except DomainUQError as e:
+            raise type(e)(f"sample {i}: {e}") from e
 
-    results = map_blocks(run_block, sample_blocks(n_samples), threads)
-    first = results[0][1]
+    outputs = map_blocks(solve, range(n_samples), threads)
+    first = next(outputs)
     single = isinstance(first, NodalField)
-    fields = [first] if single else first
-    stats = [tree_merge([accs[k] for accs, _ in results]).freeze(f.level)
-             for k, f in enumerate(fields)]
+
+    def fields(out):
+        return [out] if single else out
+
+    blocks = block_accumulators(([(f.values,) for f in fields(out)]
+                                 for out in chain([first], outputs)),
+                                n_samples)
+    stats = [tree_merge(accs).freeze(f.level)
+             for accs, f in zip(blocks, fields(first))]
     return stats[0] if single else stats
 
 
@@ -171,13 +235,12 @@ def quadrature_estimate(solver, rule: "QuadratureRule",
     """
     if len(rule.nodes) == 0:
         raise ValueError("quadrature rule is empty")
-    fields = map_blocks(solver, rule.nodes, threads)
-    s1 = np.zeros(fields[0].n)
-    s2 = np.zeros(fields[0].n)
-    for w, u in zip(rule.weights, (f.values for f in fields)):
-        s1 += w * u
-        s2 += w * (u * u)
-    level = fields[0].level
+    s1 = s2 = None
+    for w, u in zip(rule.weights, map_blocks(solver, rule.nodes, threads)):
+        if s1 is None:
+            s1, s2, level = np.zeros(u.n), np.zeros(u.n), u.level
+        s1 += w * u.values
+        s2 += w * (u.values * u.values)
     return Statistics(weight=float(rule.weights.sum()),
                       mean=NodalField(s1, level),
                       second_central=NodalField(s2 - s1 * s1, level),

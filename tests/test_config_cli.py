@@ -88,6 +88,16 @@ def tiny_run(tmp_path_factory):
     return str(cfg), str(out)
 
 
+def artifacts_copy(tiny_run, target):
+    """(config path, a fresh output directory holding the KL artifacts)."""
+    cfg, out = tiny_run
+    os.makedirs(target)
+    for name in ("vector_field.txt", "coefficient.txt"):
+        (target / name).write_bytes(
+            open(os.path.join(out, name), "rb").read())
+    return cfg, str(target)
+
+
 class TestBuildKL:
     def test_manifest_and_artifacts(self, tiny_run):
         _, out = tiny_run
@@ -192,6 +202,26 @@ class TestExitCodes:
         assert main(["taylor", "--config", cfg, "--out", out]) == 3
 
 
+    def test_artifacts_of_another_grid(self, tiny_run, tmp_path, capsys):
+        _, out = artifacts_copy(tiny_run, tmp_path / "a")
+        cfg = write_config(tmp_path / "g64.cfg",
+                           TINY.replace("grid_cells = 32", "grid_cells = 64"))
+        assert main(["mc", "--config", cfg, "--out", out]) == 2
+        assert "grid_cells 32" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "mc.csv"))
+
+    @pytest.mark.parametrize("name", ["vector_field.txt", "coefficient.txt"])
+    def test_truncated_artifact(self, tiny_run, tmp_path, capsys, name):
+        cfg, out = artifacts_copy(tiny_run, tmp_path / "a")
+        path = os.path.join(out, name)
+        text = open(path).read()
+        with open(path, "w") as f:
+            f.write(text[:len(text) // 2])
+        assert main(["mc", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and name in err
+
+
 class TestSyntheticMode:
     def test_convergence_slopes_exactly_two(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", TINY)
@@ -257,19 +287,10 @@ class TestSecondOrderVariance:
 
 
 class TestWorkPerSample:
-    @staticmethod
-    def artifacts_copy(tiny_run, target):
-        cfg, out = tiny_run
-        os.makedirs(target)
-        for name in ("vector_field.txt", "coefficient.txt"):
-            (target / name).write_bytes(
-                open(os.path.join(out, name), "rb").read())
-        return cfg, str(target)
-
     def test_mc_builds_one_problem_per_sample(self, tiny_run, tmp_path,
                                               monkeypatch):
         from domainuq import cli
-        cfg, out = self.artifacts_copy(tiny_run, tmp_path / "mc")
+        cfg, out = artifacts_copy(tiny_run, tmp_path / "mc")
         builds = []
 
         class Counting(cli.DeformedProblem):
@@ -284,7 +305,7 @@ class TestWorkPerSample:
     def test_convergence_evaluates_rough_part_once_per_pair(
             self, tiny_run, tmp_path, monkeypatch):
         from domainuq.perturb import DeformedProblem
-        cfg, out = self.artifacts_copy(tiny_run, tmp_path / "conv")
+        cfg, out = artifacts_copy(tiny_run, tmp_path / "conv")
         calls = []
         original = DeformedProblem.rough_qvalues
 
@@ -315,7 +336,7 @@ class TestWorkPerSample:
     def test_convergence_one_solve_call_per_pair_and_node(
             self, tiny_run, tmp_path, monkeypatch):
         from domainuq.uq import smolyak_rule
-        cfg, out = self.artifacts_copy(tiny_run, tmp_path / "c")
+        cfg, out = artifacts_copy(tiny_run, tmp_path / "c")
         calls = self.count_solves(monkeypatch)
         assert main(["convergence", "--config", cfg, "--out", out]) == 0
         n_z = load_vector_field(os.path.join(out, "vector_field.txt")).n_modes
@@ -325,7 +346,7 @@ class TestWorkPerSample:
 
     def test_mc_one_solve_call_per_sample(self, tiny_run, tmp_path,
                                           monkeypatch):
-        cfg, out = self.artifacts_copy(tiny_run, tmp_path / "m")
+        cfg, out = artifacts_copy(tiny_run, tmp_path / "m")
         calls = self.count_solves(monkeypatch)
         assert main(["mc", "--config", cfg, "--out", out]) == 0
         assert len(calls) == parse_config(TINY).n_mc
@@ -353,3 +374,19 @@ def test_cli_entrypoint_runs():
         [sys.executable, "-m", "domainuq.cli", "--version"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_one_thread_never_loads_the_process_pool(tiny_run, tmp_path):
+    cfg, out = artifacts_copy(tiny_run, tmp_path / "p")
+    script = (
+        "import sys\n"
+        "from domainuq.cli import main\n"
+        f"for command in ('build-kl', 'convergence', 'mc'):\n"
+        f"    assert main([command, '--config', {cfg!r}, '--out', {out!r},\n"
+        f"                 '--threads', '1']) == 0\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+        "       if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

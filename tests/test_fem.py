@@ -10,7 +10,8 @@ from domainuq.fem import (NodalField, _prolongation, assemble_load,
                           assemble_mass, assemble_perturbation_load,
                           assemble_stiffness, element_geometry,
                           field_from_text, field_to_text, h1_norm, l2_norm,
-                          reference_solver, solve_dirichlet, w11_norm)
+                          reference_solver, solve_dirichlet,
+                          stiffness_from_qvalues, w11_norm)
 from domainuq.mesh import build_disc_mesh, signed_areas
 
 
@@ -56,6 +57,12 @@ class TestAssembly:
     def test_stiffness_rejects_nonpositive_coefficient(self, mesh2):
         with pytest.raises(NonPositiveCoefficient):
             assemble_stiffness(mesh2, lambda p: 0.0)
+
+    def test_stiffness_rejects_nan_coefficient(self, mesh2):
+        coeff_q = np.ones((mesh2.n_triangles, 3))
+        coeff_q[3, 1] = np.nan
+        with pytest.raises(NonPositiveCoefficient):
+            stiffness_from_qvalues(mesh2, coeff_q)
 
     def test_stiffness_additivity(self, mesh3):
         a = lambda p: 1.0 + 0.3 * p[..., 0] ** 2

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -139,6 +140,13 @@ class TestFullSolve:
         with pytest.raises(dq.NonPositiveCoefficient):
             dp.solve_amplitudes(a_r_q, K_r, [0.5])
 
+    def test_nan_smooth_part_raises(self, mesh3, vf3, sf64):
+        mean = sf64.mean.copy()
+        mean[len(mean) // 2] = np.nan  # a vertex at the disc centre
+        sf = dataclasses.replace(sf64, mean=mean)
+        with pytest.raises(dq.NonPositiveCoefficient):
+            DeformedProblem(mesh3, vf3, sf, np.zeros(vf3.n_modes))
+
     def test_pair_serves_listed_amplitudes_only(self, mesh3, vf3, sf64):
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 25, 0)
         u0, solve, _ = solve_pair(mesh3, vf3, sf64, s, [0.5, -0.5])
@@ -243,6 +251,12 @@ class TestTransportedCrossCheck:
         rel = (h1_norm(mesh, u_moving - u_transported)
                / h1_norm(mesh, u_moving))
         assert rel <= 1e-8
+
+
+    def test_nan_amplitude_raises(self, mesh3, vf3, sf64):
+        s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 42, 2)
+        with pytest.raises(dq.NonPositiveCoefficient):
+            solve_transported(mesh3, vf3, sf64, s, float("nan"))
 
 
 class TestDiagnostics:

@@ -1,4 +1,8 @@
-import threading
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -125,19 +129,27 @@ class TestMCEstimate:
 
 
 class TestMapBlocks:
-    def test_order_kept_when_later_tasks_finish_first(self):
-        finished = []
-        last_done = threading.Event()
+    def test_order_kept_when_later_tasks_finish_first(self, tmp_path,
+                                                       monkeypatch):
+        from domainuq import uq
+        monkeypatch.setattr(uq, "_cpu_count", lambda: 2)  # one-CPU hosts
+        last_done = tmp_path / "task3.done"
+        log = tmp_path / "finished"
 
         def fn(i):
             if i == 0:
-                assert last_done.wait(timeout=30)
-            finished.append(i)
+                deadline = time.monotonic() + 30
+                while not last_done.exists():
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+            with open(log, "a") as f:
+                f.write(f"{i}\n")
             if i == 3:
-                last_done.set()
+                last_done.touch()
             return 10 * i
 
-        assert map_blocks(fn, range(4), threads=4) == [0, 10, 20, 30]
+        assert list(map_blocks(fn, range(4), threads=4)) == [0, 10, 20, 30]
+        finished = [int(t) for t in log.read_text().split()]
         assert finished[-1] == 0
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -148,7 +160,67 @@ class TestMapBlocks:
             return i
 
         with pytest.raises(dq.SolverDiverged, match="item 2"):
-            map_blocks(fn, range(5), threads=threads)
+            list(map_blocks(fn, range(5), threads=threads))
+
+    def test_dead_worker_breaks_the_map_without_hanging(self):
+        script = (
+            "import os\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "from domainuq import uq\n"
+            "uq._cpu_count = lambda: 2  # a pool even on a one-CPU host\n"
+            "def fn(i):\n"
+            "    if i == 3:\n"
+            "        os._exit(1)\n"
+            "    return i\n"
+            "try:\n"
+            "    list(uq.map_blocks(fn, range(8), threads=2))\n"
+            "except BrokenProcessPool:\n"
+            "    print('broken')\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "broken"
+
+    def test_no_worker_left_after_success_or_failure(self):
+        def fn(i):
+            if i == 5:
+                raise dq.NonFiniteValue("item 5")
+            return i
+
+        assert list(map_blocks(fn, range(5), threads=2)) == list(range(5))
+        assert multiprocessing.active_children() == []
+        with pytest.raises(dq.NonFiniteValue):
+            list(map_blocks(fn, range(9), threads=2))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_capped(self, monkeypatch):
+        import concurrent.futures.process as process
+        from domainuq import uq
+        sizes = []
+
+        class Recording:
+            """Runs the tasks in this process; starts no worker."""
+
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def map(self, fn, iterable, chunksize):
+                return map(fn, iterable)
+
+            def shutdown(self, wait, cancel_futures):
+                pass
+
+        monkeypatch.setattr(process, "ProcessPoolExecutor", Recording)
+        assert list(map_blocks(abs, range(-9, 1), threads=64)) == list(
+            range(9, -1, -1))
+        cpus = len(os.sched_getaffinity(0))
+        assert sizes == ([min(cpus, 10)] if cpus > 1 else [])
+        monkeypatch.setattr(uq, "_cpu_count", lambda: 3)
+        sizes.clear()
+        for n in (1, 2, 10):
+            assert list(map_blocks(abs, range(n), threads=64)) == list(
+                range(n))
+        assert sizes == [2, 3]
 
 
 class TestQuadratureEstimate:
