@@ -51,20 +51,27 @@ def _write(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
+def _load_artifact(load, path):
+    """A KL field read by `load`; ConfigError naming the file if it does
+    not parse or holds a NaN or an infinity."""
+    try:
+        kl = load(path)
+    except (ValueError, IndexError) as e:
+        raise ConfigError(f"cannot parse KL artifact {path!r}: {e}") from e
+    for values in (kl.mean, kl.basis.mu, kl.basis.modes):
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"KL artifact {path!r} holds a non-finite value")
+    return kl
+
+
 def _load_artifacts(cfg: ExperimentConfig):
     vpath = os.path.join(cfg.out_dir, VECTOR_FIELD_FILE)
     spath = os.path.join(cfg.out_dir, SCALAR_FIELD_FILE)
     if not (os.path.exists(vpath) and os.path.exists(spath)):
         raise ConfigError(
             f"KL artifacts not found in {cfg.out_dir!r}; run build-kl first")
-    try:
-        vf = load_vector_field(vpath)
-    except (ValueError, IndexError) as e:
-        raise ConfigError(f"cannot parse KL artifact {vpath!r}: {e}") from e
-    try:
-        sf = load_scalar_field(spath)
-    except (ValueError, IndexError) as e:
-        raise ConfigError(f"cannot parse KL artifact {spath!r}: {e}") from e
+    vf = _load_artifact(load_vector_field, vpath)
+    sf = _load_artifact(load_scalar_field, spath)
     if vf.level != cfg.mesh_level:
         raise ConfigError(
             f"vector field artifact is for mesh level {vf.level}, "

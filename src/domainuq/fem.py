@@ -5,7 +5,11 @@ All coefficient-dependent integrals use the same 3-point edge-midpoint rule
 assembly exactly linear in the coefficient, which the perturbation solves
 rely on.  Stiffness and mass matrices are stored in CSR format with the
 sparsity pattern of their mesh topology, built once per topology and shared
-by every displaced copy of the mesh.
+by every displaced copy of the mesh.  The element geometry comes from
+`mesh.geometry`, computed once per placement of the nodes; an element
+stiffness is its cached gradient products `grad(phi_i) . grad(phi_j)`
+scaled by the mean coefficient times the area, so every stiffness matrix
+of a domain realization reuses the same products.
 
 Dirichlet problems are solved by conjugate gradients preconditioned with a
 geometric multigrid V-cycle for the unit-coefficient Laplacian on the
@@ -29,7 +33,8 @@ from scipy.sparse import coo_matrix, csr_matrix, diags
 
 from .errors import (MeshMismatch, NonFiniteValue, NonPositiveCoefficient,
                      SolverDiverged)
-from .mesh import Mesh
+from .mesh import (Geometry, Mesh, compute_geometry, geometry,
+                   signed_areas)
 from .textio import fmt
 
 #: P1 basis values at the edge midpoints (row: midpoint opposite vertex q).
@@ -79,37 +84,14 @@ class NodalField:
     __rmul__ = __mul__
 
 
-def _geometry(p: np.ndarray, t: np.ndarray):
-    v0, v1, v2 = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
-    det = ((v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1])
-           - (v1[:, 1] - v0[:, 1]) * (v2[:, 0] - v0[:, 0]))
-    areas = 0.5 * det
-    grads = np.empty((len(t), 3, 2))
-    grads[:, 0, 0] = v1[:, 1] - v2[:, 1]
-    grads[:, 0, 1] = v2[:, 0] - v1[:, 0]
-    grads[:, 1, 0] = v2[:, 1] - v0[:, 1]
-    grads[:, 1, 1] = v0[:, 0] - v2[:, 0]
-    grads[:, 2, 0] = v0[:, 1] - v1[:, 1]
-    grads[:, 2, 1] = v1[:, 0] - v0[:, 0]
-    grads /= det[:, None, None]
-    qpoints = np.stack([
-        0.5 * (v1 + v2),
-        0.5 * (v0 + v2),
-        0.5 * (v0 + v1),
-    ], axis=1)
-    return areas, grads, qpoints
-
-
 def element_geometry(mesh: Mesh):
     """Per-element areas, P1 basis gradients, and edge-midpoint quadrature points.
 
-    Returns (areas (m,), grads (m, 3, 2), qpoints (m, 3, 2)); cached on the mesh.
+    Returns (areas (m,), grads (m, 3, 2), qpoints (m, 3, 2)) from the
+    mesh's `geometry`, computed once per placement of its nodes.
     """
-    cached = mesh._cache.get("geometry")
-    if cached is None:
-        cached = mesh._cache["geometry"] = _geometry(mesh.nodes,
-                                                     mesh.triangles)
-    return cached
+    g = geometry(mesh)
+    return g.areas, g.grads, g.qpoints
 
 
 def _eval_at_points(fn, pts: np.ndarray) -> np.ndarray:
@@ -178,10 +160,8 @@ def _scatter(mesh: Mesh, local: np.ndarray) -> csr_matrix:
     return csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
 
-def _local_stiffness(areas: np.ndarray, grads: np.ndarray,
-                     cbar) -> np.ndarray:
-    return (cbar * areas)[:, None, None] * np.einsum(
-        "mid,mjd->mij", grads, grads)
+def _local_stiffness(g: Geometry, cbar) -> np.ndarray:
+    return (cbar * g.areas)[:, None, None] * g.grad_products
 
 
 def stiffness_from_qvalues(mesh: Mesh, coeff_q: np.ndarray,
@@ -190,8 +170,8 @@ def stiffness_from_qvalues(mesh: Mesh, coeff_q: np.ndarray,
     if require_positive and not np.all(coeff_q > 0.0):
         raise NonPositiveCoefficient(
             f"coefficient minimum {coeff_q.min():.6e} at a quadrature point")
-    areas, grads, _ = element_geometry(mesh)
-    return _scatter(mesh, _local_stiffness(areas, grads, coeff_q.mean(axis=1)))
+    return _scatter(mesh, _local_stiffness(geometry(mesh),
+                                           coeff_q.mean(axis=1)))
 
 
 def stiffness_from_element_tensors(mesh: Mesh, tensors: np.ndarray) -> csr_matrix:
@@ -212,8 +192,12 @@ def assemble_stiffness(mesh: Mesh, coeff) -> csr_matrix:
 
 
 def assemble_mass(mesh: Mesh) -> csr_matrix:
-    """Exact P1 mass matrix, M_ij = int phi_i phi_j dX."""
-    areas, _, _ = element_geometry(mesh)
+    """Exact P1 mass matrix, M_ij = int phi_i phi_j dX.
+
+    Only the areas are needed, so a mesh without a `geometry` does not get
+    one: the KL build then keeps no per-element arrays while it factorizes.
+    """
+    areas = signed_areas(mesh)
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = areas[:, None, None] * base
     return _scatter(mesh, local)
@@ -319,10 +303,10 @@ class ReferenceSolver:
         self.indices = relabel[pattern.indices[keep]].astype(np.int32)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
 
-        areas, grads, _ = _geometry(mesh.topology.reference_nodes,
-                                    mesh.triangles)
+        reference = compute_geometry(mesh.topology.reference_nodes,
+                                     mesh.triangles)
         A = self.interior_matrix(np.bincount(
-            pattern.slots, weights=_local_stiffness(areas, grads, 1.0).ravel(),
+            pattern.slots, weights=_local_stiffness(reference, 1.0).ravel(),
             minlength=len(pattern.indices)))
         steps = max(0, min(len(mesh.refinements), mesh.level - COARSE_LEVEL))
         self._levels = []

@@ -3,11 +3,13 @@ rough scalar diffusion coefficient on the hold-all box.
 
 The vector field is discretized on the mesh nodes (x components stacked
 before y components); the coefficient lives on a uniform Cartesian grid
-over the hold-all box [-2, 2]^2 with bilinear interpolation.  Both KL
-expansions are driven by i.i.d. variables uniform on [-sqrt(3), sqrt(3)],
-i.e. with unit variance.  The amplitude factor of the rough coefficient is
-kept outside the stored modes, so a single factorization serves every
-amplitude.
+over the hold-all box [-2, 2]^2 with bilinear interpolation.  A `Stencil`
+holds the cells and weights of a fixed set of points, so every field
+evaluated at one domain realization's quadrature points locates them only
+once.  Both KL expansions are driven by i.i.d. variables uniform on
+[-sqrt(3), sqrt(3)], i.e. with unit variance.  The amplitude factor of the
+rough coefficient is kept outside the stored modes, so a single
+factorization serves every amplitude.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from scipy.sparse import csr_matrix, diags, kron
 from .errors import OutOfHoldAll
 from .fem import assemble_mass
 from .lowrank import (CovarianceOracle, KLBasis, _klbasis_from_lines,
-                      klbasis_to_text, pivoted_cholesky, reduced_eigs,
+                      klbasis_lines, pivoted_cholesky, reduced_eigs,
                       truncate)
 from .mesh import Mesh
-from .textio import fmt
+from .textio import fmt_row, fmt_rows
 
 SQRT3 = np.sqrt(3.0)
 
@@ -202,27 +204,63 @@ class HoldAllGrid:
         xx, yy = np.meshgrid(axis, axis)  # row-major: yy varies over rows
         return np.column_stack([xx.ravel(), yy.ravel()])
 
-    def interpolate(self, vertex_values: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    def stencil(self, pts: np.ndarray) -> Stencil:
+        """Cells and bilinear weights of (k, 2) points, or of one point.
+
+        Raises OutOfHoldAll unless every point lies in the box, so a NaN
+        point raises too.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if not (np.all(pts >= HOLD_ALL_LO) and np.all(pts <= HOLD_ALL_HI)):
+            raise OutOfHoldAll(
+                "point outside the hold-all box [-2, 2]^2 or not finite")
+        fx = (pts[:, 0] - HOLD_ALL_LO) / self.spacing
+        fy = (pts[:, 1] - HOLD_ALL_LO) / self.spacing
+        ix = np.minimum(fx.astype(np.int64), self.cells - 1)
+        iy = np.minimum(fy.astype(np.int64), self.cells - 1)
+        tx, ty = fx - ix, fy - iy
+        stride = self.cells + 1
+        v00 = iy * stride + ix
+        return Stencil(cells=self.cells,
+                       corners=(v00, v00 + 1, v00 + stride, v00 + stride + 1),
+                       tx=tx, ty=ty, sx=1.0 - tx, sy=1.0 - ty)
+
+    def interpolate(self, vertex_values: np.ndarray, pts) -> np.ndarray:
         """Bilinear interpolation of one or more vertex-valued fields.
 
         vertex_values has shape (..., n_vertices); returns (..., len(pts)).
-        Raises OutOfHoldAll for points outside the box.
+        `pts` is a (k, 2) array of points, one point, or their `stencil`,
+        which interpolates every field at the same points without locating
+        them again.  Raises OutOfHoldAll for points outside the box.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if np.any(pts < HOLD_ALL_LO) or np.any(pts > HOLD_ALL_HI):
-            raise OutOfHoldAll("point outside the hold-all box [-2, 2]^2")
-        f = (pts - HOLD_ALL_LO) / self.spacing
-        idx = np.minimum(f.astype(np.int64), self.cells - 1)
-        t = f - idx
-        ix, iy = idx[:, 0], idx[:, 1]
-        tx, ty = t[:, 0], t[:, 1]
-        stride = self.cells + 1
-        v00 = iy * stride + ix
+        st = pts if isinstance(pts, Stencil) else self.stencil(pts)
+        if st.cells != self.cells:
+            raise ValueError(f"stencil of a {st.cells}-cell grid used on a "
+                             f"{self.cells}-cell grid")
         vals = np.asarray(vertex_values, dtype=float)
-        return (vals[..., v00] * (1.0 - tx) * (1.0 - ty)
-                + vals[..., v00 + 1] * tx * (1.0 - ty)
-                + vals[..., v00 + stride] * (1.0 - tx) * ty
-                + vals[..., v00 + stride + 1] * tx * ty)
+        v00, v10, v01, v11 = st.corners
+        return (vals[..., v00] * st.sx * st.sy
+                + vals[..., v10] * st.tx * st.sy
+                + vals[..., v01] * st.sx * st.ty
+                + vals[..., v11] * st.tx * st.ty)
+
+
+@dataclass(frozen=True)
+class Stencil:
+    """Where a fixed set of points lies in a `HoldAllGrid`: the four vertex
+    indices of each point's cell (lower left, lower right, upper left,
+    upper right) and its offsets `tx`, `ty` in the cell, with `sx = 1 - tx`
+    and `sy = 1 - ty`.  Its length is the number of points."""
+
+    cells: int
+    corners: tuple
+    tx: np.ndarray
+    ty: np.ndarray
+    sx: np.ndarray
+    sy: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.tx)
 
 
 def _grid_mass(grid: HoldAllGrid) -> csr_matrix:
@@ -277,13 +315,14 @@ def build_coefficient_kl(grid_cells: int, tol: float,
                          basis=basis, build_info=info)
 
 
-def eval_mean(sf: ScalarFieldKL, pts: np.ndarray) -> np.ndarray:
-    """Smooth coefficient part a_s at the given points."""
+def eval_mean(sf: ScalarFieldKL, pts) -> np.ndarray:
+    """Smooth coefficient part a_s at (k, 2) points or a grid `Stencil`."""
     return sf.grid.interpolate(sf.mean, pts)
 
 
-def eval_rough(sf: ScalarFieldKL, pts: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rough coefficient part at unit amplitude, sum_k mode_k(x) y_k."""
+def eval_rough(sf: ScalarFieldKL, pts, y: np.ndarray) -> np.ndarray:
+    """Rough coefficient part at unit amplitude, sum_k mode_k(x) y_k, at
+    (k, 2) points or a grid `Stencil`."""
     y = np.asarray(y, dtype=float)
     if len(y) != sf.n_modes:
         raise ValueError(f"y has length {len(y)}, expected {sf.n_modes}")
@@ -339,11 +378,14 @@ def draw_sample(n_y: int, n_z: int, seed: int, index: int) -> Sample:
     return Sample(y=sample_uniform(n_y, rng), z=sample_uniform(n_z, rng))
 
 
+def _vector_field_lines(vf: VectorFieldKL):
+    yield f"vectorfield level {vf.level} nodes {vf.n_nodes}\n"
+    yield fmt_rows(vf.mean) + "\n"
+    yield from klbasis_lines(vf.basis)
+
+
 def vector_field_to_text(vf: VectorFieldKL) -> str:
-    lines = [f"vectorfield level {vf.level} nodes {vf.n_nodes}"]
-    for x, y in vf.mean:
-        lines.append(f"{fmt(x)} {fmt(y)}")
-    return "\n".join(lines) + "\n" + klbasis_to_text(vf.basis)
+    return "".join(_vector_field_lines(vf))
 
 
 def vector_field_from_text(text: str) -> VectorFieldKL:
@@ -357,10 +399,14 @@ def vector_field_from_text(text: str) -> VectorFieldKL:
     return VectorFieldKL(mean=mean, basis=basis, level=level)
 
 
+def _scalar_field_lines(sf: ScalarFieldKL):
+    yield f"scalarfield cells {sf.grid.cells}\n"
+    yield fmt_row(sf.mean, "\n") + "\n"
+    yield from klbasis_lines(sf.basis)
+
+
 def scalar_field_to_text(sf: ScalarFieldKL) -> str:
-    lines = [f"scalarfield cells {sf.grid.cells}"]
-    lines.extend(fmt(v) for v in sf.mean)
-    return "\n".join(lines) + "\n" + klbasis_to_text(sf.basis)
+    return "".join(_scalar_field_lines(sf))
 
 
 def scalar_field_from_text(text: str) -> ScalarFieldKL:
@@ -377,7 +423,7 @@ def scalar_field_from_text(text: str) -> ScalarFieldKL:
 
 def save_vector_field(vf: VectorFieldKL, path) -> None:
     with open(path, "w") as f:
-        f.write(vector_field_to_text(vf))
+        f.writelines(_vector_field_lines(vf))
 
 
 def load_vector_field(path) -> VectorFieldKL:
@@ -387,7 +433,7 @@ def load_vector_field(path) -> VectorFieldKL:
 
 def save_scalar_field(sf: ScalarFieldKL, path) -> None:
     with open(path, "w") as f:
-        f.write(scalar_field_to_text(sf))
+        f.writelines(_scalar_field_lines(sf))
 
 
 def load_scalar_field(path) -> ScalarFieldKL:

@@ -240,12 +240,17 @@ def truncate(basis: KLBasis, tol: float) -> KLBasis:
                    truncation_tol=tol)
 
 
-def klbasis_to_text(basis: KLBasis) -> str:
-    lines = [f"klbasis {basis.n_modes} {basis.n}"]
+def klbasis_lines(basis: KLBasis):
+    """The text of a KL basis, one newline-terminated line at a time, so a
+    writer never holds the whole text."""
+    yield f"klbasis {basis.n_modes} {basis.n}\n"
     for mu, vec in zip(basis.mu, basis.modes):
-        lines.append(fmt(mu))
-        lines.append(fmt_row(vec))
-    return "\n".join(lines) + "\n"
+        yield fmt(mu) + "\n"
+        yield fmt_row(vec) + "\n"
+
+
+def klbasis_to_text(basis: KLBasis) -> str:
+    return "".join(klbasis_lines(basis))
 
 
 def klbasis_from_text(text: str) -> KLBasis:

@@ -11,7 +11,10 @@ Meshes are immutable after construction by convention; all operations
 return new `Mesh` instances.  Every refinement records which edge each new
 node bisects, and a displaced mesh shares its topology with the mesh it
 came from, so solvers can build multigrid hierarchies and sparsity maps
-once per topology.
+once per topology.  What depends on the node positions (areas, basis
+gradients, quadrature points and gradient products) is computed in one
+pass per placement of the nodes: `displace` computes it while checking the
+moved mesh for inverted elements, and the moved mesh keeps it.
 """
 
 from __future__ import annotations
@@ -115,13 +118,92 @@ class Mesh:
         return len(self.triangles)
 
 
+@dataclass(frozen=True)
+class Geometry:
+    """Per-element quantities of one placement of a mesh's nodes.
+
+    Attributes
+    ----------
+    areas : (m,) signed triangle areas
+    grads : (m, 3, 2) gradients of the three P1 basis functions
+    qpoints : (m, 3, 2) edge midpoints; point q lies opposite vertex q
+    grad_products : (m, 3, 3) dot products grad(phi_i) . grad(phi_j), the
+        unit-coefficient element stiffness divided by the area
+    """
+
+    areas: np.ndarray
+    grads: np.ndarray
+    qpoints: np.ndarray
+    grad_products: np.ndarray
+
+
+def _corners(nodes: np.ndarray, triangles: np.ndarray):
+    """x0, x1, x2, y0, y1, y2: the corner coordinates of every triangle.
+
+    Gathering each coordinate on its own is faster than gathering (n, 2)
+    point rows and gives the same values.
+    """
+    x, y = nodes[:, 0], nodes[:, 1]
+    t0, t1, t2 = triangles[:, 0], triangles[:, 1], triangles[:, 2]
+    return x[t0], x[t1], x[t2], y[t0], y[t1], y[t2]
+
+
+def _determinants(x0, x1, x2, y0, y1, y2) -> np.ndarray:
+    """Twice the signed area of every triangle."""
+    return (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+
+
 def signed_areas(mesh: Mesh) -> np.ndarray:
     """Signed area of every triangle (positive for counterclockwise)."""
-    p = mesh.nodes
-    t = mesh.triangles
-    e1 = p[t[:, 1]] - p[t[:, 0]]
-    e2 = p[t[:, 2]] - p[t[:, 0]]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    return 0.5 * _determinants(*_corners(mesh.nodes, mesh.triangles))
+
+
+def compute_geometry(nodes: np.ndarray, triangles: np.ndarray,
+                     min_area: float | None = None) -> Geometry:
+    """Areas, basis gradients, quadrature points and gradient products of
+    the triangles at the given node positions, in one pass.
+
+    With `min_area`, raises DegenerateDeformation before any division if
+    a signed area is not above it (a NaN area is not).
+    """
+    corners = _corners(nodes, triangles)
+    xs, ys = corners[:3], corners[3:]
+    det = _determinants(*corners)
+    areas = 0.5 * det
+    if min_area is not None and not np.all(areas > min_area):
+        raise DegenerateDeformation(
+            f"minimum signed area {np.min(areas):.3e} "
+            f"at or below threshold {min_area:.3e}")
+    # Gradients as (2, 3, m): g[d, i] is component d of the gradient of
+    # basis function i on every element.  Vertex i faces the edge (j, k),
+    # whose midpoint is quadrature point i.
+    m = len(triangles)
+    g = np.empty((2, 3, m))
+    qpoints = np.empty((m, 3, 2))
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.subtract(ys[j], ys[k], out=g[0, i])
+        np.subtract(xs[k], xs[j], out=g[1, i])
+        qpoints[:, i, 0] = 0.5 * (xs[j] + xs[k])
+        qpoints[:, i, 1] = 0.5 * (ys[j] + ys[k])
+    g /= det
+    gx, gy = g
+    products = (gx[:, None, :] * gx[None, :, :]
+                + gy[:, None, :] * gy[None, :, :])
+    return Geometry(areas=areas,
+                    grads=np.ascontiguousarray(g.transpose(2, 1, 0)),
+                    qpoints=qpoints,
+                    grad_products=np.ascontiguousarray(
+                        products.transpose(2, 0, 1)))
+
+
+def geometry(mesh: Mesh) -> Geometry:
+    """The Geometry of the mesh's nodes, computed on first use and kept on
+    the mesh; `displace` computes it for the mesh it returns."""
+    cached = mesh._cache.get("geometry")
+    if cached is None:
+        cached = mesh._cache["geometry"] = compute_geometry(mesh.nodes,
+                                                            mesh.triangles)
+    return cached
 
 
 def build_disc_mesh(level: int) -> Mesh:
@@ -196,12 +278,15 @@ def displace(mesh: Mesh, displacement: np.ndarray) -> Mesh:
     """Move every node by its displacement vector, keeping the topology
     (the moved mesh shares `refinements` and `topology`).
 
+    The moved mesh's `geometry` is computed here, in the same pass that
+    checks its areas, so the solves on it never compute it again.
+
     Raises
     ------
     DegenerateDeformation
         If any triangle of the moved mesh has signed area at or below
         the degeneracy threshold, i.e. the deformation is (numerically)
-        not orientation preserving.
+        not orientation preserving, or a NaN area.
     """
     disp = np.asarray(displacement, dtype=float)
     if disp.shape != mesh.nodes.shape:
@@ -216,10 +301,8 @@ def displace(mesh: Mesh, displacement: np.ndarray) -> Mesh:
         refinements=mesh.refinements,
         topology=mesh.topology,
     )
-    min_area = signed_areas(moved).min()
-    if min_area <= DEGENERACY_EPS:
-        raise DegenerateDeformation(
-            f"minimum signed area {min_area:.3e} at or below threshold {DEGENERACY_EPS:.3e}")
+    moved._cache["geometry"] = compute_geometry(moved.nodes, moved.triangles,
+                                                min_area=DEGENERACY_EPS)
     return moved
 
 

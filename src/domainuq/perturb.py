@@ -3,12 +3,15 @@ coefficient derivative problem, realized on the deformed mesh.
 
 Each domain realization moves the mesh nodes and keeps the topology, so a
 solution computed on the deformed mesh pulls back to the reference disc by
-reusing the node values.  The smooth-part stiffness matrix and the load are
-assembled once per domain realization.  Every full solve on it uses an
-operator of the affine family `K_s + c * K_r` with the same load, so
-`DeformedProblem.solve_amplitudes` hands all the amplitudes c of a
-realization (u0 is c = 0) to one lockstep call of `solve_dirichlet`, which
-applies `K_s` and `K_r` to the whole block of columns.  A zero amplitude
+reusing the node values.  Per domain realization, the geometry of the
+deformed mesh is computed once, its quadrature points are located on the
+coefficient grid once, and the smooth-part stiffness matrix and the load
+are assembled once; the rough-part stiffness reuses the same geometry.
+Every full solve on it uses an operator of the affine family
+`K_s + c * K_r` with the same load, so `DeformedProblem.solve_amplitudes`
+hands all the amplitudes c of a realization (u0 is c = 0) to one lockstep
+call of `solve_dirichlet`, which applies `K_s` and `K_r` to the whole
+block of columns.  A zero amplitude
 adds exactly nothing, so a one-column solve at amplitude 0 is
 bit-identical to the smooth solve.  Derivative solves for several
 directions share the smooth operator and go through one call with one
@@ -51,9 +54,12 @@ class SampleSolve:
 class DeformedProblem:
     """Shared state of all solves on one domain realization V(D_ref, z).
 
-    Builds the deformed mesh, evaluates the smooth coefficient at the
-    deformed quadrature points, and assembles the smooth stiffness and the
-    load once.  A rough-part stiffness has the same sparsity pattern, and
+    Builds the deformed mesh, whose geometry (areas, gradients, quadrature
+    points and gradient products) is computed once by `displace`, locates
+    the deformed quadrature points on the coefficient grid once (a
+    `Stencil` that the smooth part and every rough part reuse), and
+    assembles the smooth stiffness and the load once.  A rough-part
+    stiffness reuses the geometry and has the same sparsity pattern, and
     `solve_amplitudes` solves with `K_s + c * K_r` for a list of amplitudes
     c in one lockstep call.  Solves pass the reference mesh to
     `solve_dirichlet`, which preconditions them with the multigrid V-cycle
@@ -67,8 +73,9 @@ class DeformedProblem:
         self.deformed = displace(mesh, eval_displacement(vf, z))
         _, _, qpts = element_geometry(self.deformed)
         self._qflat = qpts.reshape(-1, 2)
+        self._stencil = sf.grid.stencil(self._qflat)
         m = len(mesh.triangles)
-        self.a_s_q = eval_mean(sf, self._qflat).reshape(m, 3)
+        self.a_s_q = eval_mean(sf, self._stencil).reshape(m, 3)
         if not np.all(self.a_s_q > 0.0):
             raise NonPositiveCoefficient(
                 f"smooth coefficient minimum {self.a_s_q.min():.6e}")
@@ -83,7 +90,7 @@ class DeformedProblem:
     def rough_qvalues(self, y: np.ndarray) -> np.ndarray:
         """Rough coefficient at unit amplitude on the deformed quadrature points."""
         m = len(self.mesh.triangles)
-        return eval_rough(self.sf, self._qflat, y).reshape(m, 3)
+        return eval_rough(self.sf, self._stencil, y).reshape(m, 3)
 
     def rough_stiffness(self, a_r_q: np.ndarray):
         return stiffness_from_qvalues(self.deformed, a_r_q,

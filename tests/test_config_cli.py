@@ -221,6 +221,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and name in err
 
+    @pytest.mark.parametrize("name", ["vector_field.txt", "coefficient.txt"])
+    def test_non_finite_artifact(self, tiny_run, tmp_path, capsys, name):
+        cfg, out = artifacts_copy(tiny_run, tmp_path / "a")
+        path = os.path.join(out, name)
+        lines = open(path).read().split("\n")
+        row = 2 + next(i for i, line in enumerate(lines)
+                       if line.startswith("klbasis"))  # the first mode
+        lines[row] = " ".join(["nan"] + lines[row].split()[1:])
+        with open(path, "w") as f:
+            f.write("\n".join(lines))
+        assert main(["mc", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and name in err and "non-finite" in err
+        assert not os.path.exists(os.path.join(out, "mc.csv"))
+
 
 class TestSyntheticMode:
     def test_convergence_slopes_exactly_two(self, tmp_path):

@@ -2,11 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import domainuq as dq
+from conftest import reference_geometry, smoothly_displaced
 from domainuq.errors import (MeshMismatch, NonFiniteValue,
                              NonPositiveCoefficient, SolverDiverged)
-from domainuq.fem import (NodalField, _prolongation, assemble_load,
+from domainuq.fem import (NodalField, _prolongation, _scatter, assemble_load,
                           assemble_mass, assemble_perturbation_load,
                           assemble_stiffness, element_geometry,
                           field_from_text, field_to_text, h1_norm, l2_norm,
@@ -74,6 +77,37 @@ class TestAssembly:
         diff = np.abs((Ka + Kb - Kab).toarray()).max()
         scale = np.abs(Kab.toarray()).max()
         assert diff <= 1e-12 * scale
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_stiffness_bit_equal_to_einsum(self, level):
+        moved = smoothly_displaced(level, seed=10 + level)
+        coeff_q = np.random.default_rng(level).uniform(
+            0.5, 2.0, size=(moved.n_triangles, 3))
+        areas, _, _, products = reference_geometry(moved)
+        expected = _scatter(
+            moved, (coeff_q.mean(axis=1) * areas)[:, None, None] * products)
+        K = stiffness_from_qvalues(moved, coeff_q)
+        assert np.array_equal(K.data, expected.data)
+        assert np.array_equal(K.indices, expected.indices)
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.floats(-4.0, 4.0), b=st.floats(-4.0, 4.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_assembly_linear_in_coefficient(self, a, b, seed):
+        mesh = smoothly_displaced(2, seed=3)
+        q1, q2 = np.random.default_rng(seed).uniform(
+            -1.0, 1.0, size=(2, mesh.n_triangles, 3))
+
+        def K(q):
+            return stiffness_from_qvalues(mesh, q, require_positive=False).data
+
+        # For |q| <= 1 the element contributions to any entry sum in
+        # magnitude to at most the largest entry of K(1) (Cauchy-Schwarz on
+        # the gradient products), which scales the rounding error; `tiny`
+        # covers amplitudes so small that the products are subnormal.
+        scale = (abs(a) + abs(b)) * K(np.ones_like(q1)).max()
+        assert (np.abs(K(a * q1 + b * q2) - (a * K(q1) + b * K(q2))).max()
+                <= 1e-13 * scale + np.finfo(float).tiny)
 
     def test_stiffness_symmetric(self, mesh3):
         K = assemble_stiffness(mesh3, lambda p: 1.0 + 0.2 * p[..., 0])

@@ -5,13 +5,29 @@ import pytest
 
 import domainuq as dq
 from domainuq.errors import OutOfHoldAll
-from domainuq.fields import (CoefficientCovariance, SQRT3,
+from domainuq.fields import (CoefficientCovariance, HoldAllGrid, SQRT3,
                              VectorFieldCovariance, coefficient_mean,
                              eval_coefficient, eval_displacement, eval_mean,
                              eval_rough, g_hat, rng_stream, sample_uniform,
                              scalar_field_from_text, scalar_field_to_text,
                              vector_field_from_text, vector_field_to_text)
 from domainuq.mesh import displace
+
+
+def reference_interpolate(grid, vertex_values, pts):
+    """Bilinear interpolation that locates the points on every call, the
+    formula the stencil path must reproduce bit for bit."""
+    f = (pts - (-2.0)) / grid.spacing
+    idx = np.minimum(f.astype(np.int64), grid.cells - 1)
+    t = f - idx
+    tx, ty = t[:, 0], t[:, 1]
+    stride = grid.cells + 1
+    v00 = idx[:, 1] * stride + idx[:, 0]
+    vals = np.asarray(vertex_values, dtype=float)
+    return (vals[..., v00] * (1.0 - tx) * (1.0 - ty)
+            + vals[..., v00 + 1] * tx * (1.0 - ty)
+            + vals[..., v00 + stride] * (1.0 - tx) * ty
+            + vals[..., v00 + stride + 1] * tx * ty)
 
 
 class TestCovarianceOracles:
@@ -109,6 +125,33 @@ class TestScalarFieldKL:
         with pytest.raises(OutOfHoldAll):
             eval_coefficient(sf64, np.array([2.5, 0.0]),
                              np.zeros(sf64.n_modes), 1.0)
+
+    def test_nan_point_is_out_of_hold_all(self, sf64):
+        pts = np.zeros((4, 2))
+        pts[2, 0] = np.nan
+        with pytest.raises(OutOfHoldAll):
+            eval_mean(sf64, pts)
+
+    def test_stencil_bit_equal_to_direct_interpolation(self, sf64):
+        rng = rng_stream(13, 0)
+        corners = [[2.0, 2.0], [-2.0, 2.0], [2.0, -2.0], [-2.0, -2.0]]
+        pts = np.vstack([rng.uniform(-2, 2, size=(500, 2)), corners])
+        grid = sf64.grid
+        stencil = grid.stencil(pts)
+        assert len(stencil) == len(pts)
+        for values in (sf64.mean, sf64.basis.modes):
+            expected = reference_interpolate(grid, values, pts)
+            assert np.array_equal(grid.interpolate(values, stencil), expected)
+            assert np.array_equal(grid.interpolate(values, pts), expected)
+        y = sample_uniform(sf64.n_modes, rng)
+        assert np.array_equal(eval_rough(sf64, stencil, y),
+                              eval_rough(sf64, pts, y))
+
+    def test_stencil_of_another_grid_raises(self, sf64):
+        stencil = sf64.grid.stencil(np.zeros((3, 2)))
+        grid = HoldAllGrid(32)
+        with pytest.raises(ValueError):
+            grid.interpolate(np.zeros(grid.n_vertices), stencil)
 
     def test_single_point_api(self, sf64):
         val = eval_coefficient(sf64, np.array([1.0, 0.0]),

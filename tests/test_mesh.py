@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import (reference_geometry, reference_signed_areas,
+                      smoothly_displaced)
 from domainuq.errors import DegenerateDeformation
-from domainuq.mesh import (build_disc_mesh, displace, mesh_from_text,
-                           mesh_to_text, min_angle_deg, refine, signed_areas)
+from domainuq.mesh import (build_disc_mesh, displace, geometry,
+                           mesh_from_text, mesh_to_text, min_angle_deg,
+                           refine, signed_areas)
 
 
 def polygon_area(level):
@@ -100,6 +103,26 @@ def test_displace_identity_and_translation(mesh3):
 def test_displace_collapse_raises(mesh3):
     with pytest.raises(DegenerateDeformation):
         displace(mesh3, -mesh3.nodes)
+
+
+def test_displace_nan_raises(mesh3):
+    disp = np.zeros_like(mesh3.nodes)
+    disp[7, 1] = np.nan
+    with pytest.raises(DegenerateDeformation):
+        displace(mesh3, disp)
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_geometry_bit_equal_to_point_gather_and_einsum(level):
+    moved = smoothly_displaced(level, seed=level)
+    g = geometry(moved)
+    areas, grads, qpoints, products = reference_geometry(moved)
+    assert np.array_equal(g.areas, areas)
+    assert np.array_equal(g.grads, grads)
+    assert np.array_equal(g.qpoints, qpoints)
+    assert np.array_equal(g.grad_products, products)
+    assert np.array_equal(signed_areas(moved), reference_signed_areas(moved))
+    assert np.array_equal(signed_areas(moved), g.areas)
 
 
 def test_displace_involution(mesh3):

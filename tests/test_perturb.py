@@ -7,6 +7,9 @@ import pytest
 
 import domainuq as dq
 import domainuq.fem as fem
+import domainuq.mesh as mesh_module
+from conftest import reference_geometry
+from domainuq.fields import HoldAllGrid
 from domainuq.fem import NodalField, h1_norm
 from domainuq.fields import rng_stream, sample_uniform
 from domainuq.perturb import (DeformedProblem, solve_pair, solve_sample,
@@ -269,6 +272,53 @@ class TestDiagnostics:
         assert ss.eps == 0.5
         assert ss.deformed.n_nodes == mesh3.n_nodes
         assert not np.array_equal(ss.deformed.nodes, mesh3.nodes)
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records its calls; returns the
+    list of calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestPerRealizationWork:
+    def test_one_geometry_pass_and_one_stencil_per_realization(
+            self, mesh3, vf3, sf64, monkeypatch):
+        fem.reference_solver(mesh3)  # the topology's own pass comes first
+        passes = counting(monkeypatch, mesh_module, "compute_geometry")
+        stencils = counting(monkeypatch, HoldAllGrid, "stencil")
+        s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 14, 0)
+        _, solve, delta = solve_pair(mesh3, vf3, sf64, s, [0.5, -0.5])
+        solve(1.0, 0.5)
+        delta()
+        assert len(passes) == 1
+        assert len(stencils) == 1
+
+    def test_rough_stiffness_reuses_gradient_products(self, mesh3, vf3, sf64,
+                                                      monkeypatch):
+        s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 14, 1)
+        dp = DeformedProblem(mesh3, vf3, sf64, s.z)
+        a_r_q = dp.rough_qvalues(s.y)
+        areas, _, _, products = reference_geometry(dp.deformed)
+        expected = fem._scatter(
+            dp.deformed,
+            (a_r_q.mean(axis=1) * areas)[:, None, None] * products)
+        passes = counting(monkeypatch, mesh_module, "compute_geometry")
+
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("einsum called during assembly")
+
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        K_r = dp.rough_stiffness(a_r_q)
+        assert passes == []
+        assert np.array_equal(K_r.data, expected.data)
 
 
 class TestMultigridPCG:
