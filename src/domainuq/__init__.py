@@ -25,7 +25,7 @@ from .fields import (HoldAllGrid, Sample, ScalarFieldKL, VectorFieldKL,
                      eval_coefficient, eval_displacement, g_hat, rng_stream,
                      sample_uniform)
 from .perturb import (DeformedProblem, SampleSolve, delta_second_moment,
-                      solve_sample, solve_transported, taylor_remainders)
+                      solve_block, solve_sample, taylor_remainders)
 from .uq import (QuadratureRule, Statistics, anisotropy_weights, field_error,
                  gauss_legendre_1d, mc_estimate, quadrature_estimate,
                  slope_fit, smolyak_rule)

@@ -24,11 +24,11 @@ from .fields import (RNG_ALGORITHM, Sample, build_coefficient_kl,
                      build_vector_field_kl, draw_sample, load_scalar_field,
                      load_vector_field, save_scalar_field, save_vector_field)
 from .mesh import build_disc_mesh, save_mesh
-from .perturb import DeformedProblem, remainders, solve_pair, solve_sample
+from .perturb import remainders, solve_block, solve_pairs, solve_sample
 from .textio import fmt
-from .uq import (block_accumulators, l2_norm, map_blocks, mc_estimate,
-                 norm_by_name, quadrature_estimate, save_statistics,
-                 slope_fit, smolyak_rule, tree_merge)
+from .uq import (block_accumulators, l2_norm, mc_estimate, norm_by_name,
+                 quadrature_estimate, save_statistics, slope_fit,
+                 smolyak_rule, solve_blocks, tree_merge)
 
 VECTOR_FIELD_FILE = "vector_field.txt"
 SCALAR_FIELD_FILE = "coefficient.txt"
@@ -64,12 +64,35 @@ def _load_artifact(load, path):
     return kl
 
 
+def _check_manifest(cfg: ExperimentConfig) -> None:
+    """ConfigError unless the KL manifest exists and records the mesh level
+    and the KL tolerances of `cfg`."""
+    path = os.path.join(cfg.out_dir, MANIFEST_FILE)
+    if not os.path.exists(path):
+        raise ConfigError(f"KL manifest {path!r} not found; run build-kl")
+    with open(path) as f:
+        values = dict(line.strip().split("=", 1) for line in f
+                      if "=" in line and not line.startswith("#"))
+    for key in ("mesh_level", "kl_tol_v", "kl_tol_a"):
+        want = getattr(cfg, key)
+        try:
+            same = float(values[key]) == want
+        except (KeyError, ValueError):
+            same = False
+        if not same:
+            raise ConfigError(
+                f"KL artifacts in {cfg.out_dir!r} were built with "
+                f"{key}={values.get(key, '(not recorded)')}, config says "
+                f"{want}; run build-kl again")
+
+
 def _load_artifacts(cfg: ExperimentConfig):
     vpath = os.path.join(cfg.out_dir, VECTOR_FIELD_FILE)
     spath = os.path.join(cfg.out_dir, SCALAR_FIELD_FILE)
     if not (os.path.exists(vpath) and os.path.exists(spath)):
         raise ConfigError(
             f"KL artifacts not found in {cfg.out_dir!r}; run build-kl first")
+    _check_manifest(cfg)
     vf = _load_artifact(load_vector_field, vpath)
     sf = _load_artifact(load_scalar_field, spath)
     if vf.level != cfg.mesh_level:
@@ -96,6 +119,8 @@ def cmd_build_kl(cfg: ExperimentConfig) -> None:
     print(f"wrote {spath}")
     lines = _header_lines(cfg) + [
         f"mesh_level={cfg.mesh_level}",
+        f"kl_tol_v={fmt(cfg.kl_tol_v)}",
+        f"kl_tol_a={fmt(cfg.kl_tol_a)}",
         f"vector_modes={vf.n_modes}",
         f"vector_chol_rank={vf.build_info['chol_rank']}",
         f"vector_chol_residual={fmt(vf.build_info['chol_residual'])}",
@@ -152,14 +177,13 @@ def cmd_mc(cfg: ExperimentConfig, threads: int) -> None:
     mesh = build_disc_mesh(cfg.mesh_level)
     reference_solver(mesh)  # built once here, inherited by forked workers
 
-    def solver(sample):
-        dp = DeformedProblem(mesh, vf, sf, sample.z)
-        a_r_q = dp.rough_qvalues(sample.y)
-        return dp.solve_amplitudes(a_r_q, dp.rough_stiffness(a_r_q),
-                                   cfg.eps_list)
+    def solver(samples):
+        u, _ = solve_block(mesh, vf, sf, [s.z for s in samples],
+                           [s.y for s in samples], cfg.eps_list)
+        return u
 
     per_eps = mc_estimate(solver, (sf.n_modes, vf.n_modes), cfg.n_mc,
-                          cfg.seed, threads=threads)
+                          cfg.seed, threads=threads, block=True)
     rows = []
     for eps, stats in zip(cfg.eps_list, per_eps):
         path = os.path.join(cfg.out_dir, f"mc_stats_eps{eps:g}.txt")
@@ -183,11 +207,13 @@ class FEModel:
         self.dims = (sf.n_modes, vf.n_modes)
         reference_solver(mesh)  # built once here, inherited by forked workers
 
-    def u0(self, z) -> NodalField:
-        return DeformedProblem(self.mesh, self.vf, self.sf, z).solve_u0()
+    def u0(self, zs) -> list[NodalField]:
+        u, _ = solve_block(self.mesh, self.vf, self.sf, zs)
+        return [fields[0] for fields in u]
 
-    def pair(self, sample, amplitudes):
-        return solve_pair(self.mesh, self.vf, self.sf, sample, amplitudes)
+    def pairs(self, samples, amplitudes, with_delta=False):
+        return solve_pairs(self.mesh, self.vf, self.sf, samples, amplitudes,
+                           with_delta)
 
 
 class SyntheticModel:
@@ -209,28 +235,30 @@ class SyntheticModel:
         self.q = 0.05 * self.base
         self.coeffs = 0.1 / (1.0 + np.arange(self.N_Y))
 
-    def u0(self, z) -> NodalField:
-        scale = 1.0 + 0.2 * float(np.mean(z)) / np.sqrt(3.0)
-        return NodalField(self.base * scale, self.level)
+    def u0_values(self, z) -> np.ndarray:
+        return self.base * (1.0 + 0.2 * float(np.mean(z)) / np.sqrt(3.0))
 
-    def delta(self, y) -> np.ndarray:
-        return self.base * float(self.coeffs @ y)
+    def u0(self, zs) -> list[NodalField]:
+        return [NodalField(self.u0_values(z), self.level) for z in zs]
 
-    def pair(self, sample, amplitudes):
-        u0 = self.u0(sample.z).values
-
-        def solve(sign, eps):
-            return (u0 + eps * self.delta(sign * sample.y)
-                    + eps * eps * self.q)
-        return u0, solve, lambda: self.delta(sample.y)
+    def pairs(self, samples, amplitudes, with_delta=False):
+        out = []
+        for sample in samples:
+            u0 = self.u0_values(sample.z)
+            delta = self.base * float(self.coeffs @ sample.y)
+            out.append((u0, {float(c): u0 + c * delta + c * c * self.q
+                             for c in amplitudes}, delta))
+        return out
 
 
 def _model(cfg: ExperimentConfig, mesh, synthetic: bool):
     """The closed-form model, or finite element solves on the artifacts.
 
-    Both offer `dims` (n_y, n_z), `u0(z)` and `pair(sample, amplitudes)`,
-    the (u0 values, solve(sign, eps), delta()) triple of
-    `perturb.solve_pair` serving the signed amplitudes sign * eps listed.
+    Both offer `dims` (n_y, n_z) and two block solvers: `u0(zs)`, one
+    NodalField per domain parameter vector, and `pairs(samples, amplitudes,
+    with_delta)`, per sample the (u0 values, {amplitude: u_eps values},
+    delta values) triple of `perturb.solve_pairs` for the signed
+    amplitudes sign * eps listed.
     """
     if synthetic:
         return SyntheticModel(mesh)
@@ -246,7 +274,8 @@ def cmd_taylor(cfg: ExperimentConfig, synthetic: bool) -> None:
     slopes = []
     for s in range(cfg.n_taylor):
         sample = draw_sample(*model.dims, cfg.seed, s)
-        rems = remainders(mesh, model.pair(sample, eps_grid), eps_grid)
+        pair = model.pairs([sample], eps_grid, with_delta=True)[0]
+        rems = remainders(mesh, pair, eps_grid)
         for eps, rem in zip(eps_grid, rems):
             rows.append(f"{s},{fmt(eps)},{fmt(rem)}")
         positive = [(e, r) for e, r in zip(eps_grid, rems) if e > 0.0]
@@ -263,11 +292,12 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
                   threads: int, with_delta: bool = False):
     """Common-random-number sweep over eps with antithetic (y, -y) pairs.
 
-    `factory(sample, amplitudes)` returns (u0_values, solve(sign, eps) ->
-    values, delta() -> values) for the signed amplitudes sign * eps of
-    both signs.  Returns per-eps (momD, momE, mom0): moments of the
-    coupled difference, of u_eps, and of u0, over 2 * n_pairs samples, plus
-    the moments of the derivative solve when `with_delta` is set.
+    `factory(samples, amplitudes, with_delta)` is a model's `pairs`
+    block solver, called on blocks of consecutive pairs (see
+    `uq.solve_blocks`) with the signed amplitudes sign * eps of both
+    signs.  Returns per-eps (momD, momE, mom0): moments of the coupled
+    difference, of u_eps, and of u0, over 2 * n_pairs samples, plus the
+    moments of the derivative solve when `with_delta` is set.
     """
     n_pairs = cfg.n_mc // 2
     if n_pairs < 1:
@@ -276,24 +306,21 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
     signs = (1.0, -1.0)
     amplitudes = [sign * eps for sign in signs for eps in cfg.eps_list]
 
-    def pair_fields(p):
-        """u0, u_eps at each (sign, eps) in sign-major order, and the
-        derivative solve or None."""
-        sample = draw_sample(dims[0], dims[1], cfg.seed, p)
-        try:
-            u0, solve, delta = factory(sample, amplitudes)
-            return (u0, [solve(sign, eps) for sign in signs
-                         for eps in cfg.eps_list],
-                    delta() if with_delta else None)
-        except DomainUQError as e:
-            raise type(e)(f"sample pair {p}: {e}") from e
+    def pair_fields(pairs):
+        """Per pair, u0, u_eps at each (sign, eps) in sign-major order, and
+        the derivative solve or None."""
+        samples = [draw_sample(dims[0], dims[1], cfg.seed, p) for p in pairs]
+        return [(u0, [u_eps[sign * eps] for sign in signs
+                      for eps in cfg.eps_list], delta)
+                for u0, u_eps, delta in factory(samples, amplitudes,
+                                                with_delta)]
 
     def updates():
         """Per pair, the vectors of each accumulator in update order: for
         each eps those of u_eps - u0, u_eps and u0, one per sign, then
         those of the derivative solve."""
-        for u0, u_eps, delta in map_blocks(pair_fields, range(n_pairs),
-                                           threads):
+        for u0, u_eps, delta in solve_blocks(pair_fields, n_pairs,
+                                             "sample pair", threads):
             out = []
             for ei in range(n_eps):
                 u = [u_eps[ei], u_eps[n_eps + ei]]
@@ -313,12 +340,13 @@ def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
     mesh = build_disc_mesh(cfg.mesh_level)
     model = _model(cfg, mesh, synthetic)
     rule = smolyak_rule(model.dims[1], cfg.quad_level)
-    baseline = quadrature_estimate(model.u0, rule, threads=threads)
+    baseline = quadrature_estimate(model.u0, rule, threads=threads,
+                                   block=True)
     base_path = os.path.join(cfg.out_dir, "baseline_stats.txt")
     save_statistics(baseline, base_path)
     print(f"wrote {base_path}")
 
-    moments, mom_delta = _paired_sweep(cfg, model.dims, model.pair, threads,
+    moments, mom_delta = _paired_sweep(cfg, model.dims, model.pairs, threads,
                                        second_order_variance)
     correction = (mom_delta.freeze(mesh.level).variance().values
                   if second_order_variance else None)

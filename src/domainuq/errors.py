@@ -2,7 +2,16 @@
 
 
 class DomainUQError(Exception):
-    """Base class for all numerical and usage errors raised by domainuq."""
+    """Base class for all numerical and usage errors raised by domainuq.
+
+    `index`, when not None, is the position of the failing item within
+    the block being worked on: a column of a block solve, a realization of
+    a block of them, or an item of a `uq` solve block.
+    """
+
+    def __init__(self, *args, index: int | None = None):
+        super().__init__(*args)
+        self.index = index
 
 
 class DegenerateDeformation(DomainUQError):

@@ -17,11 +17,15 @@ reference (undeformed) mesh.  A mildly deformed domain with a coefficient
 bounded above and below gives an operator spectrally equivalent to that
 one, so one preconditioner, built once per topology, serves every solve and
 keeps the iteration count independent of the mesh size.  Because the
-preconditioner is fixed, `solve_dirichlet` runs several systems
-`(K + c_j K_r) u_j = b_j` in lockstep on an (m, k) block: each iteration
-applies the two sparse matrices and one V-cycle to all unconverged
-columns, so the per-call overhead of numpy and scipy is paid once per
-block, not once per column.  A plain solve is the one-column case.
+preconditioner is fixed and every matrix has the topology's sparsity
+pattern, `solve_dirichlet` runs a block of systems `A_j u_j = b_j` in
+lockstep, where each column j has its own interior matrix data: the
+columns may come from several domain realizations and amplitudes.  The
+block is held as (k, m) in C order; each iteration applies the matrices
+as one block-diagonal CSR product and the V-cycle as one multi-vector
+product to all unconverged columns, so the per-call overhead of numpy and
+scipy is paid once per block, not once per column.  A plain solve is the
+one-column case.
 """
 
 from __future__ import annotations
@@ -174,14 +178,6 @@ def stiffness_from_qvalues(mesh: Mesh, coeff_q: np.ndarray,
                                            coeff_q.mean(axis=1)))
 
 
-def stiffness_from_element_tensors(mesh: Mesh, tensors: np.ndarray) -> csr_matrix:
-    """Stiffness matrix for a per-element constant 2x2 matrix coefficient."""
-    areas, grads, _ = element_geometry(mesh)
-    local = areas[:, None, None] * np.einsum(
-        "mid,mde,mje->mij", grads, tensors, grads)
-    return _scatter(mesh, local)
-
-
 def assemble_stiffness(mesh: Mesh, coeff) -> csr_matrix:
     """K_ij = sum_T int_T coeff grad(phi_i) . grad(phi_j) dx.
 
@@ -268,6 +264,9 @@ class ReferenceSolver:
     * `slots`, `indptr`, `indices`: the positions in such a matrix's CSR
       data of its interior-interior entries, and the CSR structure they
       form, so eliminating the Dirichlet boundary is one gather;
+    * the structure of the block-diagonal matrix of k such interior
+      matrices, built for the widest block so far; a narrower block is a
+      prefix slice of it;
     * a V-cycle for the unit-coefficient interior stiffness of the
       reference mesh: Galerkin coarse operators `P^T A P` along the
       refinement chain (`P` keeps parent values and averages the two edge
@@ -302,6 +301,7 @@ class ReferenceSolver:
         self.slots = np.flatnonzero(keep)
         self.indices = relabel[pattern.indices[keep]].astype(np.int32)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self._block = (self.indptr, self.indices)
 
         reference = compute_geometry(mesh.topology.reference_nodes,
                                      mesh.triangles)
@@ -330,10 +330,35 @@ class ReferenceSolver:
         return csr_matrix((data[self.slots], self.indices, self.indptr),
                           shape=(m, m))
 
+    def interior_data(self, K: csr_matrix, name: str = "matrix") -> np.ndarray:
+        """The interior entries of `K` in the CSR order of `indptr` and
+        `indices`.  Raises MeshMismatch unless `K` has this topology's
+        sparsity pattern."""
+        self.check_pattern(K, name)
+        return K.data[self.slots]
+
+    def block_matrix(self, data: np.ndarray) -> csr_matrix:
+        """Block-diagonal matrix whose j-th block is the interior matrix
+        with data `data[j]`, for a C-ordered (k, nnz) array `data`."""
+        k = len(data)
+        m, nnz = len(self.interior), len(self.indices)
+        indptr, indices = self._block
+        if len(indptr) <= k * m:
+            dtype = np.int32 if k * nnz < 2**31 else np.int64
+            block = np.arange(k)[:, None]
+            indptr = np.concatenate(
+                [[0], (self.indptr[1:] + nnz * block).ravel()]).astype(dtype)
+            indices = (self.indices + m * block).ravel().astype(dtype)
+            self._block = (indptr, indices)
+        return csr_matrix((data.reshape(-1), indices[:k * nnz],
+                           indptr[:k * m + 1]), shape=(k * m, k * m))
+
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """One V-cycle applied to an interior residual vector, or to each
-        column of an (m, k) block of them."""
-        return self._vcycle(0, r.reshape(len(r), -1)).reshape(r.shape)
+        row of a (k, m) block of them as one multi-vector product."""
+        if r.ndim == 1:
+            return self._vcycle(0, r)
+        return np.ascontiguousarray(self._vcycle(0, r.T.copy()).T)
 
     def _vcycle(self, k: int, r: np.ndarray) -> np.ndarray:
         if k == len(self._levels):
@@ -359,78 +384,129 @@ def reference_solver(mesh: Mesh) -> ReferenceSolver:
                                 lambda: ReferenceSolver(mesh))
 
 
-def solve_dirichlet(K: csr_matrix, b: np.ndarray, mesh: Mesh,
-                    rtol: float = CG_RTOL,
-                    diag_out: dict | None = None,
-                    K_r: csr_matrix | None = None,
-                    amplitudes=None):
-    """Solve (K + c_j K_r) u_j = b_j with u_j = 0 on the boundary nodes of
-    `mesh`, for every column j at once.
-
-    `b` is one load shared by every column or an (n, k) array of loads.
-    `amplitudes` lists the c_j, one per column; without it every c_j is
-    zero and `b` alone sets the columns.  `K_r` is the matrix the
-    amplitudes scale (no `K_r` means a zero one).  `K` and `K_r` must be
-    assembled on `mesh` or on a mesh displaced from it.
-
-    Boundary unknowns are eliminated symmetrically (the system is
-    restricted to the interior), and the columns are solved in lockstep by
-    conjugate gradients preconditioned with one V-cycle of the topology's
-    `ReferenceSolver`: every iteration applies `K`, `K_r` and the V-cycle
-    to the block of unconverged columns.  A column that reaches its own
-    relative residual target `rtol` is frozen, so it takes the iterations
-    of a one-column solve and agrees with it to rounding.  The iteration
-    cap is `CG_CAP_FACTOR` per interior unknown.
-
-    `diag_out`, if given, receives `iterations` (the lockstep count, the
-    largest over the columns), `residual` (the largest final residual
-    norm) and `column_iterations` (one count per column).
-
-    Returns a NodalField for a one-dimensional `b` without `amplitudes`,
-    otherwise a list of NodalFields, one per column.
-
-    Raises
-    ------
-    MeshMismatch
-        If `K` or `K_r` does not have the sparsity pattern of the mesh
-        topology.
-    NonFiniteValue
-        If an interior load, an interior matrix entry or a residual holds
-        a NaN or an infinity.
-    SolverDiverged
-        If the iteration cap is reached before every residual target.
-    """
-    ref = reference_solver(mesh)
-    n = ref.n_nodes
-    ref.check_pattern(K, "matrix")
-    if K_r is not None:
-        ref.check_pattern(K_r, "rough matrix")
-    b = np.asarray(b, dtype=float)
+def _matrix_columns(ref: ReferenceSolver, K: csr_matrix, b: np.ndarray,
+                    K_r: csr_matrix | None, amplitudes):
+    """(k, nnz) interior data of `K + c_j K_r` and (k, m) interior loads,
+    one row per column j, for the matrix form of `solve_dirichlet`."""
+    ks = ref.interior_data(K)
     loads = b if b.ndim == 2 else b[:, None]
     c = (np.zeros(loads.shape[1]) if amplitudes is None
          else np.asarray(amplitudes, dtype=float).reshape(-1))
     if loads.shape[1] not in (1, len(c)):
         raise ValueError(f"{loads.shape[1]} load columns for "
                          f"{len(c)} amplitudes")
-    m = len(ref.interior)
-    bi = np.broadcast_to(loads[ref.interior], (m, len(c)))
-    if not np.all(np.isfinite(bi)):
-        raise NonFiniteValue("load vector is not finite at an interior node")
-    A = ref.interior_matrix(K.data)
-    A_r = None if K_r is None else ref.interior_matrix(K_r.data)
-    for M in (A, A_r):
-        if M is not None and not np.all(np.isfinite(M.data)):
-            raise NonFiniteValue(
-                "stiffness matrix has a non-finite interior entry")
+    if K_r is None:
+        data = np.tile(ks, (len(c), 1))
+    else:
+        data = ks + np.multiply.outer(c, ref.interior_data(K_r,
+                                                           "rough matrix"))
+    return data, np.broadcast_to(loads[ref.interior].T,
+                                 (len(c), len(ref.interior)))
 
-    norm_b = np.sqrt(np.vecdot(bi, bi, axis=0))
+
+def _first_non_finite(block: np.ndarray):
+    """Index of the first row of `block` holding a NaN or an infinity, or None."""
+    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+    return int(bad[0]) if bad.size else None
+
+
+def _compact(work: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Move the rows `rows` (ascending) of `work` to its front, in place,
+    and return that prefix."""
+    for new, old in enumerate(rows):
+        if new != old:
+            work[new] = work[old]
+    return work[:len(rows)]
+
+
+def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
+                    rtol: float = CG_RTOL,
+                    diag_out: dict | None = None,
+                    K_r: csr_matrix | None = None,
+                    amplitudes=None):
+    """Solve a block of Dirichlet problems A_j u_j = b_j, with u_j = 0 on
+    the boundary nodes of `mesh`, for every column j at once.
+
+    Matrix form: `K` is a CSR matrix assembled on `mesh` or on a mesh
+    displaced from it, and A_j = K + c_j K_r.  `b` is one load shared by
+    every column or an (n, k) array of loads.  `amplitudes` lists the c_j,
+    one per column; without it every c_j is zero and `b` alone sets the
+    columns.  `K_r` is the matrix the amplitudes scale (no `K_r` means a
+    zero one).
+
+    Block form, for columns drawn from several domain realizations: `K` is
+    a (k, nnz) array whose row j holds the interior data of A_j (see
+    `ReferenceSolver.interior_data`), `b` the (k, m) array of interior
+    loads, and neither `K_r` nor `amplitudes` is given.  A C-ordered
+    float `K` is the solver's work space: as columns converge, the rows of
+    the others move to its front, so its contents are lost.
+
+    Boundary unknowns are eliminated symmetrically (the system is
+    restricted to the interior), and the columns are solved in lockstep by
+    conjugate gradients preconditioned with one V-cycle of the topology's
+    `ReferenceSolver`: every iteration applies the block-diagonal matrix
+    of the unconverged columns and the V-cycle to all of them.  A column
+    that reaches its own relative residual target `rtol` is frozen, so it
+    takes the iterations of a one-column solve and agrees with it to
+    rounding.  The iteration cap is `CG_CAP_FACTOR` per interior unknown.
+
+    `diag_out`, if given, receives `iterations` (the lockstep count, the
+    largest over the columns), `residual` (the largest final residual
+    norm) and `column_iterations` (one count per column).
+
+    Returns a NodalField for a one-dimensional `b` in the matrix form
+    without `amplitudes`, otherwise a list of NodalFields, one per column.
+
+    Raises
+    ------
+    MeshMismatch
+        If `K` or `K_r` does not have the sparsity pattern of the mesh
+        topology, or block-form arrays do not have its interior sizes.
+    NonFiniteValue
+        If an interior load, an interior matrix entry or a residual holds
+        a NaN or an infinity.
+    SolverDiverged
+        If the iteration cap is reached before every residual target.
+
+    A NonFiniteValue or SolverDiverged that concerns one column names it
+    in its message and carries it as `index`.
+    """
+    ref = reference_solver(mesh)
+    n, m = ref.n_nodes, len(ref.interior)
+    b = np.asarray(b, dtype=float)
+    if isinstance(K, np.ndarray):
+        if K_r is not None or amplitudes is not None:
+            raise ValueError("the block form takes no K_r or amplitudes")
+        data = np.ascontiguousarray(K, dtype=float)
+        if data.ndim != 2 or data.shape[1] != len(ref.slots) or (
+                b.shape != (len(data), m)):
+            raise MeshMismatch(
+                f"block of {data.shape} matrix data and {b.shape} loads, "
+                f"the topology has {len(ref.slots)} interior entries and "
+                f"{m} interior nodes")
+        loads = b
+    else:
+        data, loads = _matrix_columns(ref, K, b, K_r, amplitudes)
+    k = len(data)
+    j = _first_non_finite(loads)
+    if j is not None:
+        raise NonFiniteValue(
+            f"load vector is not finite at an interior node in column {j}",
+            index=j)
+    j = _first_non_finite(data)
+    if j is not None:
+        raise NonFiniteValue("stiffness matrix has a non-finite interior "
+                             f"entry in column {j}", index=j)
+
+    norm_b = np.sqrt(np.vecdot(loads, loads))
     cap = CG_CAP_FACTOR * m
-    x = np.zeros((m, len(c)))
-    column_iterations = np.zeros(len(c), dtype=int)
-    final_residual = np.zeros(len(c))
+    u = np.zeros((k, n))
+    column_iterations = np.zeros(k, dtype=int)
+    final_residual = np.zeros(k)
     # Arrays of the unconverged columns only; `cols` maps them back.
     cols = np.flatnonzero(norm_b != 0.0)
-    r = bi[:, cols]
+    A = ref.block_matrix(_compact(data, cols))
+    r = np.array(loads[cols])
     xs = np.zeros_like(r)
     p = np.zeros_like(r)  # with rz = 1 the first direction is exactly z
     rz = np.ones(len(cols))
@@ -439,37 +515,38 @@ def solve_dirichlet(K: csr_matrix, b: np.ndarray, mesh: Mesh,
     iterations = 0
     while cols.size:
         z = ref.precondition(r)
-        rz_next = np.vecdot(r, z, axis=0)
-        p = z + (rz_next / rz) * p
+        rz_next = np.vecdot(r, z)
+        p *= (rz_next / rz)[:, None]
+        p += z
         rz = rz_next
         if iterations >= cap:
             worst = np.argmax(res / tol)
             raise SolverDiverged(
                 f"no convergence in {cap} iterations, residual "
-                f"{res[worst]:.3e} > {tol[worst]:.3e} in column {cols[worst]}")
-        q = A @ p
-        if A_r is not None:
-            q += (A_r @ p) * c[cols]
-        alpha = rz / np.vecdot(p, q, axis=0)
-        xs += alpha * p
-        r -= alpha * q
+                f"{res[worst]:.3e} > {tol[worst]:.3e} in column {cols[worst]}",
+                index=int(cols[worst]))
+        q = (A @ p.reshape(-1)).reshape(p.shape)
+        alpha = (rz / np.vecdot(p, q))[:, None]
+        q *= alpha
+        r -= q
+        xs += np.multiply(p, alpha, out=q)
         iterations += 1
-        res = np.sqrt(np.vecdot(r, r, axis=0))
+        res = np.sqrt(np.vecdot(r, r))
         if not np.isfinite(res).all():
             j = np.flatnonzero(~np.isfinite(res))[0]
             raise NonFiniteValue(f"residual {res[j]} in column {cols[j]} "
-                                 f"after {iterations} iterations")
+                                 f"after {iterations} iterations",
+                                 index=int(cols[j]))
         done = res <= tol
         if done.any():
-            x[:, cols[done]] = xs[:, done]
+            u[np.ix_(cols[done], ref.interior)] = xs[done]
             column_iterations[cols[done]] = iterations
             final_residual[cols[done]] = res[done]
             keep = ~done
-            cols, r, xs, p = cols[keep], r[:, keep], xs[:, keep], p[:, keep]
+            cols, r, xs, p = cols[keep], r[keep], xs[keep], p[keep]
             rz, res, tol = rz[keep], res[keep], tol[keep]
+            A = ref.block_matrix(_compact(data, np.flatnonzero(keep)))
 
-    u = np.zeros((len(c), n))
-    u[:, ref.interior] = x.T
     if diag_out is not None:
         diag_out.update(iterations=iterations,
                         residual=float(final_residual.max(initial=0.0)),

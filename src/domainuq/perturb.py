@@ -8,16 +8,19 @@ deformed mesh is computed once, its quadrature points are located on the
 coefficient grid once, and the smooth-part stiffness matrix and the load
 are assembled once; the rough-part stiffness reuses the same geometry.
 Every full solve on it uses an operator of the affine family
-`K_s + c * K_r` with the same load, so `DeformedProblem.solve_amplitudes`
-hands all the amplitudes c of a realization (u0 is c = 0) to one lockstep
-call of `solve_dirichlet`, which applies `K_s` and `K_r` to the whole
-block of columns.  A zero amplitude
-adds exactly nothing, so a one-column solve at amplitude 0 is
-bit-identical to the smooth solve.  Derivative solves for several
-directions share the smooth operator and go through one call with one
-load column each.  Every solve passes the reference mesh to
-`solve_dirichlet`, whose multigrid preconditioner and interior restriction
-are built once for the topology that all deformed meshes share.
+`K_s + c * K_r` with the same load, and a zero amplitude adds exactly
+nothing, so a solve at amplitude 0 is bit-identical to the smooth solve.
+
+`solve_block` solves a block of realizations together: it builds them one
+after another, keeps of each only the interior data of `K_s + c * K_r`
+for every amplitude c (u0 is c = 0) and its interior load, and hands the
+whole block to one lockstep call of `solve_dirichlet`.  Its derivative
+solves, one per realization, go through a second call.  Monte Carlo
+samples, coupled pairs and quadrature nodes are solved this way;
+`DeformedProblem` serves the single-realization solves.  Every solve
+passes the reference mesh to `solve_dirichlet`, whose multigrid
+preconditioner and interior restriction are built once for the topology
+that all deformed meshes share.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import (NodalField, element_geometry, h1_norm, load_from_qvalues,
-                  perturbation_load_from_qvalues, solve_dirichlet,
-                  stiffness_from_element_tensors, stiffness_from_qvalues,
-                  _eval_at_points)
-from .errors import NonPositiveCoefficient
+                  perturbation_load_from_qvalues, reference_solver,
+                  solve_dirichlet, stiffness_from_qvalues, _eval_at_points)
+from .errors import DomainUQError, NonPositiveCoefficient
 from .fields import (Sample, ScalarFieldKL, VectorFieldKL, eval_displacement,
                      eval_mean, eval_rough)
 from .mesh import Mesh, displace
@@ -96,6 +98,17 @@ class DeformedProblem:
         return stiffness_from_qvalues(self.deformed, a_r_q,
                                       require_positive=False)
 
+    def check_amplitudes(self, a_r_q: np.ndarray, amplitudes) -> None:
+        """Raise NonPositiveCoefficient, naming the amplitude, unless
+        a_s + c * a_r is strictly positive (and not NaN) at every
+        quadrature point for every amplitude c."""
+        for c in amplitudes:
+            full_q = self.a_s_q + c * a_r_q
+            if not np.all(full_q > 0.0):
+                raise NonPositiveCoefficient(
+                    f"coefficient minimum {np.min(full_q):.6e} "
+                    f"at amplitude {c}")
+
     def solve_amplitudes(self, a_r_q: np.ndarray | None, K_r, amplitudes,
                          diag_out: dict | None = None) -> list[NodalField]:
         """Full solves with coefficients a_s + c * a_r, one per amplitude c,
@@ -108,12 +121,7 @@ class DeformedProblem:
         """
         amplitudes = [float(c) for c in amplitudes]
         if a_r_q is not None:
-            for c in amplitudes:
-                full_q = self.a_s_q + c * a_r_q
-                if not np.all(full_q > 0.0):
-                    raise NonPositiveCoefficient(
-                        f"coefficient minimum {np.min(full_q):.6e} "
-                        f"at amplitude {c}")
+            self.check_amplitudes(a_r_q, amplitudes)
         return solve_dirichlet(self.K_s, self.b, self.mesh, diag_out=diag_out,
                                K_r=K_r, amplitudes=amplitudes)
 
@@ -159,40 +167,121 @@ def solve_sample(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
         residuals={k: d["residual"] for k, d in diags.items()})
 
 
-def solve_pair(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
-               sample: Sample, amplitudes):
-    """Coupled solves of one sample on one domain realization.
+def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
+                ys=None, amplitudes=(0.0,), with_delta: bool = False,
+                diag_out: dict | None = None):
+    """Solves on a block of domain realizations in one lockstep call.
+
+    Realization i is the domain of the parameters `zs[i]` with the
+    coefficient a_s + c * a_r(ys[i]) for each amplitude c in `amplitudes`
+    (without `ys` the rough part is zero).  The realizations are built one
+    after another; of each, only the interior data of `K_s + c * K_r` per
+    amplitude and the interior load are kept, in buffers allocated once
+    for the block, and every column goes through one call of
+    `solve_dirichlet` (which fills `diag_out`).  With `with_delta`, whose
+    `amplitudes` must list 0, the derivative solves at `ys[i]` with u0 on
+    the right follow in a second call.
+
+    Returns (u, delta): u[i][j] is the NodalField of realization i at
+    amplitude `amplitudes[j]`, and delta[i] the derivative solve of
+    realization i, or None without `with_delta`.
+
+    A DomainUQError concerning one realization (a degenerate deformation,
+    a coefficient that is not strictly positive, or NaN, at some
+    amplitude, or a failing column) carries its position i as `index`.
+    """
+    ref = reference_solver(mesh)
+    amplitudes = [float(c) for c in amplitudes]
+    r, k = len(zs), len(amplitudes)
+    if with_delta and (ys is None or 0.0 not in amplitudes):
+        raise ValueError("derivative solves need ys and a zero amplitude")
+    data = np.empty((r * k, len(ref.slots)))
+    loads = np.empty((r * k, len(ref.interior)))
+    # (deformed mesh, a_r quadrature values) of each, for derivative loads
+    rough = [] if with_delta else None
+    for i, z in enumerate(zs):
+        try:
+            _fill_realization(mesh, vf, sf, z, None if ys is None else ys[i],
+                              amplitudes, data[i * k:(i + 1) * k],
+                              loads[i * k:(i + 1) * k], rough)
+        except DomainUQError as e:
+            e.index = i
+            raise
+    if with_delta:
+        j0 = amplitudes.index(0.0)
+        # the zero-amplitude rows hold the smooth operator K_s exactly
+        smooth = data[j0::k].copy()
+    try:
+        fields = solve_dirichlet(data, loads, mesh, diag_out=diag_out)
+    except DomainUQError as e:
+        if e.index is not None:
+            e.index //= k
+        raise
+    u = [fields[i * k:(i + 1) * k] for i in range(r)]
+    if not with_delta:
+        return u, None
+    for i, (deformed, a_r_q) in enumerate(rough):
+        loads[i] = perturbation_load_from_qvalues(
+            deformed, a_r_q, u[i][j0].values)[ref.interior]
+    return u, solve_dirichlet(smooth, loads[:r], mesh)
+
+
+def _fill_realization(mesh, vf, sf, z, y, amplitudes, data, loads, rough):
+    """Build one domain realization and write the interior data of
+    `K_s + c * K_r` for each amplitude c into the rows of `data` and its
+    interior load into those of `loads`.  Appends (deformed mesh, rough
+    quadrature values) to the list `rough`, if given; keeps nothing else."""
+    ref = reference_solver(mesh)
+    dp = DeformedProblem(mesh, vf, sf, z)
+    loads[:] = dp.b[ref.interior]
+    if y is None:
+        data[:] = ref.interior_data(dp.K_s)
+        return
+    a_r_q = dp.rough_qvalues(y)
+    dp.check_amplitudes(a_r_q, amplitudes)
+    np.multiply.outer(amplitudes, ref.interior_data(
+        dp.rough_stiffness(a_r_q), "rough matrix"), out=data)
+    data += ref.interior_data(dp.K_s)
+    if rough is not None:
+        rough.append((dp.deformed, a_r_q))
+
+
+def solve_pairs(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, samples,
+                amplitudes, with_delta: bool = False):
+    """Coupled solves of a block of samples, one domain realization each.
 
     `amplitudes` lists the signed amplitudes sign * eps the caller will
-    ask for.  u0 and u_eps at each of them are solved in one lockstep
-    call.  Returns (u0 values, solve(sign, eps), delta()): `solve` gives
-    the values of u_eps at the coefficient parameters sign * y, which is
-    the solve at amplitude sign * eps (a KeyError for an amplitude not
-    listed), and `delta` those of delta_u at y.  The rough coefficient and
-    its stiffness are evaluated once.
+    ask for; u0 and u_eps at each of them are solved in one `solve_block`
+    call.  Returns, per sample, (u0 values, {amplitude: values of u_eps},
+    delta_u values at y, or None without `with_delta`).  The u_eps at the
+    parameters sign * y is the solve at amplitude sign * eps, and the one
+    at amplitude 0 is u0 itself.
     """
-    dp = DeformedProblem(mesh, vf, sf, sample.z)
-    a_r_q = dp.rough_qvalues(sample.y)
-    K_r = dp.rough_stiffness(a_r_q)
     columns = [0.0] + sorted({float(c) for c in amplitudes} - {0.0})
-    fields = dp.solve_amplitudes(a_r_q, K_r, columns)
-    by_amplitude = {c: u.values for c, u in zip(columns, fields)}
-    u0 = fields[0]
+    u, delta = solve_block(mesh, vf, sf, [s.z for s in samples],
+                           [s.y for s in samples], columns, with_delta)
+    return [(fields[0].values,
+             {c: f.values for c, f in zip(columns, fields)},
+             None if delta is None else delta[i].values)
+            for i, fields in enumerate(u)]
 
-    def solve(sign, eps):
-        return by_amplitude[float(sign * eps)]
 
-    def delta():
-        return dp.solve_delta_u_from_parts(a_r_q, u0).values
-    return u0.values, solve, delta
+def solve_pair(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
+               sample: Sample, amplitudes):
+    """Coupled solves of one sample: (u0 values, solve(sign, eps), delta()),
+    where `solve` gives the values of u_eps at the parameters sign * y (a
+    KeyError for an amplitude not listed) and `delta` those of delta_u."""
+    u0, by_amplitude, delta = solve_pairs(mesh, vf, sf, [sample], amplitudes,
+                                          with_delta=True)[0]
+    return (u0, lambda sign, eps: by_amplitude[float(sign * eps)],
+            lambda: delta)
 
 
 def remainders(mesh: Mesh, pair, eps_list) -> list[float]:
     """H1 norms (on the reference disc) of u_eps - u0 - eps * delta_u over
-    several amplitudes, from a `solve_pair`-shaped triple."""
-    u0, solve, delta = pair
-    d = delta()
-    return [h1_norm(mesh, NodalField(solve(1.0, eps) - u0 - eps * d,
+    several amplitudes, from one sample's `solve_pairs` triple."""
+    u0, u_eps, delta = pair
+    return [h1_norm(mesh, NodalField(u_eps[float(eps)] - u0 - eps * delta,
                                      mesh.level))
             for eps in eps_list]
 
@@ -201,8 +290,8 @@ def taylor_remainders(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
                       sample: Sample, eps_list) -> list[float]:
     """Taylor remainders for one sample over several amplitudes, sharing
     the domain realization, u0, and delta_u across amplitudes."""
-    return remainders(mesh, solve_pair(mesh, vf, sf, sample, eps_list),
-                      eps_list)
+    pair = solve_pairs(mesh, vf, sf, [sample], eps_list, with_delta=True)[0]
+    return remainders(mesh, pair, eps_list)
 
 
 def delta_second_moment(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
@@ -224,43 +313,3 @@ def delta_second_moment(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
     fields = solve_dirichlet(dp.K_s, loads, mesh)
     return NodalField(sum((u.values ** 2 for u in fields),
                           np.zeros(mesh.n_nodes)), mesh.level)
-
-
-def solve_transported(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
-                      sample: Sample, eps: float, f=None) -> NodalField:
-    """Cross-check path: assemble the transported matrix coefficient
-    (a o V) (V'^T V')^{-1} det V' on the reference disc and solve there.
-
-    For the piecewise affine deformation this is algebraically equivalent
-    to solving on the deformed mesh and pulling back node values.
-    """
-    disp = eval_displacement(vf, sample.z)
-    deformed = displace(mesh, disp)
-    p_ref, p_def = mesh.nodes, deformed.nodes
-    t = mesh.triangles
-    m = len(t)
-
-    J_ref = np.stack([p_ref[t[:, 1]] - p_ref[t[:, 0]],
-                      p_ref[t[:, 2]] - p_ref[t[:, 0]]], axis=2)
-    J_def = np.stack([p_def[t[:, 1]] - p_def[t[:, 0]],
-                      p_def[t[:, 2]] - p_def[t[:, 0]]], axis=2)
-    Vp = J_def @ np.linalg.inv(J_ref)
-    detVp = np.linalg.det(Vp)
-    B = np.linalg.inv(np.transpose(Vp, (0, 2, 1)) @ Vp) * detVp[:, None, None]
-
-    _, _, qpts_def = element_geometry(deformed)
-    qflat = qpts_def.reshape(-1, 2)
-    a_q = (eval_mean(sf, qflat)
-           + eps * eval_rough(sf, qflat, sample.y)).reshape(m, 3)
-    if not np.all(a_q > 0.0):
-        raise NonPositiveCoefficient(
-            f"coefficient minimum {a_q.min():.6e} at amplitude {eps}")
-    tensors = a_q.mean(axis=1)[:, None, None] * B
-    K = stiffness_from_element_tensors(mesh, tensors)
-
-    if f is None:
-        fq = np.ones((m, 3))
-    else:
-        fq = _eval_at_points(f, qflat).reshape(m, 3)
-    b = load_from_qvalues(mesh, fq * detVp[:, None])
-    return solve_dirichlet(K, b, mesh)

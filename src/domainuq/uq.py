@@ -5,11 +5,15 @@ Monte Carlo estimation uses the Welford recurrence per fixed-size sample
 block and a fixed binary tree merge over block index.  Quadrature
 estimation accumulates first and second weighted moments in rule order.
 
-`map_blocks` is the one place where work leaves the calling process.  With
-more than one worker it forks a pool of worker processes, each of which
-solves one sample, pair or node per item and sends the solved fields back;
-the calling process folds them in item order into the same accumulators,
-so results are bit identical for any worker count.
+Samples, coupled pairs and quadrature nodes are solved in fixed blocks of
+`SOLVE_BLOCK` consecutive items (`solve_blocks`), so that a finite
+element solver can run a whole block in one lockstep solve; which block an
+item lands in depends only on its index.  `map_blocks` is the one place
+where work leaves the calling process.  With more than one worker it
+forks a pool of worker processes, each of which solves one block per item
+and sends the solved fields back; the calling process folds them per
+item, in index order, into the same accumulators, so results are bit
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ from .textio import fmt
 
 #: Samples per Monte Carlo accumulation block (independent of thread count).
 MC_BLOCK_SIZE = 32
+
+#: Consecutive samples, pairs or quadrature nodes per solve block
+#: (independent of thread count).
+SOLVE_BLOCK = 4
 
 
 @dataclass
@@ -187,15 +195,56 @@ def map_blocks(fn, items, threads: int = 1):
         yield fn(item)
 
 
+def _per_item(fn):
+    """The block form of a function of one item: it maps a sequence of
+    items to the list of fn(item), and a DomainUQError raised by `fn`
+    carries the position of its item as `index`."""
+    def block(items):
+        out = []
+        for j, item in enumerate(items):
+            try:
+                out.append(fn(item))
+            except DomainUQError as e:
+                e.index = j
+                raise
+        return out
+    return block
+
+
+def solve_blocks(fn, n_items: int, label: str, threads: int = 1):
+    """Yield the output of each item 0, ..., n_items - 1, in order.
+
+    `fn(indices)` receives a range of up to `SOLVE_BLOCK` consecutive item
+    indices and returns one output per index; the blocks are fixed by
+    index alone and dispatched by `map_blocks`.  A DomainUQError raised
+    by `fn` is raised again naming the failing item as `label i`, from the
+    position `index` it carries, or the block's range if it carries none.
+    """
+    def run(lo: int):
+        block = range(lo, min(lo + SOLVE_BLOCK, n_items))
+        try:
+            return fn(block)
+        except DomainUQError as e:
+            where = (f"{label} {block[e.index]}"
+                     if e.index in range(len(block))
+                     else f"{label}s {block[0]} to {block[-1]}")
+            raise type(e)(f"{where}: {e}") from e
+
+    for outputs in map_blocks(run, range(0, n_items, SOLVE_BLOCK), threads):
+        yield from outputs
+
+
 def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
-                threads: int = 1):
+                threads: int = 1, block: bool = False):
     """Plain Monte Carlo mean and variance of solver(sample) over i.i.d.
     draws of (y, z).
 
     `solver(sample)` returns a NodalField, and the result is its
     Statistics; or it returns a list of NodalFields, several quantities
     computed from one sample, and the result is a list of Statistics in
-    the same order, each from its own accumulators.
+    the same order, each from its own accumulators.  With `block` set,
+    `solver(samples)` takes a list of up to `SOLVE_BLOCK` consecutive
+    samples and returns one such output per sample (see `solve_blocks`).
 
     Sample i is generated from the stream (seed, i), so the estimate is a
     pure function of (seed, n_samples) regardless of the thread count.
@@ -204,14 +253,12 @@ def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     n_y, n_z = dims
+    solve = solver if block else _per_item(solver)
 
-    def solve(i):
-        try:
-            return solver(draw_sample(n_y, n_z, seed, i))
-        except DomainUQError as e:
-            raise type(e)(f"sample {i}: {e}") from e
-
-    outputs = map_blocks(solve, range(n_samples), threads)
+    outputs = solve_blocks(
+        lambda indices: solve([draw_sample(n_y, n_z, seed, i)
+                               for i in indices]),
+        n_samples, "sample", threads)
     first = next(outputs)
     single = isinstance(first, NodalField)
 
@@ -227,16 +274,23 @@ def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
 
 
 def quadrature_estimate(solver, rule: "QuadratureRule",
-                        threads: int = 1) -> Statistics:
+                        threads: int = 1, block: bool = False) -> Statistics:
     """Weighted mean and centered-second-moment variance over a rule.
 
-    mean = sum_i w_i u(node_i); the variance accessor clamps the second
-    moment form at zero.
+    `solver(node)` returns a NodalField; with `block` set, `solver(nodes)`
+    takes an array of up to `SOLVE_BLOCK` consecutive nodes and returns
+    one NodalField per node.  mean = sum_i w_i u(node_i); the variance
+    accessor clamps the second moment form at zero.  Solver errors abort
+    with the failing node index.
     """
     if len(rule.nodes) == 0:
         raise ValueError("quadrature rule is empty")
+    solve = solver if block else _per_item(solver)
+    outputs = solve_blocks(
+        lambda indices: solve(rule.nodes[indices.start:indices.stop]),
+        len(rule.nodes), "quadrature node", threads)
     s1 = s2 = None
-    for w, u in zip(rule.weights, map_blocks(solver, rule.nodes, threads)):
+    for w, u in zip(rule.weights, outputs):
         if s1 is None:
             s1, s2, level = np.zeros(u.n), np.zeros(u.n), u.level
         s1 += w * u.values

@@ -10,6 +10,7 @@ from domainuq.config import ExperimentConfig, config_hash, parse_config
 from domainuq.errors import ConfigError
 from domainuq.fem import load_field
 from domainuq.fields import load_scalar_field, load_vector_field
+from domainuq.uq import SOLVE_BLOCK
 
 
 class TestConfigParsing:
@@ -92,7 +93,7 @@ def artifacts_copy(tiny_run, target):
     """(config path, a fresh output directory holding the KL artifacts)."""
     cfg, out = tiny_run
     os.makedirs(target)
-    for name in ("vector_field.txt", "coefficient.txt"):
+    for name in ("vector_field.txt", "coefficient.txt", "kl_manifest.txt"):
         (target / name).write_bytes(
             open(os.path.join(out, name), "rb").read())
     return cfg, str(target)
@@ -210,6 +211,33 @@ class TestExitCodes:
         assert "grid_cells 32" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "mc.csv"))
 
+    def test_missing_manifest(self, tiny_run, tmp_path, capsys):
+        cfg, out = artifacts_copy(tiny_run, tmp_path / "a")
+        os.remove(os.path.join(out, "kl_manifest.txt"))
+        assert main(["mc", "--config", cfg, "--out", out]) == 2
+        assert "kl_manifest.txt" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "mc.csv"))
+
+    @pytest.mark.parametrize("key", ["kl_tol_v", "kl_tol_a"])
+    def test_artifacts_of_other_kl_tolerances(self, tiny_run, tmp_path,
+                                              capsys, key):
+        _, out = artifacts_copy(tiny_run, tmp_path / "a")
+        cfg = write_config(tmp_path / "tol.cfg", TINY + f"{key} = 0.3\n")
+        for command in ("mc", "convergence"):
+            assert main([command, "--config", cfg, "--out", out]) == 2
+            assert f"{key}=0.01" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "mc.csv"))
+
+    def test_manifest_without_tolerances(self, tiny_run, tmp_path, capsys):
+        cfg, out = artifacts_copy(tiny_run, tmp_path / "a")
+        path = os.path.join(out, "kl_manifest.txt")
+        lines = open(path).read().splitlines()
+        with open(path, "w") as f:
+            f.write("\n".join(l for l in lines
+                              if not l.startswith("kl_tol_")) + "\n")
+        assert main(["mc", "--config", cfg, "--out", out]) == 2
+        assert "not recorded" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["vector_field.txt", "coefficient.txt"])
     def test_truncated_artifact(self, tiny_run, tmp_path, capsys, name):
         cfg, out = artifacts_copy(tiny_run, tmp_path / "a")
@@ -285,7 +313,8 @@ class TestSecondOrderVariance:
         for target, extra in ((plain, []), (corrected,
                                             ["--second-order-variance"])):
             os.makedirs(target, exist_ok=True)
-            for name in ("vector_field.txt", "coefficient.txt"):
+            for name in ("vector_field.txt", "coefficient.txt",
+                         "kl_manifest.txt"):
                 (target / name).write_bytes(
                     open(os.path.join(out, name), "rb").read())
             assert main(["convergence", "--config", cfg, "--out", str(target)]
@@ -304,16 +333,16 @@ class TestSecondOrderVariance:
 class TestWorkPerSample:
     def test_mc_builds_one_problem_per_sample(self, tiny_run, tmp_path,
                                               monkeypatch):
-        from domainuq import cli
+        from domainuq import perturb
         cfg, out = artifacts_copy(tiny_run, tmp_path / "mc")
         builds = []
 
-        class Counting(cli.DeformedProblem):
+        class Counting(perturb.DeformedProblem):
             def __init__(self, *args, **kwargs):
                 builds.append(1)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "DeformedProblem", Counting)
+        monkeypatch.setattr(perturb, "DeformedProblem", Counting)
         assert main(["mc", "--config", cfg, "--out", out]) == 0
         assert len(builds) == parse_config(TINY).n_mc
 
@@ -335,8 +364,8 @@ class TestWorkPerSample:
 
     @staticmethod
     def count_solves(monkeypatch):
-        """Count `solve_dirichlet` calls; every amplitude of a domain
-        realization goes through one lockstep call."""
+        """Count `solve_dirichlet` calls; every amplitude of every domain
+        realization of a solve block goes through one lockstep call."""
         import domainuq.perturb as perturb
         calls = []
         original = perturb.solve_dirichlet
@@ -357,14 +386,35 @@ class TestWorkPerSample:
         n_z = load_vector_field(os.path.join(out, "vector_field.txt")).n_modes
         config = parse_config(TINY)
         nodes = len(smolyak_rule(n_z, config.quad_level).nodes)
-        assert len(calls) == config.n_mc // 2 + nodes
+        blocks = lambda n: -(-n // SOLVE_BLOCK)
+        assert len(calls) == blocks(config.n_mc // 2) + blocks(nodes)
 
     def test_mc_one_solve_call_per_sample(self, tiny_run, tmp_path,
                                           monkeypatch):
         cfg, out = artifacts_copy(tiny_run, tmp_path / "m")
         calls = self.count_solves(monkeypatch)
         assert main(["mc", "--config", cfg, "--out", out]) == 0
-        assert len(calls) == parse_config(TINY).n_mc
+        assert len(calls) == -(-parse_config(TINY).n_mc // SOLVE_BLOCK)
+
+
+def test_paired_sweep_error_names_the_failing_pair():
+    from domainuq import cli
+    from domainuq.errors import NonPositiveCoefficient
+    cfg = parse_config(TINY)
+    model = cli.SyntheticModel(cli.build_disc_mesh(cfg.mesh_level))
+    blocks = []
+
+    def factory(samples, amplitudes, with_delta):
+        blocks.append(len(samples))
+        if len(blocks) == 2:
+            raise NonPositiveCoefficient("at amplitude -1.0", index=2)
+        return model.pairs(samples, amplitudes, with_delta)
+
+    assert SOLVE_BLOCK == 4
+    with pytest.raises(NonPositiveCoefficient,
+                       match="^sample pair 6: at amplitude -1.0$"):
+        cli._paired_sweep(cfg, model.dims, factory, threads=1)
+    assert blocks == [4, 4]
 
 
 class TestConvergenceCSV:

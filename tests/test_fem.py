@@ -15,7 +15,7 @@ from domainuq.fem import (NodalField, _prolongation, _scatter, assemble_load,
                           field_from_text, field_to_text, h1_norm, l2_norm,
                           reference_solver, solve_dirichlet,
                           stiffness_from_qvalues, w11_norm)
-from domainuq.mesh import build_disc_mesh, signed_areas
+from domainuq.mesh import build_disc_mesh, displace, signed_areas
 
 
 def poisson_solve(mesh, coeff=lambda p: 1.0, f=lambda p: 1.0):
@@ -322,6 +322,102 @@ class TestDirichletSolve:
                             (one["iterations"] - 1.5) / m)
         with pytest.raises(SolverDiverged, match="column"):
             solve_dirichlet(K, b, mesh3, K_r=K_r, amplitudes=[0.0, 0.5])
+
+
+def realization_block(mesh, count):
+    """Block-form arrays of `count` smoothly displaced copies of `mesh`,
+    each with its own coefficient and load, and their matrix-form
+    systems: (data, loads, [(K, b), ...])."""
+    ref = reference_solver(mesh)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    systems = []
+    for i in range(count):
+        a = np.random.default_rng(i).uniform(-1.0, 1.0, size=5)
+        disp = 0.03 * np.column_stack([np.sin(a[0] * x + a[1] * y),
+                                       np.cos(a[2] * x - a[3] * y)])
+        deformed = displace(mesh, disp)
+        K = assemble_stiffness(deformed,
+                               lambda p, c=a[4]: 1.5 + c * p[..., 0])
+        b = assemble_load(deformed, lambda p, c=a[4]: 1.0 + c * p[..., 1])
+        systems.append((K, b))
+    data = np.array([ref.interior_data(K) for K, _ in systems])
+    loads = np.array([b[ref.interior] for _, b in systems])
+    return data, loads, systems
+
+
+class TestBlockSolve:
+    """Blocks of columns drawn from several domain realizations."""
+
+    def test_columns_match_one_column_solves(self, mesh4):
+        data, loads, systems = realization_block(mesh4, 5)
+        diag = {}
+        fields = solve_dirichlet(data, loads, mesh4, diag_out=diag)
+        assert len(fields) == 5
+        assert diag["iterations"] == max(diag["column_iterations"])
+        for (K, b), u, iterations in zip(systems, fields,
+                                         diag["column_iterations"]):
+            one = {}
+            single = solve_dirichlet(K, b, mesh4, diag_out=one)
+            assert iterations == one["iterations"]
+            assert (np.abs(u.values - single.values).max()
+                    <= 1e-12 * np.abs(single.values).max())
+
+    def test_zero_load_column_is_zero(self, mesh3):
+        data, loads, systems = realization_block(mesh3, 4)
+        loads[1] = 0.0
+        diag = {}
+        fields = solve_dirichlet(data, loads, mesh3, diag_out=diag)
+        assert diag["column_iterations"][1] == 0
+        assert np.array_equal(fields[1].values, np.zeros(mesh3.n_nodes))
+        K, b = systems[2]
+        single = solve_dirichlet(K, b, mesh3)
+        assert (np.abs(fields[2].values - single.values).max()
+                <= 1e-12 * np.abs(single.values).max())
+
+    @pytest.mark.parametrize("which", ["load", "matrix"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_third_column_is_named(self, mesh3, which, bad):
+        data, loads, _ = realization_block(mesh3, 4)
+        (loads if which == "load" else data)[2, 0] = bad
+        with pytest.raises(NonFiniteValue, match="column 2") as info:
+            solve_dirichlet(data, loads, mesh3)
+        assert info.value.index == 2
+
+    def test_foreign_pattern_raises(self, mesh3, mesh4):
+        data, loads, _ = realization_block(mesh4, 3)
+        K3, _, _ = rough_pair(mesh3)
+        with pytest.raises(MeshMismatch):
+            reference_solver(mesh4).interior_data(K3)
+        with pytest.raises(MeshMismatch):
+            solve_dirichlet(data[:, :-1], loads, mesh4)
+        with pytest.raises(MeshMismatch):
+            solve_dirichlet(data, loads, mesh3)
+
+    def test_diverged_names_a_column_still_running(self, mesh3,
+                                                   monkeypatch):
+        import domainuq.fem as fem
+        data, loads, _ = realization_block(mesh3, 4)
+        diag = {}
+        solve_dirichlet(data.copy(), loads, mesh3, diag_out=diag)
+        longest = max(diag["column_iterations"])
+        m = len(reference_solver(mesh3).interior)
+        monkeypatch.setattr(fem, "CG_CAP_FACTOR", (longest - 1.5) / m)
+        with pytest.raises(SolverDiverged, match=r"in column \d") as info:
+            solve_dirichlet(data, loads, mesh3)
+        j = info.value.index
+        assert diag["column_iterations"][j] == longest
+        assert str(info.value).endswith(f"in column {j}")
+
+    def test_block_matrix_prefix_is_block_diagonal(self, mesh3):
+        from scipy.sparse import block_diag
+        ref = reference_solver(mesh3)
+        data, _, _ = realization_block(mesh3, 5)
+        ref.block_matrix(data)  # the widest structure first
+        narrow = ref.block_matrix(data[:3])
+        expected = block_diag([ref.interior_matrix(K.data)
+                               for K, _ in realization_block(mesh3, 3)[2]])
+        assert narrow.shape == expected.shape
+        assert abs(narrow - expected).max() == 0.0
 
 
 class TestReferenceSolver:

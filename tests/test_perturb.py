@@ -11,9 +11,10 @@ import domainuq.mesh as mesh_module
 from conftest import reference_geometry
 from domainuq.fields import HoldAllGrid
 from domainuq.fem import NodalField, h1_norm
-from domainuq.fields import rng_stream, sample_uniform
-from domainuq.perturb import (DeformedProblem, solve_pair, solve_sample,
-                              solve_transported, taylor_remainders)
+from domainuq.fields import (eval_displacement, eval_mean, eval_rough,
+                             rng_stream, sample_uniform)
+from domainuq.perturb import (DeformedProblem, solve_block, solve_pair,
+                              solve_sample, taylor_remainders)
 from domainuq.uq import smolyak_rule
 
 
@@ -163,6 +164,79 @@ class TestFullSolve:
             solve(1.0, 0.25)
 
 
+class TestSolveBlock:
+    """Blocks of domain realizations solved in one lockstep call."""
+
+    AMPLITUDES = [0.0, 0.5, -0.5]
+
+    def samples(self, vf, sf, count=4, seed=41):
+        return [dq.draw_sample(sf.n_modes, vf.n_modes, seed, i)
+                for i in range(count)]
+
+    def test_matches_one_realization_solves(self, mesh4, vf4, sf64):
+        samples = self.samples(vf4, sf64)
+        diag = {}
+        u, delta = solve_block(mesh4, vf4, sf64, [s.z for s in samples],
+                               [s.y for s in samples], self.AMPLITUDES,
+                               with_delta=True, diag_out=diag)
+        k = len(self.AMPLITUDES)
+        for i, s in enumerate(samples):
+            dp = DeformedProblem(mesh4, vf4, sf64, s.z)
+            a_r_q = dp.rough_qvalues(s.y)
+            one = {}
+            single = dp.solve_amplitudes(a_r_q, dp.rough_stiffness(a_r_q),
+                                         self.AMPLITUDES, one)
+            assert (diag["column_iterations"][i * k:(i + 1) * k]
+                    == one["column_iterations"])
+            for got, want in zip(u[i], single):
+                assert (np.abs(got.values - want.values).max()
+                        <= 1e-12 * np.abs(want.values).max())
+            d = dp.solve_delta_u(s.y, single[0])
+            assert (np.abs(delta[i].values - d.values).max()
+                    <= 1e-12 * np.abs(d.values).max())
+
+    def test_smooth_block_matches_u0(self, mesh3, vf3, sf64):
+        zs = [s.z for s in self.samples(vf3, sf64, seed=42)]
+        u, delta = solve_block(mesh3, vf3, sf64, zs)
+        assert delta is None
+        for z, fields in zip(zs, u):
+            want = DeformedProblem(mesh3, vf3, sf64, z).solve_u0().values
+            assert np.abs(fields[0].values - want).max() <= 1e-12 * np.abs(
+                want).max()
+
+    @pytest.mark.parametrize("bad", ["nan", "negative"])
+    def test_third_realization_failure_is_indexed(self, mesh3, vf3, sf64,
+                                                  bad):
+        from domainuq.fields import SQRT3
+        samples = self.samples(vf3, sf64, seed=43)
+        ys = [s.y for s in samples]
+        if bad == "nan":
+            ys[2] = np.full(sf64.n_modes, np.nan)
+            amplitudes = self.AMPLITUDES
+        else:
+            # a zero rough part for the others, and for the third the
+            # corner that pushes it down hardest at the origin
+            at_origin = sf64.grid.interpolate(sf64.basis.modes,
+                                              np.zeros((1, 2)))[:, 0]
+            ys = [np.zeros(sf64.n_modes)] * 4
+            ys[2] = -SQRT3 * np.where(at_origin < 0.0, -1.0, 1.0)
+            amplitudes = [0.0, 50.0]
+        with pytest.raises(dq.NonPositiveCoefficient) as info:
+            solve_block(mesh3, vf3, sf64, [s.z for s in samples], ys,
+                        amplitudes)
+        assert info.value.index == 2
+
+    def test_failing_column_names_its_realization(self, mesh3, vf3, sf64,
+                                                  monkeypatch):
+        samples = self.samples(vf3, sf64, seed=44)
+        monkeypatch.setattr(fem, "CG_CAP_FACTOR", 0)
+        with pytest.raises(dq.SolverDiverged) as info:
+            solve_block(mesh3, vf3, sf64, [s.z for s in samples],
+                        [s.y for s in samples], self.AMPLITUDES)
+        column = int(str(info.value).rsplit(" ", 1)[1])
+        assert info.value.index == column // len(self.AMPLITUDES)
+
+
 class TestTaylorRemainder:
     def test_zero_amplitude_exactly_zero(self, mesh3, vf3, sf64):
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 9, 0)
@@ -241,6 +315,47 @@ class TestSecondOrderCorrection:
                                  mesh3.level), rule)
         assert np.allclose(qstats.mean.values, direct.values,
                            rtol=1e-7, atol=1e-14)
+
+
+def stiffness_from_element_tensors(mesh, tensors):
+    """Stiffness matrix for a per-element constant 2x2 matrix coefficient."""
+    areas, grads, _ = fem.element_geometry(mesh)
+    local = areas[:, None, None] * np.einsum(
+        "mid,mde,mje->mij", grads, tensors, grads)
+    return fem._scatter(mesh, local)
+
+
+def solve_transported(mesh, vf, sf, sample, eps):
+    """Cross-check path: assemble the transported matrix coefficient
+    (a o V) (V'^T V')^{-1} det V' on the reference disc and solve there.
+
+    For the piecewise affine deformation this is algebraically equivalent
+    to solving on the deformed mesh and pulling back node values.
+    """
+    deformed = mesh_module.displace(mesh, eval_displacement(vf, sample.z))
+    p_ref, p_def = mesh.nodes, deformed.nodes
+    t = mesh.triangles
+    m = len(t)
+
+    J_ref = np.stack([p_ref[t[:, 1]] - p_ref[t[:, 0]],
+                      p_ref[t[:, 2]] - p_ref[t[:, 0]]], axis=2)
+    J_def = np.stack([p_def[t[:, 1]] - p_def[t[:, 0]],
+                      p_def[t[:, 2]] - p_def[t[:, 0]]], axis=2)
+    Vp = J_def @ np.linalg.inv(J_ref)
+    detVp = np.linalg.det(Vp)
+    B = np.linalg.inv(np.transpose(Vp, (0, 2, 1)) @ Vp) * detVp[:, None, None]
+
+    _, _, qpts_def = fem.element_geometry(deformed)
+    qflat = qpts_def.reshape(-1, 2)
+    a_q = (eval_mean(sf, qflat)
+           + eps * eval_rough(sf, qflat, sample.y)).reshape(m, 3)
+    if not np.all(a_q > 0.0):
+        raise dq.NonPositiveCoefficient(
+            f"coefficient minimum {a_q.min():.6e} at amplitude {eps}")
+    tensors = a_q.mean(axis=1)[:, None, None] * B
+    K = stiffness_from_element_tensors(mesh, tensors)
+    b = fem.load_from_qvalues(mesh, np.ones((m, 3)) * detVp[:, None])
+    return fem.solve_dirichlet(K, b, mesh)
 
 
 class TestTransportedCrossCheck:

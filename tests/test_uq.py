@@ -16,6 +16,7 @@ from domainuq.perturb import DeformedProblem
 from domainuq.uq import (RunningMoments, Statistics, field_error,
                          gauss_legendre_1d, map_blocks, mc_estimate,
                          quadrature_estimate, sample_blocks, slope_fit,
+                         SOLVE_BLOCK,
                          smolyak_rule, statistics_from_text,
                          statistics_to_text, tree_merge)
 
@@ -46,6 +47,36 @@ class TestRunningMoments:
         assert merged.count == single.count
         assert np.allclose(merged.mean, single.mean, rtol=1e-12)
         assert np.allclose(merged.m2, single.m2, rtol=1e-12)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_partition_merge_matches_one_pass(self, data):
+        n = data.draw(st.integers(1, 60), label="n")
+        cuts = data.draw(st.lists(st.integers(1, max(n - 1, 1)),
+                                  max_size=12, unique=True), label="cuts")
+        scale = data.draw(st.floats(1e-3, 1e3), label="scale")
+        shift = data.draw(st.floats(-1e3, 1e3), label="shift")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        xs = np.random.default_rng(seed).standard_normal((n, 3)) * scale + shift
+        single = RunningMoments(3)
+        for x in xs:
+            single.update(x)
+        edges = [0] + sorted(c for c in cuts if c < n) + [n]
+        blocks = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            acc = RunningMoments(3)
+            for x in xs[lo:hi]:
+                acc.update(x)
+            blocks.append(acc)
+        merged = tree_merge(blocks)
+        assert merged.count == n
+        spread = np.abs(xs - xs.mean(axis=0)).max(axis=0)
+        # rounding of a Welford pass: a few ulps of the data magnitude
+        ulp = 1e-13 * (np.abs(xs).max(axis=0) + spread)
+        assert np.all(np.abs(merged.mean - single.mean) <= ulp)
+        assert np.all(np.abs(merged.m2 - single.m2)
+                      <= 1e-11 * (single.m2 + n * ulp * spread + 1e-300))
 
 
 class TestMCEstimate:
@@ -115,6 +146,41 @@ class TestMCEstimate:
         assert np.array_equal(spread.mean.values, serial.mean.values)
         assert np.array_equal(spread.second_central.values,
                               serial.second_central.values)
+
+    def test_block_solver_matches_per_sample_solver(self):
+        def solver(s):
+            return NodalField(np.array([s.y[0] * s.z[1], np.exp(s.z[0])]), 0)
+
+        def block_solver(samples):
+            assert len(samples) <= SOLVE_BLOCK
+            return [solver(s) for s in samples]
+
+        per_sample = mc_estimate(solver, (2, 2), 45, seed=8)
+        blocked = mc_estimate(block_solver, (2, 2), 45, seed=8, block=True)
+        assert np.array_equal(per_sample.mean.values, blocked.mean.values)
+        assert np.array_equal(per_sample.second_central.values,
+                              blocked.second_central.values)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_block_error_names_the_failing_sample(self, threads):
+        def block_solver(samples):
+            if np.array_equal(samples[0].z,
+                              dq.draw_sample(1, 1, 0, SOLVE_BLOCK).z):
+                raise dq.SolverDiverged("stuck in column 5", index=2)
+            return [NodalField(np.zeros(1), 0) for _ in samples]
+
+        assert SOLVE_BLOCK == 4
+        with pytest.raises(dq.SolverDiverged,
+                           match="^sample 6: stuck in column 5$"):
+            mc_estimate(block_solver, (1, 1), 12, seed=0, threads=threads,
+                        block=True)
+
+    def test_block_error_without_index_names_the_block(self):
+        def block_solver(samples):
+            raise dq.NonFiniteValue("bad")
+
+        with pytest.raises(dq.NonFiniteValue, match="^samples 0 to 3: bad$"):
+            mc_estimate(block_solver, (1, 1), 12, seed=0, block=True)
 
     def test_worker_error_reports_sample_index(self):
         bad = dq.draw_sample(1, 1, 0, 37)
@@ -247,6 +313,18 @@ class TestQuadratureEstimate:
         assert stats.second_central.values[0] >= -1e-12
         assert stats.variance().values[0] >= 0.0
 
+    def test_block_error_names_the_failing_node(self):
+        rule = gauss_legendre_1d(9)
+
+        def block_solver(nodes):
+            if len(nodes) == SOLVE_BLOCK and nodes[0, 0] == rule.nodes[4, 0]:
+                raise dq.NonPositiveCoefficient("negative", index=2)
+            return [NodalField(np.array([1.0]), 0) for _ in nodes]
+
+        with pytest.raises(dq.NonPositiveCoefficient,
+                           match="^quadrature node 6: negative$"):
+            quadrature_estimate(block_solver, rule, block=True)
+
     def test_quadrature_matches_mc_for_smooth_problem(self, mesh3, vf3, sf64):
         rule = smolyak_rule(vf3.n_modes, 1)
         qstats = quadrature_estimate(
@@ -322,6 +400,36 @@ class TestSmolyak:
             assert abs(rule.weights.sum() - 1.0) <= 1e-12
             keys = {tuple(n) for n in rule.nodes}
             assert all(tuple(-n) in keys for n in rule.nodes)
+
+    @staticmethod
+    def uniform_moment(power: int) -> float:
+        """E[x^power] for x uniform on [-sqrt(3), sqrt(3)]."""
+        return 0.0 if power % 2 else 3.0 ** (power / 2) / (power + 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_exact_on_random_polynomials_of_its_space(self, data):
+        """The isotropic rule is exact on the sum over |alpha| <= level of
+        the tensor spaces of degree 2 alpha_j + 1 (the exactness of the 1D
+        rule of order alpha_j + 1)."""
+        dim = data.draw(st.integers(1, 3), label="dim")
+        level = data.draw(st.integers(0, 3), label="level")
+        rule = smolyak_rule(dim, level)
+        n_terms = data.draw(st.integers(1, 6), label="terms")
+        total = exact = scale = 0.0
+        for _ in range(n_terms):
+            alpha = data.draw(st.lists(st.integers(0, level), min_size=dim,
+                                       max_size=dim).filter(
+                                           lambda a: sum(a) <= level),
+                              label="alpha")
+            power = [data.draw(st.integers(0, 2 * a + 1), label="power")
+                     for a in alpha]
+            c = data.draw(st.floats(-10.0, 10.0), label="coefficient")
+            values = c * np.prod(rule.nodes ** np.array(power), axis=1)
+            total += rule.weights @ values
+            exact += c * np.prod([self.uniform_moment(b) for b in power])
+            scale += np.abs(rule.weights) @ np.abs(values)
+        assert abs(total - exact) <= 1e-12 * max(scale, 1.0)
 
     def test_anisotropic_weights_thin_dimensions(self):
         iso = smolyak_rule(4, 2)
