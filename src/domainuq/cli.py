@@ -65,15 +65,15 @@ def _load_artifact(load, path):
 
 
 def _check_manifest(cfg: ExperimentConfig) -> None:
-    """ConfigError unless the KL manifest exists and records the mesh level
-    and the KL tolerances of `cfg`."""
+    """ConfigError unless the KL manifest exists and records the KL
+    tolerances of `cfg`."""
     path = os.path.join(cfg.out_dir, MANIFEST_FILE)
     if not os.path.exists(path):
         raise ConfigError(f"KL manifest {path!r} not found; run build-kl")
     with open(path) as f:
         values = dict(line.strip().split("=", 1) for line in f
                       if "=" in line and not line.startswith("#"))
-    for key in ("mesh_level", "kl_tol_v", "kl_tol_a"):
+    for key in ("kl_tol_v", "kl_tol_a"):
         want = getattr(cfg, key)
         try:
             same = float(values[key]) == want
@@ -183,7 +183,7 @@ def cmd_mc(cfg: ExperimentConfig, threads: int) -> None:
         return u
 
     per_eps = mc_estimate(solver, (sf.n_modes, vf.n_modes), cfg.n_mc,
-                          cfg.seed, threads=threads, block=True)
+                          cfg.seed, threads=threads)
     rows = []
     for eps, stats in zip(cfg.eps_list, per_eps):
         path = os.path.join(cfg.out_dir, f"mc_stats_eps{eps:g}.txt")
@@ -340,8 +340,7 @@ def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
     mesh = build_disc_mesh(cfg.mesh_level)
     model = _model(cfg, mesh, synthetic)
     rule = smolyak_rule(model.dims[1], cfg.quad_level)
-    baseline = quadrature_estimate(model.u0, rule, threads=threads,
-                                   block=True)
+    baseline = quadrature_estimate(model.u0, rule, threads=threads)
     base_path = os.path.join(cfg.out_dir, "baseline_stats.txt")
     save_statistics(baseline, base_path)
     print(f"wrote {base_path}")

@@ -410,13 +410,26 @@ def _first_non_finite(block: np.ndarray):
     return int(bad[0]) if bad.size else None
 
 
-def _compact(work: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _compact(work: np.ndarray, order: np.ndarray,
+             rows: np.ndarray) -> np.ndarray:
     """Move the rows `rows` (ascending) of `work` to its front, in place,
-    and return that prefix."""
+    by swapping them with the rows they pass, and return that prefix.
+    `order[i]`, the original position of the row now at i, is kept in
+    step."""
     for new, old in enumerate(rows):
         if new != old:
-            work[new] = work[old]
+            work[[new, old]] = work[[old, new]]
+            order[[new, old]] = order[[old, new]]
     return work[:len(rows)]
+
+
+def _restore(work: np.ndarray, order: np.ndarray) -> None:
+    """Put every row of `work` back at its original position `order[i]`."""
+    for i in range(len(order)):
+        while order[i] != i:
+            j = order[i]
+            work[[i, j]] = work[[j, i]]
+            order[[i, j]] = order[[j, i]]
 
 
 def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
@@ -437,9 +450,10 @@ def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
     Block form, for columns drawn from several domain realizations: `K` is
     a (k, nnz) array whose row j holds the interior data of A_j (see
     `ReferenceSolver.interior_data`), `b` the (k, m) array of interior
-    loads, and neither `K_r` nor `amplitudes` is given.  A C-ordered
-    float `K` is the solver's work space: as columns converge, the rows of
-    the others move to its front, so its contents are lost.
+    loads, and neither `K_r` nor `amplitudes` is given.  A writeable
+    C-ordered float `K` serves as the solver's work space, so the block is
+    not copied: as columns converge, the rows of the others move to its
+    front.  Its rows are back in place when the call returns or raises.
 
     Boundary unknowns are eliminated symmetrically (the system is
     restricted to the interior), and the columns are solved in lockstep by
@@ -477,7 +491,7 @@ def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
     if isinstance(K, np.ndarray):
         if K_r is not None or amplitudes is not None:
             raise ValueError("the block form takes no K_r or amplitudes")
-        data = np.ascontiguousarray(K, dtype=float)
+        data = np.require(K, dtype=float, requirements=["C", "W"])
         if data.ndim != 2 or data.shape[1] != len(ref.slots) or (
                 b.shape != (len(data), m)):
             raise MeshMismatch(
@@ -503,49 +517,54 @@ def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
     u = np.zeros((k, n))
     column_iterations = np.zeros(k, dtype=int)
     final_residual = np.zeros(k)
-    # Arrays of the unconverged columns only; `cols` maps them back.
-    cols = np.flatnonzero(norm_b != 0.0)
-    A = ref.block_matrix(_compact(data, cols))
-    r = np.array(loads[cols])
-    xs = np.zeros_like(r)
-    p = np.zeros_like(r)  # with rz = 1 the first direction is exactly z
-    rz = np.ones(len(cols))
-    res = norm_b[cols]
-    tol = rtol * res
-    iterations = 0
-    while cols.size:
-        z = ref.precondition(r)
-        rz_next = np.vecdot(r, z)
-        p *= (rz_next / rz)[:, None]
-        p += z
-        rz = rz_next
-        if iterations >= cap:
-            worst = np.argmax(res / tol)
-            raise SolverDiverged(
-                f"no convergence in {cap} iterations, residual "
-                f"{res[worst]:.3e} > {tol[worst]:.3e} in column {cols[worst]}",
-                index=int(cols[worst]))
-        q = (A @ p.reshape(-1)).reshape(p.shape)
-        alpha = (rz / np.vecdot(p, q))[:, None]
-        q *= alpha
-        r -= q
-        xs += np.multiply(p, alpha, out=q)
-        iterations += 1
-        res = np.sqrt(np.vecdot(r, r))
-        if not np.isfinite(res).all():
-            j = np.flatnonzero(~np.isfinite(res))[0]
-            raise NonFiniteValue(f"residual {res[j]} in column {cols[j]} "
-                                 f"after {iterations} iterations",
-                                 index=int(cols[j]))
-        done = res <= tol
-        if done.any():
-            u[np.ix_(cols[done], ref.interior)] = xs[done]
-            column_iterations[cols[done]] = iterations
-            final_residual[cols[done]] = res[done]
-            keep = ~done
-            cols, r, xs, p = cols[keep], r[keep], xs[keep], p[keep]
-            rz, res, tol = rz[keep], res[keep], tol[keep]
-            A = ref.block_matrix(_compact(data, np.flatnonzero(keep)))
+    order = np.arange(k)  # original position of each row of `data`
+    try:
+        # Arrays of the unconverged columns only; `cols` maps them back.
+        cols = np.flatnonzero(norm_b != 0.0)
+        A = ref.block_matrix(_compact(data, order, cols))
+        r = np.array(loads[cols])
+        xs = np.zeros_like(r)
+        p = np.zeros_like(r)  # with rz = 1 the first direction is exactly z
+        rz = np.ones(len(cols))
+        res = norm_b[cols]
+        tol = rtol * res
+        iterations = 0
+        while cols.size:
+            z = ref.precondition(r)
+            rz_next = np.vecdot(r, z)
+            p *= (rz_next / rz)[:, None]
+            p += z
+            rz = rz_next
+            if iterations >= cap:
+                worst = np.argmax(res / tol)
+                raise SolverDiverged(
+                    f"no convergence in {cap} iterations, residual "
+                    f"{res[worst]:.3e} > {tol[worst]:.3e} "
+                    f"in column {cols[worst]}", index=int(cols[worst]))
+            q = (A @ p.reshape(-1)).reshape(p.shape)
+            alpha = (rz / np.vecdot(p, q))[:, None]
+            q *= alpha
+            r -= q
+            xs += np.multiply(p, alpha, out=q)
+            iterations += 1
+            res = np.sqrt(np.vecdot(r, r))
+            if not np.isfinite(res).all():
+                j = np.flatnonzero(~np.isfinite(res))[0]
+                raise NonFiniteValue(
+                    f"residual {res[j]} in column {cols[j]} "
+                    f"after {iterations} iterations", index=int(cols[j]))
+            done = res <= tol
+            if done.any():
+                u[np.ix_(cols[done], ref.interior)] = xs[done]
+                column_iterations[cols[done]] = iterations
+                final_residual[cols[done]] = res[done]
+                keep = ~done
+                cols, r, xs, p = cols[keep], r[keep], xs[keep], p[keep]
+                rz, res, tol = rz[keep], res[keep], tol[keep]
+                A = ref.block_matrix(
+                    _compact(data, order, np.flatnonzero(keep)))
+    finally:
+        _restore(data, order)
 
     if diag_out is not None:
         diag_out.update(iterations=iterations,

@@ -207,10 +207,6 @@ def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
         except DomainUQError as e:
             e.index = i
             raise
-    if with_delta:
-        j0 = amplitudes.index(0.0)
-        # the zero-amplitude rows hold the smooth operator K_s exactly
-        smooth = data[j0::k].copy()
     try:
         fields = solve_dirichlet(data, loads, mesh, diag_out=diag_out)
     except DomainUQError as e:
@@ -220,10 +216,12 @@ def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
     u = [fields[i * k:(i + 1) * k] for i in range(r)]
     if not with_delta:
         return u, None
+    j0 = amplitudes.index(0.0)
     for i, (deformed, a_r_q) in enumerate(rough):
         loads[i] = perturbation_load_from_qvalues(
             deformed, a_r_q, u[i][j0].values)[ref.interior]
-    return u, solve_dirichlet(smooth, loads[:r], mesh)
+    # the zero-amplitude rows hold the smooth operator K_s exactly
+    return u, solve_dirichlet(data[j0::k], loads[:r], mesh)
 
 
 def _fill_realization(mesh, vf, sf, z, y, amplitudes, data, loads, rough):
@@ -264,17 +262,6 @@ def solve_pairs(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, samples,
              {c: f.values for c, f in zip(columns, fields)},
              None if delta is None else delta[i].values)
             for i, fields in enumerate(u)]
-
-
-def solve_pair(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
-               sample: Sample, amplitudes):
-    """Coupled solves of one sample: (u0 values, solve(sign, eps), delta()),
-    where `solve` gives the values of u_eps at the parameters sign * y (a
-    KeyError for an amplitude not listed) and `delta` those of delta_u."""
-    u0, by_amplitude, delta = solve_pairs(mesh, vf, sf, [sample], amplitudes,
-                                          with_delta=True)[0]
-    return (u0, lambda sign, eps: by_amplitude[float(sign * eps)],
-            lambda: delta)
 
 
 def remainders(mesh: Mesh, pair, eps_list) -> list[float]:

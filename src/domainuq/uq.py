@@ -195,22 +195,6 @@ def map_blocks(fn, items, threads: int = 1):
         yield fn(item)
 
 
-def _per_item(fn):
-    """The block form of a function of one item: it maps a sequence of
-    items to the list of fn(item), and a DomainUQError raised by `fn`
-    carries the position of its item as `index`."""
-    def block(items):
-        out = []
-        for j, item in enumerate(items):
-            try:
-                out.append(fn(item))
-            except DomainUQError as e:
-                e.index = j
-                raise
-        return out
-    return block
-
-
 def solve_blocks(fn, n_items: int, label: str, threads: int = 1):
     """Yield the output of each item 0, ..., n_items - 1, in order.
 
@@ -235,16 +219,15 @@ def solve_blocks(fn, n_items: int, label: str, threads: int = 1):
 
 
 def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
-                threads: int = 1, block: bool = False):
-    """Plain Monte Carlo mean and variance of solver(sample) over i.i.d.
-    draws of (y, z).
+                threads: int = 1):
+    """Plain Monte Carlo mean and variance over i.i.d. draws of (y, z).
 
-    `solver(sample)` returns a NodalField, and the result is its
-    Statistics; or it returns a list of NodalFields, several quantities
-    computed from one sample, and the result is a list of Statistics in
-    the same order, each from its own accumulators.  With `block` set,
     `solver(samples)` takes a list of up to `SOLVE_BLOCK` consecutive
-    samples and returns one such output per sample (see `solve_blocks`).
+    samples (see `solve_blocks`) and returns one output per sample.  An
+    output that is a NodalField makes the result its Statistics; one that
+    is a list of NodalFields, several quantities computed from one
+    sample, makes the result a list of Statistics in the same order, each
+    from its own accumulators.
 
     Sample i is generated from the stream (seed, i), so the estimate is a
     pure function of (seed, n_samples) regardless of the thread count.
@@ -253,10 +236,8 @@ def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     n_y, n_z = dims
-    solve = solver if block else _per_item(solver)
-
     outputs = solve_blocks(
-        lambda indices: solve([draw_sample(n_y, n_z, seed, i)
+        lambda indices: solver([draw_sample(n_y, n_z, seed, i)
                                for i in indices]),
         n_samples, "sample", threads)
     first = next(outputs)
@@ -274,20 +255,18 @@ def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
 
 
 def quadrature_estimate(solver, rule: "QuadratureRule",
-                        threads: int = 1, block: bool = False) -> Statistics:
+                        threads: int = 1) -> Statistics:
     """Weighted mean and centered-second-moment variance over a rule.
 
-    `solver(node)` returns a NodalField; with `block` set, `solver(nodes)`
-    takes an array of up to `SOLVE_BLOCK` consecutive nodes and returns
-    one NodalField per node.  mean = sum_i w_i u(node_i); the variance
+    `solver(nodes)` takes an array of up to `SOLVE_BLOCK` consecutive
+    nodes (see `solve_blocks`) and returns one NodalField per node.  mean = sum_i w_i u(node_i); the variance
     accessor clamps the second moment form at zero.  Solver errors abort
     with the failing node index.
     """
     if len(rule.nodes) == 0:
         raise ValueError("quadrature rule is empty")
-    solve = solver if block else _per_item(solver)
     outputs = solve_blocks(
-        lambda indices: solve(rule.nodes[indices.start:indices.stop]),
+        lambda indices: solver(rule.nodes[indices.start:indices.stop]),
         len(rule.nodes), "quadrature node", threads)
     s1 = s2 = None
     for w, u in zip(rule.weights, outputs):

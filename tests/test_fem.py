@@ -398,7 +398,7 @@ class TestBlockSolve:
         import domainuq.fem as fem
         data, loads, _ = realization_block(mesh3, 4)
         diag = {}
-        solve_dirichlet(data.copy(), loads, mesh3, diag_out=diag)
+        solve_dirichlet(data, loads, mesh3, diag_out=diag)
         longest = max(diag["column_iterations"])
         m = len(reference_solver(mesh3).interior)
         monkeypatch.setattr(fem, "CG_CAP_FACTOR", (longest - 1.5) / m)
@@ -407,6 +407,18 @@ class TestBlockSolve:
         j = info.value.index
         assert diag["column_iterations"][j] == longest
         assert str(info.value).endswith(f"in column {j}")
+
+    def test_block_data_is_left_in_place(self, mesh3, monkeypatch):
+        import domainuq.fem as fem
+        data, loads, _ = realization_block(mesh3, 4)
+        loads[1] = 0.0  # its row leaves the work block before iterating
+        before = data.copy()
+        solve_dirichlet(data, loads, mesh3)
+        assert np.array_equal(data, before)
+        monkeypatch.setattr(fem, "CG_CAP_FACTOR", 0.0)
+        with pytest.raises(SolverDiverged):
+            solve_dirichlet(data, loads, mesh3)
+        assert np.array_equal(data, before)
 
     def test_block_matrix_prefix_is_block_diagonal(self, mesh3):
         from scipy.sparse import block_diag

@@ -13,7 +13,7 @@ from domainuq.fields import HoldAllGrid
 from domainuq.fem import NodalField, h1_norm
 from domainuq.fields import (eval_displacement, eval_mean, eval_rough,
                              rng_stream, sample_uniform)
-from domainuq.perturb import (DeformedProblem, solve_block, solve_pair,
+from domainuq.perturb import (DeformedProblem, solve_block, solve_pairs,
                               solve_sample, taylor_remainders)
 from domainuq.uq import smolyak_rule
 
@@ -153,15 +153,16 @@ class TestFullSolve:
 
     def test_pair_serves_listed_amplitudes_only(self, mesh3, vf3, sf64):
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 25, 0)
-        u0, solve, _ = solve_pair(mesh3, vf3, sf64, s, [0.5, -0.5])
+        u0, u_eps, _ = solve_pairs(mesh3, vf3, sf64, [s], [0.5, -0.5],
+                                   with_delta=True)[0]
         dp = DeformedProblem(mesh3, vf3, sf64, s.z)
         minus = dp.solve_u_eps(-s.y, 0.5).values
-        assert (np.abs(solve(-1.0, 0.5) - minus).max()
+        assert (np.abs(u_eps[-0.5] - minus).max()
                 <= 1e-12 * np.abs(minus).max())
         smooth = dp.solve_u0().values
         assert np.abs(u0 - smooth).max() <= 1e-12 * np.abs(smooth).max()
         with pytest.raises(KeyError):
-            solve(1.0, 0.25)
+            u_eps[0.25]
 
 
 class TestSolveBlock:
@@ -311,8 +312,8 @@ class TestSecondOrderCorrection:
         # kills the mixed ones at every node
         rule = smolyak_rule(sf64.n_modes, 1)
         qstats = quadrature_estimate(
-            lambda y: NodalField(dp.solve_delta_u(y, u0).values ** 2,
-                                 mesh3.level), rule)
+            lambda ys: [NodalField(dp.solve_delta_u(y, u0).values ** 2,
+                                   mesh3.level) for y in ys], rule)
         assert np.allclose(qstats.mean.values, direct.values,
                            rtol=1e-7, atol=1e-14)
 
@@ -410,9 +411,7 @@ class TestPerRealizationWork:
         passes = counting(monkeypatch, mesh_module, "compute_geometry")
         stencils = counting(monkeypatch, HoldAllGrid, "stencil")
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 14, 0)
-        _, solve, delta = solve_pair(mesh3, vf3, sf64, s, [0.5, -0.5])
-        solve(1.0, 0.5)
-        delta()
+        solve_pairs(mesh3, vf3, sf64, [s], [0.5, -0.5], with_delta=True)
         assert len(passes) == 1
         assert len(stencils) == 1
 
