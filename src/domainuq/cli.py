@@ -56,8 +56,9 @@ def _load_artifact(load, path):
     not parse or holds a NaN or an infinity."""
     try:
         kl = load(path)
-    except (ValueError, IndexError) as e:
-        raise ConfigError(f"cannot parse KL artifact {path!r}: {e}") from e
+    except ValueError as e:
+        raise ConfigError(f"cannot read KL artifact {path!r}: {e}; "
+                          "run build-kl again") from e
     for values in (kl.mean, kl.basis.mu, kl.basis.modes):
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"KL artifact {path!r} holds a non-finite value")
@@ -86,7 +87,8 @@ def _check_manifest(cfg: ExperimentConfig) -> None:
                 f"{want}; run build-kl again")
 
 
-def _load_artifacts(cfg: ExperimentConfig):
+def _load_artifacts(cfg: ExperimentConfig, mesh):
+    """The KL artifacts of `cfg`, checked against it and its `mesh`."""
     vpath = os.path.join(cfg.out_dir, VECTOR_FIELD_FILE)
     spath = os.path.join(cfg.out_dir, SCALAR_FIELD_FILE)
     if not (os.path.exists(vpath) and os.path.exists(spath)):
@@ -99,6 +101,10 @@ def _load_artifacts(cfg: ExperimentConfig):
         raise ConfigError(
             f"vector field artifact is for mesh level {vf.level}, "
             f"config says {cfg.mesh_level}")
+    if vf.n_nodes != len(mesh.nodes):
+        raise ConfigError(
+            f"vector field artifact {vpath!r} has {vf.n_nodes} nodes, the "
+            f"level {mesh.level} mesh {len(mesh.nodes)}; run build-kl again")
     if sf.grid.cells != cfg.grid_cells:
         raise ConfigError(
             f"coefficient artifact is for grid_cells {sf.grid.cells}, "
@@ -145,14 +151,14 @@ def _parse_vector(text: str, dim: int, name: str) -> np.ndarray:
 
 def cmd_solve_one(cfg: ExperimentConfig, y_text: str, z_text: str,
                   eps: float) -> None:
-    vf, sf = _load_artifacts(cfg)
+    mesh = build_disc_mesh(cfg.mesh_level)
+    vf, sf = _load_artifacts(cfg, mesh)
     y = _parse_vector(y_text, sf.n_modes, "y")
     z = _parse_vector(z_text, vf.n_modes, "z")
     try:
         sample = Sample(y=y, z=z)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    mesh = build_disc_mesh(cfg.mesh_level)
     ss = solve_sample(mesh, vf, sf, sample, eps)
 
     for name, fld in (("u_eps", ss.u_eps), ("u0", ss.u0),
@@ -173,8 +179,8 @@ def cmd_solve_one(cfg: ExperimentConfig, y_text: str, z_text: str,
 
 
 def cmd_mc(cfg: ExperimentConfig, threads: int) -> None:
-    vf, sf = _load_artifacts(cfg)
     mesh = build_disc_mesh(cfg.mesh_level)
+    vf, sf = _load_artifacts(cfg, mesh)
     reference_solver(mesh)  # built once here, inherited by forked workers
 
     def solver(samples):
@@ -262,7 +268,7 @@ def _model(cfg: ExperimentConfig, mesh, synthetic: bool):
     """
     if synthetic:
         return SyntheticModel(mesh)
-    vf, sf = _load_artifacts(cfg)
+    vf, sf = _load_artifacts(cfg, mesh)
     return FEModel(mesh, vf, sf)
 
 

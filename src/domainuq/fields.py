@@ -10,6 +10,11 @@ once.  Both KL expansions are driven by i.i.d. variables uniform on
 [-sqrt(3), sqrt(3)], i.e. with unit variance.  The amplitude factor of the
 rough coefficient is kept outside the stored modes, so a single
 factorization serves every amplitude.
+
+The `build-kl` artifacts hold a header ending in `f8hex`, the mean,
+`klbasis m n`, the m eigenvalues and one row per mode, each row a
+`textio.hex_row`.  Their loaders check every row against the node count
+or the grid.
 """
 
 from __future__ import annotations
@@ -21,11 +26,10 @@ from scipy.sparse import csr_matrix, diags, kron
 
 from .errors import OutOfHoldAll
 from .fem import assemble_mass
-from .lowrank import (CovarianceOracle, KLBasis, _klbasis_from_lines,
-                      klbasis_lines, pivoted_cholesky, reduced_eigs,
-                      truncate)
+from .lowrank import (CovarianceOracle, KLBasis, pivoted_cholesky,
+                      reduced_eigs, truncate)
 from .mesh import Mesh
-from .textio import fmt_row, fmt_rows
+from .textio import hex_row, parse_hex_row
 
 SQRT3 = np.sqrt(3.0)
 
@@ -378,64 +382,68 @@ def draw_sample(n_y: int, n_z: int, seed: int, index: int) -> Sample:
     return Sample(y=sample_uniform(n_y, rng), z=sample_uniform(n_z, rng))
 
 
-def _vector_field_lines(vf: VectorFieldKL):
-    yield f"vectorfield level {vf.level} nodes {vf.n_nodes}\n"
-    yield fmt_rows(vf.mean) + "\n"
-    yield from klbasis_lines(vf.basis)
+#: Last token of an artifact's header: every row below it is a
+#: `textio.hex_row`, so an older decimal artifact is refused, not misread.
+ENCODING = "f8hex"
 
 
-def vector_field_to_text(vf: VectorFieldKL) -> str:
-    return "".join(_vector_field_lines(vf))
+def _save(path, header: str, mean: np.ndarray, basis: KLBasis) -> None:
+    with open(path, "w") as f:
+        f.write(f"{header} {ENCODING}\n{hex_row(mean)}\n"
+                f"klbasis {basis.n_modes} {basis.n}\n{hex_row(basis.mu)}\n")
+        for vec in basis.modes:
+            f.write(hex_row(vec) + "\n")
 
 
-def vector_field_from_text(text: str) -> VectorFieldKL:
-    lines = text.splitlines()
-    header = lines[0].split()
-    if header[0] != "vectorfield":
-        raise ValueError(f"bad vectorfield header: {lines[0]!r}")
-    level, n = int(header[2]), int(header[4])
-    mean = np.array([[float(v) for v in lines[1 + i].split()] for i in range(n)])
-    basis, _ = _klbasis_from_lines(lines, 1 + n)
-    return VectorFieldKL(mean=mean, basis=basis, level=level)
-
-
-def _scalar_field_lines(sf: ScalarFieldKL):
-    yield f"scalarfield cells {sf.grid.cells}\n"
-    yield fmt_row(sf.mean, "\n") + "\n"
-    yield from klbasis_lines(sf.basis)
-
-
-def scalar_field_to_text(sf: ScalarFieldKL) -> str:
-    return "".join(_scalar_field_lines(sf))
-
-
-def scalar_field_from_text(text: str) -> ScalarFieldKL:
-    lines = text.splitlines()
-    header = lines[0].split()
-    if header[0] != "scalarfield":
-        raise ValueError(f"bad scalarfield header: {lines[0]!r}")
-    grid = HoldAllGrid(int(header[2]))
-    nv = grid.n_vertices
-    mean = np.array([float(lines[1 + i]) for i in range(nv)])
-    basis, _ = _klbasis_from_lines(lines, 1 + nv)
-    return ScalarFieldKL(grid=grid, mean=mean, basis=basis)
+def _load(path, kind: str, n_tokens: int, width):
+    """The header tokens, the mean and the KL basis of an artifact that
+    `_save` wrote.  `width(header)` is the number of values of the mean and
+    of each mode; ValueError unless every line has its form and length."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    header = lines[0].split() if lines else []
+    if len(header) != n_tokens or header[0] != kind or header[-1] != ENCODING:
+        raise ValueError(f"header {lines[0][:80] if lines else ''!r} is not "
+                         f"that of a {kind} artifact in the {ENCODING} "
+                         "encoding")
+    n = width(header)
+    counts = lines[2].split() if len(lines) > 3 else []
+    if len(counts) != 3 or counts[0] != "klbasis":
+        raise ValueError("no klbasis line and eigenvalue row after the mean")
+    m = int(counts[1])
+    if int(counts[2]) != n:
+        raise ValueError(f"the KL modes have {counts[2]} values, expected {n}")
+    if len(lines) != 4 + m:
+        raise ValueError(f"{len(lines) - 4} mode rows, expected {m}")
+    modes = np.empty((m, n))
+    for k in range(m):
+        modes[k] = parse_hex_row(lines[4 + k], n)
+    return header, parse_hex_row(lines[1], n), KLBasis(
+        parse_hex_row(lines[3], m), modes)
 
 
 def save_vector_field(vf: VectorFieldKL, path) -> None:
-    with open(path, "w") as f:
-        f.writelines(_vector_field_lines(vf))
+    _save(path, f"vectorfield level {vf.level} nodes {vf.n_nodes}", vf.mean,
+          vf.basis)
 
 
 def load_vector_field(path) -> VectorFieldKL:
-    with open(path) as f:
-        return vector_field_from_text(f.read())
+    """The vector field `save_vector_field` wrote; ValueError unless the
+    mean and the modes have two values per node."""
+    header, mean, basis = _load(path, "vectorfield", 6,
+                                lambda h: 2 * int(h[4]))
+    return VectorFieldKL(mean=mean.reshape(-1, 2), basis=basis,
+                         level=int(header[2]))
 
 
 def save_scalar_field(sf: ScalarFieldKL, path) -> None:
-    with open(path, "w") as f:
-        f.writelines(_scalar_field_lines(sf))
+    _save(path, f"scalarfield cells {sf.grid.cells}", sf.mean, sf.basis)
 
 
 def load_scalar_field(path) -> ScalarFieldKL:
-    with open(path) as f:
-        return scalar_field_from_text(f.read())
+    """The coefficient `save_scalar_field` wrote; ValueError unless the
+    mean and the modes have one value per grid vertex."""
+    header, mean, basis = _load(path, "scalarfield", 4,
+                                lambda h: HoldAllGrid(int(h[2])).n_vertices)
+    return ScalarFieldKL(grid=HoldAllGrid(int(header[2])), mean=mean,
+                         basis=basis)

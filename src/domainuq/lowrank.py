@@ -15,7 +15,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import EigFailed, NotPSD
-from .textio import fmt, fmt_row
 
 #: Pivot diagonals below -NEG_TOL_FACTOR * trace(C) mean C is not PSD.
 NEG_TOL_FACTOR = 1e-12
@@ -238,36 +237,3 @@ def truncate(basis: KLBasis, tol: float) -> KLBasis:
     keep = int(np.argmax(suffix <= tol * total))
     return KLBasis(basis.mu[:keep].copy(), basis.modes[:keep].copy(),
                    truncation_tol=tol)
-
-
-def klbasis_lines(basis: KLBasis):
-    """The text of a KL basis, one newline-terminated line at a time, so a
-    writer never holds the whole text."""
-    yield f"klbasis {basis.n_modes} {basis.n}\n"
-    for mu, vec in zip(basis.mu, basis.modes):
-        yield fmt(mu) + "\n"
-        yield fmt_row(vec) + "\n"
-
-
-def klbasis_to_text(basis: KLBasis) -> str:
-    return "".join(klbasis_lines(basis))
-
-
-def klbasis_from_text(text: str) -> KLBasis:
-    lines = text.splitlines()
-    return _klbasis_from_lines(lines, 0)[0]
-
-
-def _klbasis_from_lines(lines: list[str], start: int) -> tuple[KLBasis, int]:
-    header = lines[start].split()
-    if header[0] != "klbasis":
-        raise ValueError(f"bad klbasis header: {lines[start]!r}")
-    m, n = int(header[1]), int(header[2])
-    mu = np.empty(m)
-    modes = np.empty((m, n))
-    pos = start + 1
-    for k in range(m):
-        mu[k] = float(lines[pos])
-        modes[k] = [float(t) for t in lines[pos + 1].split()]
-        pos += 2
-    return KLBasis(mu, modes), pos

@@ -1,10 +1,10 @@
-"""Helpers for the ASCII dump formats.
+"""Helpers for the text formats.
 
-All floating point values are written with 17 significant digits, which is
-enough for a bit-exact float64 round trip.  `'%.17g' % x` and
-`format(x, '.17g')` give the same string; the row writers fill one
-`%`-template per row or block, which is much faster than formatting each
-value on its own.
+The user-facing dumps (fields, meshes, statistics, CSVs) write each
+floating point value with 17 significant digits, which is enough for a
+bit-exact float64 round trip.  The KL artifacts instead write each row of
+values as the hex digits of its little-endian float64 bytes: exact by
+construction, and encoded and decoded without any decimal conversion.
 """
 
 from __future__ import annotations
@@ -16,15 +16,19 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def fmt_row(values, sep: str = " ") -> str:
-    """The values, 17 significant digits each, joined by `sep`."""
-    values = np.asarray(values, dtype=float).ravel().tolist()
-    return sep.join(["%.17g"] * len(values)) % tuple(values)
+def hex_row(values) -> str:
+    """The values as the hex digits of their little-endian float64 bytes,
+    in C order."""
+    return np.ascontiguousarray(values, "<f8").tobytes().hex()
 
 
-def fmt_rows(rows) -> str:
-    """One line of space-separated values per row of a 2-D array, joined
-    by newlines (no newline after the last)."""
-    rows = np.asarray(rows, dtype=float)
-    line = " ".join(["%.17g"] * rows.shape[1])
-    return "\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())
+def parse_hex_row(line: str, count: int) -> np.ndarray:
+    """The `count` float64 values of a `hex_row` line, as a writable array.
+    ValueError unless the line holds exactly 16 hex digits per value:
+    `fromhex` takes any even number of them and skips whitespace."""
+    if len(line) == 16 * count:
+        data = bytearray.fromhex(line)
+        if len(data) == 8 * count:
+            return np.frombuffer(data, "<f8")
+    raise ValueError(f"row of {len(line)} characters, expected "
+                     f"{count} values of 16 hex digits")

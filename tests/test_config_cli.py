@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from domainuq.cli import main
 from domainuq.config import ExperimentConfig, config_hash, parse_config
 from domainuq.errors import ConfigError
 from domainuq.fem import load_field
-from domainuq.fields import load_scalar_field, load_vector_field
+from domainuq.fields import (load_scalar_field, load_vector_field,
+                             save_scalar_field, save_vector_field)
+from domainuq.lowrank import KLBasis
+from domainuq.textio import hex_row
 from domainuq.uq import SOLVE_BLOCK
 
 
@@ -256,13 +260,90 @@ class TestExitCodes:
         lines = open(path).read().split("\n")
         row = 2 + next(i for i, line in enumerate(lines)
                        if line.startswith("klbasis"))  # the first mode
-        lines[row] = " ".join(["nan"] + lines[row].split()[1:])
+        for bad in (np.nan, np.inf):
+            lines[row] = hex_row([bad]) + lines[row][16:]
+            with open(path, "w") as f:
+                f.write("\n".join(lines))
+            assert main(["mc", "--config", cfg, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and name in err and "non-finite" in err
+            assert not os.path.exists(os.path.join(out, "mc.csv"))
+
+    @pytest.mark.parametrize("name", ["vector_field.txt", "coefficient.txt"])
+    @pytest.mark.parametrize("damage", ["decimal", "row_one_value_short",
+                                        "non_hex_digit", "half_the_lines"])
+    def test_damaged_artifact(self, tiny_run, tmp_path, capsys, damage, name):
+        cfg, out = artifacts_copy(tiny_run, tmp_path / "a")
+        path = os.path.join(out, name)
+        if damage == "decimal":
+            text = decimal_artifact(path)
+        else:
+            lines = open(path).read().splitlines()
+            row = 4  # the first mode
+            if damage == "row_one_value_short":
+                lines[row] = lines[row][:-16]
+            elif damage == "non_hex_digit":
+                lines[row] = lines[row][:5] + "x" + lines[row][6:]
+            else:
+                lines = lines[:len(lines) // 2]
+            text = "\n".join(lines) + "\n"
         with open(path, "w") as f:
-            f.write("\n".join(lines))
+            f.write(text)
         assert main(["mc", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and name in err and "non-finite" in err
+        assert "config error" in err and name in err and "build-kl" in err
         assert not os.path.exists(os.path.join(out, "mc.csv"))
+
+    @pytest.mark.parametrize("case", [
+        "coefficient_modes_of_189_values", "coefficient_short_of_last_vertex",
+        "vector_modes_two_values_short", "vector_field_one_node_short"])
+    def test_basis_length_mismatch(self, tiny_run, tmp_path, capsys, case):
+        """A basis whose length disagrees with its grid, its node count or
+        the mesh is refused by name, even when the file is consistent."""
+        cfg, out = artifacts_copy(tiny_run, tmp_path / "a")
+        name = ("coefficient.txt" if case.startswith("coefficient")
+                else "vector_field.txt")
+        path = os.path.join(out, name)
+        if name == "coefficient.txt":
+            sf = load_scalar_field(path)
+            width = 189 if "189" in case else sf.basis.n - 1
+            save_scalar_field(replace(sf, basis=KLBasis(
+                sf.basis.mu, sf.basis.modes[:, :width])), path)
+        else:
+            vf = load_vector_field(path)
+            n = vf.n_nodes
+            if case == "vector_modes_two_values_short":
+                vf = replace(vf, basis=KLBasis(vf.basis.mu,
+                                               vf.basis.modes[:, :-2]))
+            else:
+                vf = replace(vf, mean=vf.mean[:-1], basis=KLBasis(
+                    vf.basis.mu,
+                    np.delete(vf.basis.modes, [n - 1, 2 * n - 1], axis=1)))
+            save_vector_field(vf, path)
+        assert main(["mc", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and name in err and "build-kl" in err
+        assert not os.path.exists(os.path.join(out, "mc.csv"))
+
+
+def decimal_artifact(path) -> str:
+    """The text an older build wrote for the artifact at `path`: the same
+    header without the encoding token, the mean one node or vertex per
+    line, and each eigenvalue followed by its mode, in decimal."""
+    def row(values):
+        return " ".join(format(float(x), ".17g") for x in values)
+
+    if path.endswith("vector_field.txt"):
+        kl = load_vector_field(path)
+        lines = [f"vectorfield level {kl.level} nodes {kl.n_nodes}"]
+    else:
+        kl = load_scalar_field(path)
+        lines = [f"scalarfield cells {kl.grid.cells}"]
+    lines += [row(np.atleast_1d(x)) for x in kl.mean]
+    lines.append(f"klbasis {kl.basis.n_modes} {kl.basis.n}")
+    for mu, vec in zip(kl.basis.mu, kl.basis.modes):
+        lines += [row([mu]), row(vec)]
+    return "\n".join(lines) + "\n"
 
 
 class TestSyntheticMode:

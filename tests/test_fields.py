@@ -1,17 +1,21 @@
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import domainuq as dq
 from domainuq.errors import OutOfHoldAll
 from domainuq.fields import (CoefficientCovariance, HoldAllGrid, SQRT3,
                              VectorFieldCovariance, coefficient_mean,
                              eval_coefficient, eval_displacement, eval_mean,
-                             eval_rough, g_hat, rng_stream, sample_uniform,
-                             scalar_field_from_text, scalar_field_to_text,
-                             vector_field_from_text, vector_field_to_text)
+                             eval_rough, g_hat, load_scalar_field,
+                             load_vector_field, rng_stream, sample_uniform,
+                             save_scalar_field, save_vector_field)
 from domainuq.mesh import displace
+from domainuq.textio import hex_row, parse_hex_row
 
 
 def reference_interpolate(grid, vertex_values, pts):
@@ -248,19 +252,63 @@ class TestSampling:
             dq.Sample(y=np.zeros(2), z=np.array([bad, 0.5]))
 
 
-class TestDumps:
-    def test_vector_field_roundtrip(self, vf3):
-        text = vector_field_to_text(vf3)
-        back = vector_field_from_text(text)
-        assert np.array_equal(back.mean, vf3.mean)
-        assert np.array_equal(back.basis.mu, vf3.basis.mu)
-        assert np.array_equal(back.basis.modes, vf3.basis.modes)
-        assert vector_field_to_text(back) == text
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def test_scalar_field_roundtrip(self, sf64):
-        text = scalar_field_to_text(sf64)
-        back = scalar_field_from_text(text)
-        assert np.array_equal(back.mean, sf64.mean)
-        assert np.array_equal(back.basis.modes, sf64.basis.modes)
+
+def float_bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+class TestDumps:
+    def test_vector_field_roundtrip(self, vf3, tmp_path):
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_vector_field(vf3, first)
+        back = load_vector_field(first)
+        assert same_bits(back.mean, vf3.mean)
+        assert same_bits(back.basis.mu, vf3.basis.mu)
+        assert same_bits(back.basis.modes, vf3.basis.modes)
+        assert back.level == vf3.level
+        save_vector_field(back, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_scalar_field_roundtrip(self, sf64, tmp_path):
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_scalar_field(sf64, first)
+        back = load_scalar_field(first)
+        assert same_bits(back.mean, sf64.mean)
+        assert same_bits(back.basis.mu, sf64.basis.mu)
+        assert same_bits(back.basis.modes, sf64.basis.modes)
         assert back.grid.cells == sf64.grid.cells
-        assert scalar_field_to_text(back) == text
+        save_scalar_field(back, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    # Bit patterns: -0.0, the smallest and largest subnormals, -max, +max,
+    # a quiet and a signalling NaN with payloads, a negative NaN, -inf.
+    @example([0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF,
+              0xFFEFFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF, 0x7FF8000000000123,
+              0x7FF0000000000001, 0xFFFC00000000BEEF, 0xFFF0000000000000])
+    @example([])
+    @given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1),
+                              st.floats(width=64).map(float_bits)),
+                    max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_hex_row_roundtrip_bit_exact(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        line = hex_row(values)
+        assert line.isascii() and "\n" not in line
+        back = parse_hex_row(line, len(bits))
+        assert back.view(np.uint64).tolist() == bits
+
+    @pytest.mark.parametrize("line", [
+        hex_row([1.0, 2.0])[:-16],
+        hex_row([1.0, 2.0, 3.0]),
+        hex_row([1.0, 2.0])[:-1],
+        "g" + hex_row([1.0, 2.0])[1:],
+        hex_row([1.0]) + " " * 16,
+        "1 2",
+    ], ids=["one_value_short", "one_value_too_many", "one_digit_short",
+            "not_hex", "whitespace_for_a_value", "decimal"])
+    def test_parse_hex_row_rejects_a_wrong_row(self, line):
+        with pytest.raises(ValueError):
+            parse_hex_row(line, 2)

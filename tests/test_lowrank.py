@@ -4,9 +4,10 @@ from scipy.sparse import csr_matrix, diags, identity
 
 from domainuq import lowrank
 from domainuq.errors import NotPSD
-from domainuq.lowrank import (DenseOracle, KLBasis, klbasis_from_text,
-                              klbasis_to_text, pivoted_cholesky, reduced_eigs,
-                              truncate)
+from domainuq.fields import (HoldAllGrid, ScalarFieldKL, load_scalar_field,
+                             save_scalar_field)
+from domainuq.lowrank import (DenseOracle, KLBasis, pivoted_cholesky,
+                              reduced_eigs, truncate)
 
 
 def gaussian_kernel_matrix(n):
@@ -201,12 +202,20 @@ class TestTruncate:
             truncate(basis, 1.0)
 
 
-def test_klbasis_roundtrip_bit_exact():
+def test_klbasis_roundtrip_bit_exact(tmp_path):
+    """A random basis saved in a coefficient artifact loads bit for bit,
+    and saving it again writes the same bytes."""
     rng = np.random.default_rng(11)
-    basis = KLBasis(np.sort(rng.random(4))[::-1], rng.standard_normal((4, 7)),
+    grid = HoldAllGrid(16)
+    basis = KLBasis(np.sort(rng.random(4))[::-1],
+                    rng.standard_normal((4, grid.n_vertices)),
                     truncation_tol=0.0)
-    text = klbasis_to_text(basis)
-    back = klbasis_from_text(text)
-    assert np.array_equal(back.mu, basis.mu)
-    assert np.array_equal(back.modes, basis.modes)
-    assert klbasis_to_text(back) == text
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save_scalar_field(ScalarFieldKL(grid, rng.standard_normal(grid.n_vertices),
+                                    basis), first)
+    back = load_scalar_field(first).basis
+    for a, b in ((back.mu, basis.mu), (back.modes, basis.modes)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    save_scalar_field(load_scalar_field(first), second)
+    assert second.read_bytes() == first.read_bytes()
