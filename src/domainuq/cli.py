@@ -151,6 +151,8 @@ def _parse_vector(text: str, dim: int, name: str) -> np.ndarray:
 
 def cmd_solve_one(cfg: ExperimentConfig, y_text: str, z_text: str,
                   eps: float) -> None:
+    if not np.isfinite(eps):
+        raise ConfigError(f"--eps must be finite, got {eps}")
     mesh = build_disc_mesh(cfg.mesh_level)
     vf, sf = _load_artifacts(cfg, mesh)
     y = _parse_vector(y_text, sf.n_modes, "y")
@@ -437,12 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> None:
     args = build_parser().parse_args(argv)
+    if args.threads < 1:
+        raise ConfigError("--threads must be at least 1")
     cfg = load_config(args.config) if args.config else validate_config(
         ExperimentConfig())
     cfg = override_config(cfg, seed=args.seed, out_dir=args.out)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    if args.threads < 1:
-        raise ConfigError("--threads must be at least 1")
 
     if args.command == "build-kl":
         cmd_build_kl(cfg)

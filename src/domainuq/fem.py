@@ -9,7 +9,12 @@ by every displaced copy of the mesh.  The element geometry comes from
 `mesh.geometry`, computed once per placement of the nodes; an element
 stiffness is its cached gradient products `grad(phi_i) . grad(phi_j)`
 scaled by the mean coefficient times the area, so every stiffness matrix
-of a domain realization reuses the same products.
+of a domain realization reuses the same products.  Assembly either sums
+the element matrices into a CSR matrix, or, with `interior`, straight
+into the interior CSR data that the solver consumes: the topology's
+`ReferenceSolver` maps every element entry to its interior slot (entries
+on the Dirichlet boundary go to one dummy slot), so a domain realization
+builds no matrix and gathers nothing.
 
 Dirichlet problems are solved by conjugate gradients preconditioned with a
 geometric multigrid V-cycle for the unit-coefficient Laplacian on the
@@ -37,8 +42,8 @@ from scipy.sparse import coo_matrix, csr_matrix, diags
 
 from .errors import (MeshMismatch, NonFiniteValue, NonPositiveCoefficient,
                      SolverDiverged)
-from .mesh import (Geometry, Mesh, compute_geometry, geometry,
-                   signed_areas)
+from .mesh import (Geometry, Mesh, compute_geometry, edge_midpoints, edges,
+                   geometry, signed_areas)
 from .textio import fmt
 
 #: P1 basis values at the edge midpoints (row: midpoint opposite vertex q).
@@ -91,11 +96,12 @@ class NodalField:
 def element_geometry(mesh: Mesh):
     """Per-element areas, P1 basis gradients, and edge-midpoint quadrature points.
 
-    Returns (areas (m,), grads (m, 3, 2), qpoints (m, 3, 2)) from the
-    mesh's `geometry`, computed once per placement of its nodes.
+    Returns (areas (m,), grads (m, 3, 2), qpoints (m, 3, 2)): the mesh's
+    `geometry`, computed once per placement of its nodes, and its
+    `edge_midpoints` gathered per element (point q lies opposite vertex q).
     """
     g = geometry(mesh)
-    return g.areas, g.grads, g.qpoints
+    return g.areas, g.grads, edge_midpoints(mesh)[edges(mesh).of_element]
 
 
 def _eval_at_points(fn, pts: np.ndarray) -> np.ndarray:
@@ -164,18 +170,30 @@ def _scatter(mesh: Mesh, local: np.ndarray) -> csr_matrix:
     return csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
 
+def _element_mean(values_q: np.ndarray) -> np.ndarray:
+    """Mean of each element's three quadrature values: their sum in
+    point order divided by 3, the bits `values_q.mean(axis=1)` gives,
+    without the cost of a numpy reduction over a length-3 axis."""
+    return (values_q[:, 0] + values_q[:, 1] + values_q[:, 2]) / 3.0
+
+
 def _local_stiffness(g: Geometry, cbar) -> np.ndarray:
     return (cbar * g.areas)[:, None, None] * g.grad_products
 
 
 def stiffness_from_qvalues(mesh: Mesh, coeff_q: np.ndarray,
-                           require_positive: bool = True) -> csr_matrix:
-    """Stiffness matrix from coefficient values at the (m, 3) quadrature points."""
+                           require_positive: bool = True,
+                           interior: bool = False):
+    """Stiffness matrix from coefficient values at the (m, 3) quadrature
+    points, or with `interior` its interior CSR data in the layout of the
+    topology's `ReferenceSolver`, summed without building the matrix."""
     if require_positive and not np.all(coeff_q > 0.0):
         raise NonPositiveCoefficient(
             f"coefficient minimum {coeff_q.min():.6e} at a quadrature point")
-    return _scatter(mesh, _local_stiffness(geometry(mesh),
-                                           coeff_q.mean(axis=1)))
+    local = _local_stiffness(geometry(mesh), _element_mean(coeff_q))
+    if interior:
+        return reference_solver(mesh).interior_matrix_data(local)
+    return _scatter(mesh, local)
 
 
 def assemble_stiffness(mesh: Mesh, coeff) -> csr_matrix:
@@ -205,11 +223,21 @@ def _scatter_vector(mesh: Mesh, local: np.ndarray) -> np.ndarray:
                        minlength=mesh.n_nodes)
 
 
-def load_from_qvalues(mesh: Mesh, fq: np.ndarray) -> np.ndarray:
-    """Load vector from right-hand side values at the (m, 3) quadrature points."""
-    areas, _, _ = element_geometry(mesh)
-    return _scatter_vector(mesh,
-                           (areas / 3.0)[:, None] * (fq @ _PHI_AT_MIDPOINTS))
+def _assembled_vector(mesh: Mesh, local: np.ndarray,
+                      interior: bool) -> np.ndarray:
+    if interior:
+        return reference_solver(mesh).interior_vector(local)
+    return _scatter_vector(mesh, local)
+
+
+def load_from_qvalues(mesh: Mesh, fq: np.ndarray,
+                      interior: bool = False) -> np.ndarray:
+    """Load vector from right-hand side values at the (m, 3) quadrature
+    points; with `interior`, only its interior entries, in the order of
+    the topology's `ReferenceSolver.interior`."""
+    areas = geometry(mesh).areas
+    return _assembled_vector(
+        mesh, (areas / 3.0)[:, None] * (fq @ _PHI_AT_MIDPOINTS), interior)
 
 
 def assemble_load(mesh: Mesh, f) -> np.ndarray:
@@ -218,13 +246,16 @@ def assemble_load(mesh: Mesh, f) -> np.ndarray:
 
 
 def perturbation_load_from_qvalues(mesh: Mesh, aq: np.ndarray,
-                                   u0_values: np.ndarray) -> np.ndarray:
-    """Load -int a_r grad(u0) . grad(phi_i) dx from quadrature values of a_r."""
-    areas, grads, _ = element_geometry(mesh)
-    grad_u = np.einsum("mi,mid->md", u0_values[mesh.triangles], grads)
-    gdot = np.einsum("md,mjd->mj", grad_u, grads)
-    abar = aq.mean(axis=1)
-    return _scatter_vector(mesh, -(abar * areas)[:, None] * gdot)
+                                   u0_values: np.ndarray,
+                                   interior: bool = False) -> np.ndarray:
+    """Load -int a_r grad(u0) . grad(phi_i) dx from the (m, 3) quadrature
+    values of a_r; with `interior`, only its interior entries."""
+    g = geometry(mesh)
+    grad_u = np.einsum("mi,mid->md", u0_values[mesh.triangles], g.grads)
+    gdot = np.einsum("md,mjd->mj", grad_u, g.grads)
+    abar = _element_mean(aq)
+    return _assembled_vector(mesh, -(abar * g.areas)[:, None] * gdot,
+                             interior)
 
 
 def assemble_perturbation_load(mesh: Mesh, a_r, u0: NodalField) -> np.ndarray:
@@ -264,6 +295,12 @@ class ReferenceSolver:
     * `slots`, `indptr`, `indices`: the positions in such a matrix's CSR
       data of its interior-interior entries, and the CSR structure they
       form, so eliminating the Dirichlet boundary is one gather;
+    * `element_slots` and `element_nodes`, int32: the interior slot of
+      every entry of the flattened (m, 3, 3) element matrices and the
+      interior index of every corner of the flattened (m, 3) element
+      vectors, with one dummy slot past the end for those on the
+      boundary, so assembling straight into the interior layout is one
+      `np.bincount` (in element order, as the full assembly sums);
     * the structure of the block-diagonal matrix of k such interior
       matrices, built for the widest block so far; a narrower block is a
       prefix slice of it;
@@ -296,18 +333,22 @@ class ReferenceSolver:
         rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
         keep = is_interior[rows] & is_interior[pattern.indices]
         relabel = np.cumsum(is_interior) - 1
-        counts = np.bincount(relabel[rows[keep]],
-                             minlength=len(self.interior))
+        m = len(self.interior)
+        counts = np.bincount(relabel[rows[keep]], minlength=m)
         self.slots = np.flatnonzero(keep)
         self.indices = relabel[pattern.indices[keep]].astype(np.int32)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
         self._block = (self.indptr, self.indices)
+        slot = np.full(len(pattern.indices), len(self.slots), dtype=np.int32)
+        slot[self.slots] = np.arange(len(self.slots))
+        self.element_slots = slot[pattern.slots]
+        self.element_nodes = np.where(is_interior, relabel, m).astype(
+            np.int32)[mesh.triangles].reshape(-1)
 
         reference = compute_geometry(mesh.topology.reference_nodes,
                                      mesh.triangles)
-        A = self.interior_matrix(np.bincount(
-            pattern.slots, weights=_local_stiffness(reference, 1.0).ravel(),
-            minlength=len(pattern.indices)))
+        A = self.interior_matrix(self.interior_matrix_data(
+            _local_stiffness(reference, 1.0)))
         steps = max(0, min(len(mesh.refinements), mesh.level - COARSE_LEVEL))
         self._levels = []
         fine_interior, n_fine = self.interior, n
@@ -325,16 +366,30 @@ class ReferenceSolver:
         self._coarse_inverse = 0.5 * (inverse + inverse.T)
 
     def interior_matrix(self, data: np.ndarray) -> csr_matrix:
-        """Interior block of the matrix with CSR data `data` on this topology."""
+        """The interior matrix with interior CSR data `data`."""
         m = len(self.interior)
-        return csr_matrix((data[self.slots], self.indices, self.indptr),
-                          shape=(m, m))
+        return csr_matrix((data, self.indices, self.indptr), shape=(m, m))
 
-    def interior_data(self, K: csr_matrix, name: str = "matrix") -> np.ndarray:
+    def interior_matrix_data(self, local: np.ndarray) -> np.ndarray:
+        """Interior CSR data of the sum of (m, 3, 3) element matrices."""
+        return np.bincount(self.element_slots, weights=local.reshape(-1),
+                           minlength=len(self.slots) + 1)[:-1]
+
+    def interior_vector(self, local: np.ndarray) -> np.ndarray:
+        """Interior entries of the sum of (m, 3) element vectors."""
+        return np.bincount(self.element_nodes, weights=local.reshape(-1),
+                           minlength=len(self.interior) + 1)[:-1]
+
+    def interior_data(self, K: csr_matrix) -> np.ndarray:
         """The interior entries of `K` in the CSR order of `indptr` and
         `indices`.  Raises MeshMismatch unless `K` has this topology's
         sparsity pattern."""
-        self.check_pattern(K, name)
+        n = self.n_nodes
+        if K.shape != (n, n) or not (
+                np.array_equal(K.indptr, self.pattern.indptr)
+                and np.array_equal(K.indices, self.pattern.indices)):
+            raise MeshMismatch(
+                "matrix sparsity pattern differs from the mesh topology's")
         return K.data[self.slots]
 
     def block_matrix(self, data: np.ndarray) -> csr_matrix:
@@ -342,14 +397,15 @@ class ReferenceSolver:
         with data `data[j]`, for a C-ordered (k, nnz) array `data`."""
         k = len(data)
         m, nnz = len(self.interior), len(self.indices)
-        indptr, indices = self._block
-        if len(indptr) <= k * m:
+        if len(self._block[0]) <= k * m:
+            self._block = None  # the narrower structure goes first
             dtype = np.int32 if k * nnz < 2**31 else np.int64
-            block = np.arange(k)[:, None]
-            indptr = np.concatenate(
-                [[0], (self.indptr[1:] + nnz * block).ravel()]).astype(dtype)
-            indices = (self.indices + m * block).ravel().astype(dtype)
-            self._block = (indptr, indices)
+            block = np.arange(k, dtype=dtype)[:, None]
+            self._block = (
+                np.concatenate([np.zeros(1, dtype),
+                                (self.indptr[1:] + nnz * block).ravel()]),
+                (self.indices + m * block).ravel())
+        indptr, indices = self._block
         return csr_matrix((data.reshape(-1), indices[:k * nnz],
                            indptr[:k * m + 1]), shape=(k * m, k * m))
 
@@ -368,15 +424,6 @@ class ReferenceSolver:
         x += G @ self._vcycle(k + 1, Gt @ r)
         return x
 
-    def check_pattern(self, K: csr_matrix, name: str) -> None:
-        """Raise MeshMismatch unless `K` has this topology's sparsity pattern."""
-        n = self.n_nodes
-        if K.shape != (n, n) or not (
-                np.array_equal(K.indptr, self.pattern.indptr)
-                and np.array_equal(K.indices, self.pattern.indices)):
-            raise MeshMismatch(
-                f"{name} sparsity pattern differs from the mesh topology's")
-
 
 def reference_solver(mesh: Mesh) -> ReferenceSolver:
     """The ReferenceSolver of the mesh's topology, built on first use."""
@@ -384,24 +431,11 @@ def reference_solver(mesh: Mesh) -> ReferenceSolver:
                                 lambda: ReferenceSolver(mesh))
 
 
-def _matrix_columns(ref: ReferenceSolver, K: csr_matrix, b: np.ndarray,
-                    K_r: csr_matrix | None, amplitudes):
-    """(k, nnz) interior data of `K + c_j K_r` and (k, m) interior loads,
-    one row per column j, for the matrix form of `solve_dirichlet`."""
-    ks = ref.interior_data(K)
-    loads = b if b.ndim == 2 else b[:, None]
-    c = (np.zeros(loads.shape[1]) if amplitudes is None
-         else np.asarray(amplitudes, dtype=float).reshape(-1))
-    if loads.shape[1] not in (1, len(c)):
-        raise ValueError(f"{loads.shape[1]} load columns for "
-                         f"{len(c)} amplitudes")
-    if K_r is None:
-        data = np.tile(ks, (len(c), 1))
-    else:
-        data = ks + np.multiply.outer(c, ref.interior_data(K_r,
-                                                           "rough matrix"))
-    return data, np.broadcast_to(loads[ref.interior].T,
-                                 (len(c), len(ref.interior)))
+def _matrix_columns(ref: ReferenceSolver, K: csr_matrix, b: np.ndarray):
+    """(k, nnz) interior data of `K`, one row per load column, and the
+    (k, m) interior loads, for the matrix form of `solve_dirichlet`."""
+    loads = (b if b.ndim == 2 else b[:, None])[ref.interior].T
+    return np.tile(ref.interior_data(K), (len(loads), 1)), loads
 
 
 def _first_non_finite(block: np.ndarray):
@@ -434,23 +468,18 @@ def _restore(work: np.ndarray, order: np.ndarray) -> None:
 
 def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
                     rtol: float = CG_RTOL,
-                    diag_out: dict | None = None,
-                    K_r: csr_matrix | None = None,
-                    amplitudes=None):
+                    diag_out: dict | None = None):
     """Solve a block of Dirichlet problems A_j u_j = b_j, with u_j = 0 on
     the boundary nodes of `mesh`, for every column j at once.
 
     Matrix form: `K` is a CSR matrix assembled on `mesh` or on a mesh
-    displaced from it, and A_j = K + c_j K_r.  `b` is one load shared by
-    every column or an (n, k) array of loads.  `amplitudes` lists the c_j,
-    one per column; without it every c_j is zero and `b` alone sets the
-    columns.  `K_r` is the matrix the amplitudes scale (no `K_r` means a
-    zero one).
+    displaced from it (`assemble_stiffness`), A_j = K for every column,
+    and `b` is one load (`assemble_load`) or an (n, k) array of loads.
 
-    Block form, for columns drawn from several domain realizations: `K` is
-    a (k, nnz) array whose row j holds the interior data of A_j (see
-    `ReferenceSolver.interior_data`), `b` the (k, m) array of interior
-    loads, and neither `K_r` nor `amplitudes` is given.  A writeable
+    Block form, for columns drawn from several domain realizations and
+    amplitudes: `K` is a (k, nnz) array whose row j holds the interior CSR
+    data of A_j (as `stiffness_from_qvalues(..., interior=True)`
+    assembles it) and `b` the (k, m) array of interior loads.  A writeable
     C-ordered float `K` serves as the solver's work space, so the block is
     not copied: as columns converge, the rows of the others move to its
     front.  Its rows are back in place when the call returns or raises.
@@ -468,14 +497,14 @@ def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
     largest over the columns), `residual` (the largest final residual
     norm) and `column_iterations` (one count per column).
 
-    Returns a NodalField for a one-dimensional `b` in the matrix form
-    without `amplitudes`, otherwise a list of NodalFields, one per column.
+    Returns a NodalField for a one-dimensional `b` in the matrix form,
+    otherwise a list of NodalFields, one per column.
 
     Raises
     ------
     MeshMismatch
-        If `K` or `K_r` does not have the sparsity pattern of the mesh
-        topology, or block-form arrays do not have its interior sizes.
+        If `K` does not have the sparsity pattern of the mesh topology, or
+        block-form arrays do not have its interior sizes.
     NonFiniteValue
         If an interior load, an interior matrix entry or a residual holds
         a NaN or an infinity.
@@ -489,8 +518,6 @@ def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
     n, m = ref.n_nodes, len(ref.interior)
     b = np.asarray(b, dtype=float)
     if isinstance(K, np.ndarray):
-        if K_r is not None or amplitudes is not None:
-            raise ValueError("the block form takes no K_r or amplitudes")
         data = np.require(K, dtype=float, requirements=["C", "W"])
         if data.ndim != 2 or data.shape[1] != len(ref.slots) or (
                 b.shape != (len(data), m)):
@@ -500,7 +527,7 @@ def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
                 f"{m} interior nodes")
         loads = b
     else:
-        data, loads = _matrix_columns(ref, K, b, K_r, amplitudes)
+        data, loads = _matrix_columns(ref, K, b)
     k = len(data)
     j = _first_non_finite(loads)
     if j is not None:
@@ -571,7 +598,7 @@ def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
                         residual=float(final_residual.max(initial=0.0)),
                         column_iterations=column_iterations.tolist())
     fields = [NodalField(values, ref.level) for values in u]
-    return fields[0] if b.ndim == 1 and amplitudes is None else fields
+    return fields[0] if b.ndim == 1 else fields
 
 
 def _h1_gram(mesh: Mesh) -> csr_matrix:
@@ -612,7 +639,8 @@ def l2_norm(mesh: Mesh, v: NodalField) -> float:
 def w11_norm(mesh: Mesh, v: NodalField) -> float:
     """W^{1,1} norm, sum_T int_T (|v| + |grad v|_2) dx by element quadrature."""
     _check_field(mesh, v)
-    areas, grads, _ = element_geometry(mesh)
+    g = geometry(mesh)
+    areas, grads = g.areas, g.grads
     t = mesh.triangles
     vt = v.values[t]
     vmid = 0.5 * (vt.sum(axis=1)[:, None] - vt)  # values at edge midpoints

@@ -11,16 +11,21 @@ Meshes are immutable after construction by convention; all operations
 return new `Mesh` instances.  Every refinement records which edge each new
 node bisects, and a displaced mesh shares its topology with the mesh it
 came from, so solvers can build multigrid hierarchies and sparsity maps
-once per topology.  What depends on the node positions (areas, basis
-gradients, quadrature points and gradient products) is computed in one
-pass per placement of the nodes: `displace` computes it while checking the
-moved mesh for inverted elements, and the moved mesh keeps it.
+once per topology.  The topology also lists the mesh's edges once: every
+quadrature point is an edge midpoint, and an interior edge's midpoint is
+shared by its two triangles, so `edge_midpoints` computes each point once
+and an element's three points are a gather through `Edges.of_element`.
+What else depends on the node positions (areas, basis gradients and
+gradient products) is computed in one pass per placement of the nodes:
+`displace` computes it while checking the moved mesh for inverted
+elements, and the moved mesh keeps it.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -125,16 +130,71 @@ class Geometry:
     Attributes
     ----------
     areas : (m,) signed triangle areas
-    grads : (m, 3, 2) gradients of the three P1 basis functions
-    qpoints : (m, 3, 2) edge midpoints; point q lies opposite vertex q
+    grad_components : (2, 3, m): component d of the gradient of the P1
+        basis function i on every element, as the gradients are computed
     grad_products : (m, 3, 3) dot products grad(phi_i) . grad(phi_j), the
         unit-coefficient element stiffness divided by the area
+    grads : (m, 3, 2) the same gradients per element, laid out on first
+        use (assembling a stiffness matrix does not need them)
     """
 
     areas: np.ndarray
-    grads: np.ndarray
-    qpoints: np.ndarray
+    grad_components: np.ndarray
     grad_products: np.ndarray
+
+    @cached_property
+    def grads(self) -> np.ndarray:
+        return np.ascontiguousarray(self.grad_components.transpose(2, 1, 0))
+
+
+@dataclass(frozen=True)
+class Edges:
+    """The edges of a topology, listed once each.
+
+    Attributes
+    ----------
+    ends : (2, E) int32: `ends[0]` and `ends[1]` are the lower and the
+        higher node index of each edge, edges in ascending order of the
+        pair (two contiguous rows, so each gathers fast)
+    of_element : (m, 3) int32 edge index of each element's quadrature
+        point q, the midpoint of the edge opposite vertex q
+    """
+
+    ends: np.ndarray
+    of_element: np.ndarray
+
+    @classmethod
+    def build(cls, triangles: np.ndarray, n: int) -> "Edges":
+        # quadrature point q lies on the edge (j, k) opposite vertex q
+        a, b = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
+        keys = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+        unique, inverse = np.unique(keys.reshape(-1), return_inverse=True)
+        ends = np.stack([unique // n, unique % n]).astype(np.int32)
+        return cls(ends=ends,
+                   of_element=inverse.reshape(-1, 3).astype(np.int32))
+
+
+def edges(mesh: Mesh) -> Edges:
+    """The Edges of the mesh's topology, built on first use."""
+    return mesh.topology.cached(
+        "edges", lambda: Edges.build(mesh.triangles, mesh.n_nodes))
+
+
+def edge_midpoints(mesh: Mesh) -> np.ndarray:
+    """(E, 2) midpoints of the mesh's `edges` at its node positions.
+
+    Point i is `0.5 * (x[a] + x[b])` for the ends a, b of edge i; IEEE
+    addition commutes, so gathering these through `Edges.of_element`
+    gives each element's quadrature points bit for bit as computed from
+    its own corners.
+    """
+    a, b = edges(mesh).ends
+    points = np.empty((len(a), 2))
+    for d in range(2):
+        coordinate = mesh.nodes[:, d]
+        np.multiply(0.5, np.take(coordinate, a) + np.take(coordinate, b),
+                    out=points[:, d])
+    return points
 
 
 def _corners(nodes: np.ndarray, triangles: np.ndarray):
@@ -160,8 +220,8 @@ def signed_areas(mesh: Mesh) -> np.ndarray:
 
 def compute_geometry(nodes: np.ndarray, triangles: np.ndarray,
                      min_area: float | None = None) -> Geometry:
-    """Areas, basis gradients, quadrature points and gradient products of
-    the triangles at the given node positions, in one pass.
+    """Areas, basis gradients and gradient products of the triangles at
+    the given node positions, in one pass.
 
     With `min_area`, raises DegenerateDeformation before any division if
     a signed area is not above it (a NaN area is not).
@@ -175,23 +235,16 @@ def compute_geometry(nodes: np.ndarray, triangles: np.ndarray,
             f"minimum signed area {np.min(areas):.3e} "
             f"at or below threshold {min_area:.3e}")
     # Gradients as (2, 3, m): g[d, i] is component d of the gradient of
-    # basis function i on every element.  Vertex i faces the edge (j, k),
-    # whose midpoint is quadrature point i.
-    m = len(triangles)
-    g = np.empty((2, 3, m))
-    qpoints = np.empty((m, 3, 2))
+    # basis function i on every element; vertex i faces the edge (j, k).
+    g = np.empty((2, 3, len(triangles)))
     for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
         np.subtract(ys[j], ys[k], out=g[0, i])
         np.subtract(xs[k], xs[j], out=g[1, i])
-        qpoints[:, i, 0] = 0.5 * (xs[j] + xs[k])
-        qpoints[:, i, 1] = 0.5 * (ys[j] + ys[k])
     g /= det
     gx, gy = g
     products = (gx[:, None, :] * gx[None, :, :]
                 + gy[:, None, :] * gy[None, :, :])
-    return Geometry(areas=areas,
-                    grads=np.ascontiguousarray(g.transpose(2, 1, 0)),
-                    qpoints=qpoints,
+    return Geometry(areas=areas, grad_components=g,
                     grad_products=np.ascontiguousarray(
                         products.transpose(2, 0, 1)))
 

@@ -5,11 +5,12 @@ Monte Carlo estimation uses the Welford recurrence per fixed-size sample
 block and a fixed binary tree merge over block index.  Quadrature
 estimation accumulates first and second weighted moments in rule order.
 
-Samples, coupled pairs and quadrature nodes are solved in fixed blocks of
-`SOLVE_BLOCK` consecutive items (`solve_blocks`), so that a finite
-element solver can run a whole block in one lockstep solve; which block an
-item lands in depends only on its index.  `map_blocks` is the one place
-where work leaves the calling process.  With more than one worker it
+Samples and coupled pairs are solved in fixed blocks of `SOLVE_BLOCK`
+consecutive items, and quadrature nodes, one column each, in blocks of
+`QUADRATURE_BLOCK` (`solve_blocks`), so that a finite element solver can
+run a whole block in one lockstep solve; which block an item lands in
+depends only on its index.  `map_blocks` is the one place where work
+leaves the calling process.  With more than one worker it
 forks a pool of worker processes, each of which solves one block per item
 and sends the solved fields back; the calling process folds them per
 item, in index order, into the same accumulators, so results are bit
@@ -34,9 +35,14 @@ from .textio import fmt
 #: Samples per Monte Carlo accumulation block (independent of thread count).
 MC_BLOCK_SIZE = 32
 
-#: Consecutive samples, pairs or quadrature nodes per solve block
-#: (independent of thread count).
+#: Consecutive samples or pairs per solve block (independent of thread
+#: count).  Each brings one column per amplitude to the block.
 SOLVE_BLOCK = 4
+
+#: Consecutive quadrature nodes per solve block (independent of thread
+#: count).  A node brings one column, and a wider block shares each
+#: multi-vector V-cycle product among more of them.
+QUADRATURE_BLOCK = 8
 
 
 @dataclass
@@ -195,17 +201,19 @@ def map_blocks(fn, items, threads: int = 1):
         yield fn(item)
 
 
-def solve_blocks(fn, n_items: int, label: str, threads: int = 1):
+def solve_blocks(fn, n_items: int, label: str, threads: int = 1,
+                 width: int = SOLVE_BLOCK):
     """Yield the output of each item 0, ..., n_items - 1, in order.
 
-    `fn(indices)` receives a range of up to `SOLVE_BLOCK` consecutive item
+    `fn(indices)` receives a range of up to `width` consecutive item
     indices and returns one output per index; the blocks are fixed by
-    index alone and dispatched by `map_blocks`.  A DomainUQError raised
-    by `fn` is raised again naming the failing item as `label i`, from the
-    position `index` it carries, or the block's range if it carries none.
+    index and width alone and dispatched by `map_blocks`.  A DomainUQError
+    raised by `fn` is raised again naming the failing item as `label i`,
+    from the position `index` it carries, or the block's range if it
+    carries none.
     """
     def run(lo: int):
-        block = range(lo, min(lo + SOLVE_BLOCK, n_items))
+        block = range(lo, min(lo + width, n_items))
         try:
             return fn(block)
         except DomainUQError as e:
@@ -214,7 +222,7 @@ def solve_blocks(fn, n_items: int, label: str, threads: int = 1):
                      else f"{label}s {block[0]} to {block[-1]}")
             raise type(e)(f"{where}: {e}") from e
 
-    for outputs in map_blocks(run, range(0, n_items, SOLVE_BLOCK), threads):
+    for outputs in map_blocks(run, range(0, n_items, width), threads):
         yield from outputs
 
 
@@ -258,16 +266,20 @@ def quadrature_estimate(solver, rule: "QuadratureRule",
                         threads: int = 1) -> Statistics:
     """Weighted mean and centered-second-moment variance over a rule.
 
-    `solver(nodes)` takes an array of up to `SOLVE_BLOCK` consecutive
-    nodes (see `solve_blocks`) and returns one NodalField per node.  mean = sum_i w_i u(node_i); the variance
-    accessor clamps the second moment form at zero.  Solver errors abort
-    with the failing node index.
+    `solver(nodes)` takes an array of up to `QUADRATURE_BLOCK`
+    consecutive nodes (see `solve_blocks`) and returns one NodalField per
+    node.
+
+    The mean is sum_i w_i u(node_i) and the second moment
+    sum_i w_i u(node_i)^2 - mean^2, accumulated in rule order; the
+    variance accessor clamps it at zero.  Solver errors abort with the
+    failing node index.
     """
     if len(rule.nodes) == 0:
         raise ValueError("quadrature rule is empty")
     outputs = solve_blocks(
         lambda indices: solver(rule.nodes[indices.start:indices.stop]),
-        len(rule.nodes), "quadrature node", threads)
+        len(rule.nodes), "quadrature node", threads, QUADRATURE_BLOCK)
     s1 = s2 = None
     for w, u in zip(rule.weights, outputs):
         if s1 is None:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import domainuq as dq
-from domainuq.fields import HoldAllGrid, ScalarFieldKL
+import domainuq.fem as fem
+from domainuq.fields import (HoldAllGrid, ScalarFieldKL, eval_displacement,
+                             eval_mean, eval_rough)
 from domainuq.lowrank import KLBasis
 from domainuq.mesh import build_disc_mesh, displace
 
@@ -117,3 +119,28 @@ def smoothly_displaced(level, seed):
     disp = 0.03 * np.column_stack([np.sin(a[0] * x + a[1] * y),
                                    np.cos(a[2] * x - a[3] * y)])
     return displace(mesh, disp)
+
+
+def reference_realization(mesh, vf, sf, z, y=None, amplitudes=(0.0,)):
+    """Interior matrix data, one row per amplitude c of `K_s + c * K_r`,
+    and the interior load of one domain realization, by the per-element
+    route: each element's own quadrature points located with `stencil`,
+    full matrices and vectors summed by `fem._scatter` and
+    `fem._scatter_vector`, then the interior gathers."""
+    ref = fem.reference_solver(mesh)
+    deformed = displace(mesh, eval_displacement(vf, z))
+    areas, _, qpoints, products = reference_geometry(deformed)
+    m = len(mesh.triangles)
+    stencil = sf.grid.stencil(qpoints.reshape(-1, 2))
+
+    def interior_stiffness(aq):
+        local = (aq.mean(axis=1) * areas)[:, None, None] * products
+        return ref.interior_data(fem._scatter(deformed, local))
+
+    ks = interior_stiffness(eval_mean(sf, stencil).reshape(m, 3))
+    load = fem._scatter_vector(deformed, (areas / 3.0)[:, None] * (
+        np.ones((m, 3)) @ fem._PHI_AT_MIDPOINTS))[ref.interior]
+    if y is None:
+        return np.tile(ks, (len(amplitudes), 1)), load
+    kr = interior_stiffness(eval_rough(sf, stencil, y).reshape(m, 3))
+    return np.multiply.outer(amplitudes, kr) + ks, load

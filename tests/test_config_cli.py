@@ -14,7 +14,7 @@ from domainuq.fields import (load_scalar_field, load_vector_field,
                              save_scalar_field, save_vector_field)
 from domainuq.lowrank import KLBasis
 from domainuq.textio import hex_row
-from domainuq.uq import SOLVE_BLOCK
+from domainuq.uq import QUADRATURE_BLOCK, SOLVE_BLOCK
 
 
 class TestConfigParsing:
@@ -190,7 +190,22 @@ class TestSolveOne:
         assert "config error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+    def test_non_finite_eps_is_config_error(self, tiny_run, eps, capsys):
+        cfg, out = tiny_run
+        code = main(["solve-one", "--config", cfg, "--out", out,
+                     "--y", "0", "--z", "0", f"--eps={eps}"])
+        assert code == 2
+        assert "--eps must be finite" in capsys.readouterr().err
+
+
 class TestExitCodes:
+    def test_zero_threads_creates_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "tt0"
+        assert main(["mc", "--threads", "0", "--out", str(out)]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_artifacts(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", TINY)
         assert main(["convergence", "--config", cfg,
@@ -467,8 +482,8 @@ class TestWorkPerSample:
         n_z = load_vector_field(os.path.join(out, "vector_field.txt")).n_modes
         config = parse_config(TINY)
         nodes = len(smolyak_rule(n_z, config.quad_level).nodes)
-        blocks = lambda n: -(-n // SOLVE_BLOCK)
-        assert len(calls) == blocks(config.n_mc // 2) + blocks(nodes)
+        assert len(calls) == (-(-(config.n_mc // 2) // SOLVE_BLOCK)
+                              + -(-nodes // QUADRATURE_BLOCK))
 
     def test_mc_one_solve_call_per_sample(self, tiny_run, tmp_path,
                                           monkeypatch):

@@ -13,6 +13,7 @@ from domainuq.fem import (NodalField, _prolongation, _scatter, assemble_load,
                           assemble_mass, assemble_perturbation_load,
                           assemble_stiffness, element_geometry,
                           field_from_text, field_to_text, h1_norm, l2_norm,
+                          load_from_qvalues, perturbation_load_from_qvalues,
                           reference_solver, solve_dirichlet,
                           stiffness_from_qvalues, w11_norm)
 from domainuq.mesh import build_disc_mesh, displace, signed_areas
@@ -89,6 +90,24 @@ class TestAssembly:
         K = stiffness_from_qvalues(moved, coeff_q)
         assert np.array_equal(K.data, expected.data)
         assert np.array_equal(K.indices, expected.indices)
+
+    @pytest.mark.parametrize("level", range(1, 6))
+    def test_interior_assembly_bit_equal_to_gather(self, level):
+        moved = smoothly_displaced(level, seed=20 + level)
+        rng = np.random.default_rng(level)
+        coeff_q, fq = rng.uniform(0.5, 2.0, size=(2, moved.n_triangles, 3))
+        ref = reference_solver(moved)
+        K = stiffness_from_qvalues(moved, coeff_q)
+        data = stiffness_from_qvalues(moved, coeff_q, interior=True)
+        assert data.shape == (len(ref.slots),)
+        assert np.array_equal(data, ref.interior_data(K))
+        assert np.array_equal(load_from_qvalues(moved, fq, interior=True),
+                              load_from_qvalues(moved, fq)[ref.interior])
+        u0 = rng.standard_normal(moved.n_nodes)
+        assert np.array_equal(
+            perturbation_load_from_qvalues(moved, coeff_q, u0, interior=True),
+            perturbation_load_from_qvalues(moved, coeff_q, u0)[ref.interior])
+        assert ref.element_slots.dtype == ref.element_nodes.dtype == np.int32
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-4.0, 4.0), b=st.floats(-4.0, 4.0),
@@ -189,6 +208,15 @@ def rough_pair(mesh):
     return K, K_r, assemble_load(mesh, lambda p: 1.0)
 
 
+def amplitude_block(K, K_r, b, mesh, amplitudes):
+    """Block-form arrays of the systems `(K + c K_r) u = b`, one column
+    per amplitude c."""
+    ref = reference_solver(mesh)
+    data = ref.interior_data(K) + np.multiply.outer(amplitudes,
+                                                    ref.interior_data(K_r))
+    return data, np.tile(b[ref.interior], (len(amplitudes), 1))
+
+
 class TestDirichletSolve:
     def test_poisson_disc_center_value(self):
         mesh = build_disc_mesh(5)
@@ -251,8 +279,9 @@ class TestDirichletSolve:
     def test_columns_match_one_column_solves(self, mesh4):
         K, K_r, b = rough_pair(mesh4)
         diag = {}
-        fields = solve_dirichlet(K, b, mesh4, diag_out=diag, K_r=K_r,
-                                 amplitudes=self.AMPLITUDES)
+        fields = solve_dirichlet(
+            *amplitude_block(K, K_r, b, mesh4, self.AMPLITUDES), mesh4,
+            diag_out=diag)
         assert isinstance(diag["iterations"], int)
         assert diag["iterations"] == max(diag["column_iterations"])
         for c, u, iterations in zip(self.AMPLITUDES, fields,
@@ -284,7 +313,8 @@ class TestDirichletSolve:
     def test_zero_amplitude_column_equals_plain_solve(self, mesh3):
         K, K_r, b = rough_pair(mesh3)
         plain = solve_dirichlet(K, b, mesh3)
-        block = solve_dirichlet(K, b, mesh3, K_r=K_r, amplitudes=[0.0])
+        block = solve_dirichlet(*amplitude_block(K, K_r, b, mesh3, [0.0]),
+                                mesh3)
         assert np.array_equal(block[0].values, plain.values)
 
     def test_non_finite_load_column_raises(self, mesh3):
@@ -297,19 +327,20 @@ class TestDirichletSolve:
     def test_non_finite_amplitude_raises(self, mesh3):
         K, K_r, b = rough_pair(mesh3)
         with pytest.raises(NonFiniteValue, match="column 1"):
-            solve_dirichlet(K, b, mesh3, K_r=K_r, amplitudes=[0.5, np.nan])
+            solve_dirichlet(
+                *amplitude_block(K, K_r, b, mesh3, [0.5, np.nan]), mesh3)
 
     def test_non_finite_rough_matrix_raises(self, mesh3):
         K, K_r, b = rough_pair(mesh3)
         K_r.data[K_r.indptr[0]] = np.nan
         with pytest.raises(NonFiniteValue):
-            solve_dirichlet(K, b, mesh3, K_r=K_r, amplitudes=[0.5])
+            solve_dirichlet(*amplitude_block(K, K_r, b, mesh3, [0.5]), mesh3)
 
     def test_foreign_rough_pattern_raises(self, mesh2, mesh3):
         K, _, b = rough_pair(mesh3)
         K_r, _, _ = rough_pair(mesh2)
         with pytest.raises(MeshMismatch):
-            solve_dirichlet(K, b, mesh3, K_r=K_r, amplitudes=[0.5])
+            solve_dirichlet(*amplitude_block(K, K_r, b, mesh3, [0.5]), mesh3)
 
     def test_iteration_cap_raises_for_block(self, mesh3, monkeypatch):
         import domainuq.fem as fem
@@ -321,7 +352,8 @@ class TestDirichletSolve:
         monkeypatch.setattr(fem, "CG_CAP_FACTOR",
                             (one["iterations"] - 1.5) / m)
         with pytest.raises(SolverDiverged, match="column"):
-            solve_dirichlet(K, b, mesh3, K_r=K_r, amplitudes=[0.0, 0.5])
+            solve_dirichlet(*amplitude_block(K, K_r, b, mesh3, [0.0, 0.5]),
+                            mesh3)
 
 
 def realization_block(mesh, count):
@@ -426,7 +458,7 @@ class TestBlockSolve:
         data, _, _ = realization_block(mesh3, 5)
         ref.block_matrix(data)  # the widest structure first
         narrow = ref.block_matrix(data[:3])
-        expected = block_diag([ref.interior_matrix(K.data)
+        expected = block_diag([ref.interior_matrix(ref.interior_data(K))
                                for K, _ in realization_block(mesh3, 3)[2]])
         assert narrow.shape == expected.shape
         assert abs(narrow - expected).max() == 0.0

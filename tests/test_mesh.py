@@ -4,9 +4,9 @@ import pytest
 from conftest import (reference_geometry, reference_signed_areas,
                       smoothly_displaced)
 from domainuq.errors import DegenerateDeformation
-from domainuq.mesh import (build_disc_mesh, displace, geometry,
-                           mesh_from_text, mesh_to_text, min_angle_deg,
-                           refine, signed_areas)
+from domainuq.mesh import (build_disc_mesh, displace, edge_midpoints, edges,
+                           geometry, mesh_from_text, mesh_to_text,
+                           min_angle_deg, refine, signed_areas)
 
 
 def polygon_area(level):
@@ -119,10 +119,32 @@ def test_geometry_bit_equal_to_point_gather_and_einsum(level):
     areas, grads, qpoints, products = reference_geometry(moved)
     assert np.array_equal(g.areas, areas)
     assert np.array_equal(g.grads, grads)
-    assert np.array_equal(g.qpoints, qpoints)
+    # each element's quadrature points are its mapped edge midpoints
+    assert np.array_equal(edge_midpoints(moved)[edges(moved).of_element],
+                          qpoints)
     assert np.array_equal(g.grad_products, products)
     assert np.array_equal(signed_areas(moved), reference_signed_areas(moved))
     assert np.array_equal(signed_areas(moved), g.areas)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_edges_listed_once(level):
+    mesh = build_disc_mesh(level)
+    e = edges(mesh)
+    assert e.ends.dtype == np.int32 and e.of_element.dtype == np.int32
+    # Euler's formula for a triangulated disc: V - E + F = 1
+    assert e.ends.shape == (2, mesh.n_nodes + mesh.n_triangles - 1)
+    ends = e.ends.T
+    assert (ends[:, 0] < ends[:, 1]).all()
+    assert len(np.unique(ends, axis=0)) == len(ends)
+    t = mesh.triangles
+    for q, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        assert np.array_equal(np.sort(t[:, [j, k]], axis=1),
+                              ends[e.of_element[:, q]])
+    # an interior edge is shared by two elements, a rim edge has one
+    counts = np.bincount(e.of_element.ravel(), minlength=len(ends))
+    assert (counts == 2).sum() + (counts == 1).sum() == len(ends)
+    assert (counts == 1).sum() == len(mesh.boundary)
 
 
 def test_displace_involution(mesh3):

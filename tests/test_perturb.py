@@ -8,13 +8,15 @@ import pytest
 import domainuq as dq
 import domainuq.fem as fem
 import domainuq.mesh as mesh_module
-from conftest import reference_geometry
+from conftest import reference_geometry, reference_realization
 from domainuq.fields import HoldAllGrid
 from domainuq.fem import NodalField, h1_norm
-from domainuq.fields import (eval_displacement, eval_mean, eval_rough,
-                             rng_stream, sample_uniform)
-from domainuq.perturb import (DeformedProblem, solve_block, solve_pairs,
-                              solve_sample, taylor_remainders)
+from domainuq.fields import (SQRT3, VectorFieldKL, eval_displacement,
+                             eval_mean, eval_rough, rng_stream,
+                             sample_uniform)
+from domainuq.lowrank import KLBasis
+from domainuq.perturb import (DeformedProblem, _fill_realization, solve_block,
+                              solve_pairs, solve_sample, taylor_remainders)
 from domainuq.uq import smolyak_rule
 
 
@@ -140,7 +142,7 @@ class TestFullSolve:
     def test_nan_rough_value_raises(self, mesh3, vf3, sf64):
         dp, a_r_q, K_r = self.parts(mesh3, vf3, sf64, 24)
         a_r_q = a_r_q.copy()
-        a_r_q[0, 0] = np.nan
+        a_r_q[0] = np.nan
         with pytest.raises(dq.NonPositiveCoefficient):
             dp.solve_amplitudes(a_r_q, K_r, [0.5])
 
@@ -421,9 +423,10 @@ class TestPerRealizationWork:
         dp = DeformedProblem(mesh3, vf3, sf64, s.z)
         a_r_q = dp.rough_qvalues(s.y)
         areas, _, _, products = reference_geometry(dp.deformed)
-        expected = fem._scatter(
+        per_element = a_r_q[mesh_module.edges(mesh3).of_element]
+        expected = fem.reference_solver(mesh3).interior_data(fem._scatter(
             dp.deformed,
-            (a_r_q.mean(axis=1) * areas)[:, None, None] * products)
+            (per_element.mean(axis=1) * areas)[:, None, None] * products))
         passes = counting(monkeypatch, mesh_module, "compute_geometry")
 
         def no_einsum(*args, **kwargs):
@@ -432,7 +435,76 @@ class TestPerRealizationWork:
         monkeypatch.setattr(np, "einsum", no_einsum)
         K_r = dp.rough_stiffness(a_r_q)
         assert passes == []
-        assert np.array_equal(K_r.data, expected.data)
+        assert np.array_equal(K_r, expected)
+
+
+class TestRealizationSetUp:
+    """Edge-midpoint coefficients and interior-layout assembly against the
+    per-element, full-matrix route of `conftest.reference_realization`."""
+
+    AMPLITUDES = [0.0, 0.25, -0.5, 1.0, -1.0]
+
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    def test_interior_data_and_loads_bit_equal_to_reference(self, level,
+                                                            request, sf64):
+        if level == 2:
+            mesh = request.getfixturevalue("mesh2")
+            vf = dq.build_vector_field_kl(mesh, 1e-2)
+        else:
+            mesh = request.getfixturevalue(f"mesh{level}")
+            vf = request.getfixturevalue(f"vf{level}")
+        ref = fem.reference_solver(mesh)
+        rng = rng_stream(60 + level, 0)
+        for amplitudes in (self.AMPLITUDES, [0.0], [-0.5]):
+            z = sample_uniform(vf.n_modes, rng)
+            y = sample_uniform(sf64.n_modes, rng)
+            for rough in (y, None):
+                k = len(amplitudes)
+                data = np.empty((k, len(ref.slots)))
+                loads = np.empty((k, len(ref.interior)))
+                _fill_realization(mesh, vf, sf64, z, rough, amplitudes,
+                                  data, loads, None)
+                want_data, want_load = reference_realization(
+                    mesh, vf, sf64, z, rough, amplitudes)
+                assert np.array_equal(data, want_data)
+                assert all(np.array_equal(row, want_load) for row in loads)
+
+    @staticmethod
+    def collapsing_field(mesh):
+        """A one-mode deformation field whose displacement is -z times
+        the node positions: z = 1 collapses the disc, z = -2 triples it."""
+        modes = -mesh.nodes.T.reshape(1, -1)
+        return VectorFieldKL(mean=mesh.nodes.copy(),
+                             basis=KLBasis(np.ones(1), modes),
+                             level=mesh.level)
+
+    @pytest.mark.parametrize("z, error", [
+        (1.0, dq.DegenerateDeformation),
+        (-2.0, dq.OutOfHoldAll),
+        (np.nan, dq.DegenerateDeformation),
+    ])
+    def test_bad_domain_names_its_realization(self, mesh3, sf64, z, error):
+        zs = [np.zeros(1), np.array([0.1]), np.array([z]), np.zeros(1)]
+        with pytest.raises(error) as info:
+            solve_block(mesh3, self.collapsing_field(mesh3), sf64, zs)
+        assert info.value.index == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "negative"])
+    def test_bad_coefficient_names_amplitude_and_realization(
+            self, mesh3, vf3, sf64, bad):
+        at_origin = sf64.grid.interpolate(sf64.basis.modes,
+                                          np.zeros((1, 2)))[:, 0]
+        ys = [np.zeros(sf64.n_modes)] * 4
+        if bad == "nan":
+            ys[2] = np.full(sf64.n_modes, np.nan)
+            match = "coefficient minimum nan at amplitude 0.0"
+        else:
+            ys[2] = -SQRT3 * np.where(at_origin < 0.0, -1.0, 1.0)
+            match = "coefficient minimum -.* at amplitude 50.0"
+        zs = [np.zeros(vf3.n_modes)] * 4
+        with pytest.raises(dq.NonPositiveCoefficient, match=match) as info:
+            solve_block(mesh3, vf3, sf64, zs, ys, [0.0, 0.5, 50.0])
+        assert info.value.index == 2
 
 
 class TestMultigridPCG:
@@ -457,10 +529,12 @@ class TestMultigridPCG:
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 8, 0)
         dp = DeformedProblem(mesh3, vf3, sf64, s.z)
         u = dp.solve_u_eps(s.y, 1.0)
-        K = (dp.K_s + dp.rough_stiffness(dp.rough_qvalues(s.y))).toarray()
+        ref = fem.reference_solver(mesh3)
+        K = ref.interior_matrix(
+            dp.K_s + dp.rough_stiffness(dp.rough_qvalues(s.y))).toarray()
         interior = np.setdiff1d(np.arange(mesh3.n_nodes), mesh3.boundary)
-        direct = np.linalg.solve(K[np.ix_(interior, interior)],
-                                 dp.b[interior])
+        assert np.array_equal(ref.interior, interior)
+        direct = np.linalg.solve(K, dp.b)
         assert (np.abs(u.values[interior] - direct).max()
                 <= 1e-9 * np.abs(direct).max())
 

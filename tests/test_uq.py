@@ -16,7 +16,7 @@ from domainuq.perturb import DeformedProblem
 from domainuq.uq import (RunningMoments, Statistics, field_error,
                          gauss_legendre_1d, map_blocks, mc_estimate,
                          quadrature_estimate, sample_blocks, slope_fit,
-                         SOLVE_BLOCK,
+                         QUADRATURE_BLOCK, SOLVE_BLOCK,
                          smolyak_rule, statistics_from_text,
                          statistics_to_text, tree_merge)
 
@@ -340,10 +340,12 @@ class TestQuadratureEstimate:
         rule = gauss_legendre_1d(9)
 
         def block_solver(nodes):
-            if len(nodes) == SOLVE_BLOCK and nodes[0, 0] == rule.nodes[4, 0]:
-                raise dq.NonPositiveCoefficient("negative", index=2)
+            if (len(nodes) == QUADRATURE_BLOCK
+                    and nodes[0, 0] == rule.nodes[0, 0]):
+                raise dq.NonPositiveCoefficient("negative", index=6)
             return [NodalField(np.array([1.0]), 0) for _ in nodes]
 
+        assert QUADRATURE_BLOCK == 8
         with pytest.raises(dq.NonPositiveCoefficient,
                            match="^quadrature node 6: negative$"):
             quadrature_estimate(block_solver, rule)
