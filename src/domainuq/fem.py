@@ -397,15 +397,14 @@ class ReferenceSolver:
         with data `data[j]`, for a C-ordered (k, nnz) array `data`."""
         k = len(data)
         m, nnz = len(self.interior), len(self.indices)
-        if len(self._block[0]) <= k * m:
-            self._block = None  # the narrower structure goes first
+        indptr, indices = self._block
+        if len(indptr) <= k * m:
             dtype = np.int32 if k * nnz < 2**31 else np.int64
             block = np.arange(k, dtype=dtype)[:, None]
-            self._block = (
-                np.concatenate([np.zeros(1, dtype),
-                                (self.indptr[1:] + nnz * block).ravel()]),
-                (self.indices + m * block).ravel())
-        indptr, indices = self._block
+            indptr = np.concatenate([np.zeros(1, dtype),
+                                     (self.indptr[1:] + nnz * block).ravel()])
+            indices = (self.indices + m * block).ravel()
+            self._block = (indptr, indices)
         return csr_matrix((data.reshape(-1), indices[:k * nnz],
                            indptr[:k * m + 1]), shape=(k * m, k * m))
 

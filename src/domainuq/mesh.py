@@ -15,6 +15,8 @@ once per topology.  The topology also lists the mesh's edges once: every
 quadrature point is an edge midpoint, and an interior edge's midpoint is
 shared by its two triangles, so `edge_midpoints` computes each point once
 and an element's three points are a gather through `Edges.of_element`.
+`refine` bisects the same edge list, so a coarse mesh's edges are the new
+nodes of the mesh refined from it.
 What else depends on the node positions (areas, basis gradients and
 gradient products) is computed in one pass per placement of the nodes:
 `displace` computes it while checking the moved mesh for inverted
@@ -284,22 +286,18 @@ def refine(mesh: Mesh) -> Mesh:
 
     Midpoints of boundary edges are projected radially onto the unit
     circle.  Parent nodes keep their indices; new nodes are appended in
-    the order of their (min index, max index) edge keys, which are
-    recorded as the new mesh's last `refinements` entry.
+    the order of their (min index, max index) edge keys, i.e. of the
+    parent's `edges`, whose `ends.T` is recorded as the new mesh's last
+    `refinements` entry.
     """
     nodes = mesh.nodes
     tris = mesh.triangles
     n = len(nodes)
 
-    ea = tris
-    eb = tris[:, [1, 2, 0]]
-    pairs = np.stack([np.minimum(ea, eb), np.maximum(ea, eb)], axis=-1)
-    flat = pairs.reshape(-1, 2)
-    edges, inverse, counts = np.unique(
-        flat, axis=0, return_inverse=True, return_counts=True)
-
-    midpoints = 0.5 * (nodes[edges[:, 0]] + nodes[edges[:, 1]])
-    on_rim = counts == 1
+    listed = edges(mesh)
+    midpoints = edge_midpoints(mesh)
+    on_rim = np.bincount(listed.of_element.reshape(-1),
+                         minlength=len(midpoints)) == 1
     if np.any(on_rim):
         rim = midpoints[on_rim]
         midpoints[on_rim] = rim / np.linalg.norm(rim, axis=1)[:, None]
@@ -307,7 +305,8 @@ def refine(mesh: Mesh) -> Mesh:
     new_nodes = np.vstack([nodes, midpoints])
     new_boundary = np.union1d(mesh.boundary, n + np.nonzero(on_rim)[0])
 
-    mid = n + inverse.reshape(-1, 3)  # columns: m01, m12, m20 per parent
+    # columns m01, m12, m20: the edges opposite vertices 2, 0 and 1
+    mid = n + listed.of_element[:, [2, 0, 1]].astype(tris.dtype)
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     m01, m12, m20 = mid[:, 0], mid[:, 1], mid[:, 2]
     children = np.stack([
@@ -323,7 +322,7 @@ def refine(mesh: Mesh) -> Mesh:
         triangles=children,
         boundary=new_boundary,
         patch_id=np.repeat(mesh.patch_id, 4),
-        refinements=mesh.refinements + (edges,),
+        refinements=mesh.refinements + (listed.ends.T,),
     )
 
 

@@ -337,17 +337,18 @@ class TestQuadratureEstimate:
         assert stats.variance().values[0] >= 0.0
 
     def test_block_error_names_the_failing_node(self):
-        rule = gauss_legendre_1d(9)
+        rule = gauss_legendre_1d(17)
 
         def block_solver(nodes):
             if (len(nodes) == QUADRATURE_BLOCK
-                    and nodes[0, 0] == rule.nodes[0, 0]):
+                    and nodes[0, 0] == rule.nodes[8, 0]):
                 raise dq.NonPositiveCoefficient("negative", index=6)
             return [NodalField(np.array([1.0]), 0) for _ in nodes]
 
+        # the second of three blocks (nodes 8-15) fails at its seventh node
         assert QUADRATURE_BLOCK == 8
         with pytest.raises(dq.NonPositiveCoefficient,
-                           match="^quadrature node 6: negative$"):
+                           match="^quadrature node 14: negative$"):
             quadrature_estimate(block_solver, rule)
 
     def test_quadrature_matches_mc_for_smooth_problem(self, mesh3, vf3, sf64):
