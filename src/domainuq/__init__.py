@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DegenerateDeformation, DomainUQError,
                      EigFailed, MeshMismatch, NonFiniteValue,
                      NonPositiveCoefficient, NonPositiveData, NotPSD,
-                     OutOfHoldAll, SolverDiverged)
+                     OutOfHoldAll, SolverDiverged, WorkerDied)
 from .mesh import Mesh, build_disc_mesh, displace, refine
 from .fem import (NodalField, assemble_load, assemble_mass,
                   assemble_perturbation_load, assemble_stiffness, h1_norm,

@@ -30,6 +30,10 @@ class NonFiniteValue(DomainUQError):
     """A load, matrix or residual of a linear solve held a NaN or an infinity."""
 
 
+class WorkerDied(DomainUQError):
+    """A worker process ended before it returned the result of its task."""
+
+
 class NotPSD(DomainUQError):
     """A pivot diagonal of the covariance fell significantly below zero."""
 

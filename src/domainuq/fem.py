@@ -494,7 +494,8 @@ def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
 
     `diag_out`, if given, receives `iterations` (the lockstep count, the
     largest over the columns), `residual` (the largest final residual
-    norm) and `column_iterations` (one count per column).
+    norm), and `column_iterations` and `column_residuals` (one count and
+    one final residual norm per column).
 
     Returns a NodalField for a one-dimensional `b` in the matrix form,
     otherwise a list of NodalFields, one per column.
@@ -595,7 +596,8 @@ def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
     if diag_out is not None:
         diag_out.update(iterations=iterations,
                         residual=float(final_residual.max(initial=0.0)),
-                        column_iterations=column_iterations.tolist())
+                        column_iterations=column_iterations.tolist(),
+                        column_residuals=final_residual.tolist())
     fields = [NodalField(values, ref.level) for values in u]
     return fields[0] if b.ndim == 1 else fields
 

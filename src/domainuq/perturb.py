@@ -15,16 +15,16 @@ a realization uses an operator of the affine family `K_s + c * K_r` with
 the same load, and a zero amplitude adds exactly nothing, so a solve at
 amplitude 0 is bit-identical to the smooth solve.
 
-`solve_block` solves a block of realizations together: it builds them one
-after another, writes of each the interior data of `K_s + c * K_r` for
-every amplitude c (u0 is c = 0) and its interior load into buffers of the
-block, and hands the whole block to one lockstep call of
-`solve_dirichlet`.  Its derivative solves, one per realization, go
-through a second call.  Monte Carlo samples, coupled pairs and quadrature
-nodes are solved this way; the methods of `DeformedProblem` serve the
-single-realization solves.  Every solve passes the reference mesh to
-`solve_dirichlet`, whose multigrid preconditioner and interior layout are
-built once for the topology that all deformed meshes share.
+`solve_block` is the one way a realization is solved: it builds a block
+of realizations one after another, writes of each the interior data of
+`K_s + c * K_r` for every amplitude c (u0 is c = 0) and its interior load
+into buffers of the block, and hands the whole block to one lockstep call
+of `solve_dirichlet`.  Its derivative solves, one per realization, go
+through a second call.  Monte Carlo samples, coupled pairs, quadrature
+nodes and the three solves of `solve_sample` all go this way.  Every
+solve passes the reference mesh to `solve_dirichlet`, whose multigrid
+preconditioner and interior layout are built once for the topology that
+all deformed meshes share.
 """
 
 from __future__ import annotations
@@ -33,15 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (NodalField, h1_norm, load_from_qvalues,
-                  perturbation_load_from_qvalues, reference_solver,
-                  solve_dirichlet, stiffness_from_qvalues, _eval_at_points)
-# Not called here; perfbench/layers.py wraps the name in this module.
-from .fem import element_geometry  # noqa: F401
+from .fem import (NodalField, h1_norm, perturbation_load_from_qvalues,
+                  reference_solver, solve_dirichlet, stiffness_from_qvalues)
 from .errors import DomainUQError, NonPositiveCoefficient
 from .fields import (Sample, ScalarFieldKL, VectorFieldKL, eval_displacement,
                      eval_mean, eval_rough)
-from .mesh import Mesh, displace, edge_midpoints, edges
+from .mesh import Mesh, displace, edge_midpoints, edges, geometry
 
 
 @dataclass
@@ -71,12 +68,10 @@ class DeformedProblem:
     `Edges.of_element`.
 
     `K_s` is the interior CSR data of the smooth stiffness and `b` the
-    interior load, both in the layout of the topology's
+    interior unit load, both in the layout of the topology's
     `ReferenceSolver`; `rough_stiffness` assembles a rough part the same
-    way, and `solve_amplitudes` solves with `K_s + c * K_r` for a list of
-    amplitudes c in one lockstep call.  Solves pass the reference mesh to
-    `solve_dirichlet`, which preconditions them with the multigrid V-cycle
-    of the shared topology.
+    way, and `matrix_data` writes the data of `K_s + c * K_r` for a list
+    of amplitudes c, the rows that `solve_block` hands to the solver.
 
     Raises DegenerateDeformation for an inverted (or NaN) deformed
     element, OutOfHoldAll for a midpoint outside the hold-all box, and
@@ -85,12 +80,11 @@ class DeformedProblem:
     """
 
     def __init__(self, mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
-                 z: np.ndarray, f=None):
+                 z: np.ndarray):
         self.mesh = mesh
         self.sf = sf
         self.deformed = displace(mesh, eval_displacement(vf, z))
-        points = edge_midpoints(self.deformed)
-        self._stencil = sf.grid.stencil(points)
+        self._stencil = sf.grid.stencil(edge_midpoints(self.deformed))
         self._of_element = edges(mesh).of_element
         self.a_s = eval_mean(sf, self._stencil)
         if not np.all(self.a_s > 0.0):
@@ -99,11 +93,9 @@ class DeformedProblem:
         self.K_s = stiffness_from_qvalues(
             self.deformed, self.a_s[self._of_element],
             require_positive=False, interior=True)
-        if f is None:
-            fq = np.ones(self._of_element.shape)
-        else:
-            fq = _eval_at_points(f, points)[self._of_element]
-        self.b = load_from_qvalues(self.deformed, fq, interior=True)
+        # unit load: the midpoint rule gives each corner a third of the area
+        self.b = reference_solver(mesh).interior_vector(
+            np.repeat(geometry(self.deformed).areas / 3.0, 3))
 
     def rough_qvalues(self, y: np.ndarray) -> np.ndarray:
         """Rough coefficient at unit amplitude at the edge midpoints."""
@@ -115,72 +107,28 @@ class DeformedProblem:
         return stiffness_from_qvalues(self.deformed, a_r[self._of_element],
                                       require_positive=False, interior=True)
 
-    def check_amplitudes(self, a_r: np.ndarray, amplitudes) -> None:
-        """Raise NonPositiveCoefficient, naming the amplitude, unless
-        a_s + c * a_r is strictly positive (and not NaN) at every edge
-        midpoint for every amplitude c."""
+    def matrix_data(self, a_r: np.ndarray | None, K_r, amplitudes,
+                    out: np.ndarray) -> None:
+        """Write the interior data of `K_s + c * K_r` into `out`, one row
+        per amplitude c.
+
+        `a_r` and `K_r` are the rough part's edge values and interior
+        stiffness data; both None stand for a zero rough part.  Raises
+        NonPositiveCoefficient, naming the amplitude, unless a_s + c * a_r
+        is strictly positive (and not NaN) at every edge midpoint for
+        every amplitude c.
+        """
+        if a_r is None:
+            out[:] = self.K_s
+            return
         for c in amplitudes:
             full = self.a_s + c * a_r
             if not np.all(full > 0.0):
                 raise NonPositiveCoefficient(
                     f"coefficient minimum {np.min(full):.6e} "
                     f"at amplitude {c}")
-
-    def matrix_data(self, a_r: np.ndarray | None, K_r, amplitudes,
-                    out: np.ndarray | None = None) -> np.ndarray:
-        """(k, nnz) interior data of `K_s + c * K_r`, one row per
-        amplitude c, written into `out` if given.
-
-        `a_r` and `K_r` are the rough part's edge values and interior
-        stiffness data; both None stand for a zero rough part.  Raises
-        NonPositiveCoefficient, naming the amplitude, if a coefficient is
-        not strictly positive (or is NaN) at an edge midpoint.
-        """
-        amplitudes = [float(c) for c in amplitudes]
-        if out is None:
-            out = np.empty((len(amplitudes), len(self.K_s)))
-        if a_r is None:
-            out[:] = self.K_s
-            return out
-        self.check_amplitudes(a_r, amplitudes)
         np.multiply.outer(amplitudes, K_r, out=out)
         out += self.K_s
-        return out
-
-    def solve_amplitudes(self, a_r: np.ndarray | None, K_r, amplitudes,
-                         diag_out: dict | None = None) -> list[NodalField]:
-        """Full solves with coefficients a_s + c * a_r, one per amplitude c,
-        in one lockstep call of `solve_dirichlet` (see `matrix_data`)."""
-        data = self.matrix_data(a_r, K_r, amplitudes)
-        return solve_dirichlet(data, np.broadcast_to(
-            self.b, (len(data), len(self.b))), self.mesh, diag_out=diag_out)
-
-    def solve_u0(self, diag_out: dict | None = None) -> NodalField:
-        return self.solve_amplitudes(None, None, [0.0], diag_out)[0]
-
-    def solve_u_eps_from_parts(self, a_r: np.ndarray, K_r, eps: float,
-                               diag_out: dict | None = None) -> NodalField:
-        """Full solve with coefficient a_s + eps * a_r from precomputed parts."""
-        return self.solve_amplitudes(a_r, K_r, [eps], diag_out)[0]
-
-    def solve_u_eps(self, y: np.ndarray, eps: float,
-                    diag_out: dict | None = None) -> NodalField:
-        a_r = self.rough_qvalues(y)
-        return self.solve_u_eps_from_parts(a_r, self.rough_stiffness(a_r),
-                                           eps, diag_out)
-
-    def solve_delta_u(self, y: np.ndarray, u0: NodalField,
-                      diag_out: dict | None = None) -> NodalField:
-        """Derivative solve: smooth operator on the left, rough load on the right."""
-        return self.solve_delta_u_from_parts(self.rough_qvalues(y), u0,
-                                             diag_out)
-
-    def solve_delta_u_from_parts(self, a_r: np.ndarray, u0: NodalField,
-                                 diag_out: dict | None = None) -> NodalField:
-        """Derivative solve from precomputed rough edge values."""
-        b = _derivative_load(self.deformed, a_r, u0.values)
-        return solve_dirichlet(self.K_s[None], b[None], self.mesh,
-                               diag_out=diag_out)[0]
 
 
 def _derivative_load(deformed: Mesh, a_r: np.ndarray,
@@ -192,18 +140,24 @@ def _derivative_load(deformed: Mesh, a_r: np.ndarray,
 
 
 def solve_sample(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
-                 sample: Sample, eps: float, f=None) -> SampleSolve:
-    """All three solves of one sample, sharing the domain realization."""
-    dp = DeformedProblem(mesh, vf, sf, sample.z, f)
-    diags: dict = {"u0": {}, "delta_u": {}, "u_eps": {}}
-    u0 = dp.solve_u0(diag_out=diags["u0"])
-    delta = dp.solve_delta_u(sample.y, u0, diag_out=diags["delta_u"])
-    ueps = dp.solve_u_eps(sample.y, eps, diag_out=diags["u_eps"])
+                 sample: Sample, eps: float) -> SampleSolve:
+    """All three solves of one sample in one `solve_block` call: u0 and
+    u_eps are the columns at amplitudes 0 and eps (one column if eps is
+    0), delta_u is the derivative solve."""
+    amplitudes = [0.0] if eps == 0.0 else [0.0, eps]
+    diag: dict = {}
+    u, delta = solve_block(mesh, vf, sf, [sample.z], [sample.y], amplitudes,
+                           with_delta=True, diag_out=diag)
+    # (diagnostics, column) of each solve
+    columns = {"u0": (diag, 0), "delta_u": (diag["delta"], 0),
+               "u_eps": (diag, len(amplitudes) - 1)}
     return SampleSolve(
-        u_eps=ueps, u0=u0, delta_u=delta, sample=sample, eps=eps,
-        deformed=dp.deformed,
-        iterations={k: d["iterations"] for k, d in diags.items()},
-        residuals={k: d["residual"] for k, d in diags.items()})
+        u_eps=u[0][-1], u0=u[0][0], delta_u=delta[0], sample=sample, eps=eps,
+        deformed=displace(mesh, eval_displacement(vf, sample.z)),
+        iterations={k: d["column_iterations"][j]
+                    for k, (d, j) in columns.items()},
+        residuals={k: d["column_residuals"][j]
+                   for k, (d, j) in columns.items()})
 
 
 def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
@@ -219,7 +173,8 @@ def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
     allocated once for the block, and every column goes through one call
     of `solve_dirichlet` (which fills `diag_out`).  With `with_delta`,
     whose `amplitudes` must list 0, the derivative solves at `ys[i]` with
-    u0 on the right follow in a second call.
+    u0 on the right follow in a second call, which fills
+    `diag_out["delta"]`.
 
     Returns (u, delta): u[i][j] is the NodalField of realization i at
     amplitude `amplitudes[j]`, and delta[i] the derivative solve of
@@ -260,7 +215,9 @@ def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
     for i, (deformed, a_r) in enumerate(rough):
         loads[i] = _derivative_load(deformed, a_r, u[i][j0].values)
     # the zero-amplitude rows hold the smooth operator K_s exactly
-    return u, solve_dirichlet(data[j0::k], loads[:r], mesh)
+    delta_diag = None if diag_out is None else diag_out.setdefault("delta", {})
+    return u, solve_dirichlet(data[j0::k], loads[:r], mesh,
+                              diag_out=delta_diag)
 
 
 def _fill_realization(mesh, vf, sf, z, y, amplitudes, data, loads, rough):
@@ -327,7 +284,7 @@ def delta_second_moment(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
     Integrating this field over z gives the second order variance
     correction term."""
     dp = DeformedProblem(mesh, vf, sf, z)
-    u0 = dp.solve_u0()
+    u0 = solve_dirichlet(dp.K_s[None], dp.b[None], mesh)[0]
     loads = np.empty((sf.n_modes, len(dp.b)))
     for k, direction in enumerate(np.eye(sf.n_modes)):
         loads[k] = _derivative_load(dp.deformed, dp.rough_qvalues(direction),

@@ -20,13 +20,14 @@ identical for any worker count.
 from __future__ import annotations
 
 import os
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 from math import comb
 
 import numpy as np
 
-from .errors import DomainUQError, MeshMismatch, NonPositiveData
+from .errors import DomainUQError, MeshMismatch, NonPositiveData, WorkerDied
 from .fem import NodalField, h1_norm, l2_norm, w11_norm
 from .fields import SQRT3, draw_sample
 from .mesh import Mesh
@@ -175,8 +176,10 @@ def map_blocks(fn, items, threads: int = 1):
     `items` at fork time, so `fn` may be a closure; results and exceptions
     travel back by pickle.  Results are yielded as soon as they and all
     earlier ones have arrived.  An exception raised by a task reaches the
-    caller, and a worker that dies raises `BrokenProcessPool`.  Otherwise
-    `fn` runs in the calling process, one item at a time.
+    caller, and a worker that dies raises `BrokenProcessPool` at the first
+    item whose result had not arrived (`solve_blocks` names that item's
+    block in a `WorkerDied`).  Otherwise `fn` runs in the calling process,
+    one item at a time.
     """
     global _TASK
     items = list(items)
@@ -210,20 +213,31 @@ def solve_blocks(fn, n_items: int, label: str, threads: int = 1,
     index and width alone and dispatched by `map_blocks`.  A DomainUQError
     raised by `fn` is raised again naming the failing item as `label i`,
     from the position `index` it carries, or the block's range if it
-    carries none.
+    carries none.  A worker process that dies raises `WorkerDied` naming
+    the range of the first block whose outputs did not arrive.
     """
-    def run(lo: int):
-        block = range(lo, min(lo + width, n_items))
+    blocks = [range(lo, min(lo + width, n_items))
+              for lo in range(0, n_items, width)]
+
+    def span(block: range) -> str:
+        return f"{label}s {block[0]} to {block[-1]}"
+
+    def run(block: range):
         try:
             return fn(block)
         except DomainUQError as e:
             where = (f"{label} {block[e.index]}"
-                     if e.index in range(len(block))
-                     else f"{label}s {block[0]} to {block[-1]}")
+                     if e.index in range(len(block)) else span(block))
             raise type(e)(f"{where}: {e}") from e
 
-    for outputs in map_blocks(run, range(0, n_items, width), threads):
-        yield from outputs
+    outputs = map_blocks(run, blocks, threads)
+    for block in blocks:
+        try:
+            block_outputs = next(outputs)
+        except BrokenExecutor as e:
+            raise WorkerDied(f"{span(block)} and later: a worker process "
+                             "died before their outputs arrived") from e
+        yield from block_outputs
 
 
 def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,

@@ -19,7 +19,7 @@ from domainuq.fields import (eval_coefficient, eval_displacement, eval_mean,
                              eval_rough, rng_stream, sample_uniform)
 from domainuq.lowrank import DenseOracle, pivoted_cholesky, reduced_eigs
 from domainuq.mesh import build_disc_mesh, displace
-from domainuq.perturb import DeformedProblem, taylor_remainders
+from domainuq.perturb import solve_block, taylor_remainders
 from domainuq.uq import RunningMoments, slope_fit, smolyak_rule
 
 
@@ -124,18 +124,18 @@ def test_criterion_5_statistics_convergence():
     accD = [RunningMoments(mesh.n_nodes) for _ in range(n_eps)]
     accE = [RunningMoments(mesh.n_nodes) for _ in range(n_eps)]
     acc0 = [RunningMoments(mesh.n_nodes) for _ in range(n_eps)]
+    # sign-major, as the updates of each eps are: first +eps, then -eps
+    amplitudes = [sign * eps for sign in (1.0, -1.0) for eps in eps_list]
     for p in range(n_pairs):
         s = dq.draw_sample(sf.n_modes, vf.n_modes, seed, p)
-        dp = DeformedProblem(mesh, vf, sf, s.z)
-        u0 = dp.solve_u0().values
-        a_r_q = dp.rough_qvalues(s.y)
-        K_r = dp.rough_stiffness(a_r_q)
-        for sign in (1.0, -1.0):
-            for ei, eps in enumerate(eps_list):
-                u = dp.solve_u_eps_from_parts(a_r_q, K_r, sign * eps).values
-                accD[ei].update(u - u0)
-                accE[ei].update(u)
-                acc0[ei].update(u0)
+        (fields,), _ = solve_block(mesh, vf, sf, [s.z], [s.y],
+                                   [0.0] + amplitudes)
+        u0 = fields[0].values
+        for j, u in enumerate(fields[1:]):
+            ei = j % n_eps
+            accD[ei].update(u.values - u0)
+            accE[ei].update(u.values)
+            acc0[ei].update(u0)
 
     mean_points, var_points = [], []
     for ei, eps in enumerate(eps_list):
@@ -163,12 +163,11 @@ def test_criterion_6_centeredness_identities():
     worst_ratio = 0.0
     for zi in range(3):
         s = dq.draw_sample(sf.n_modes, vf.n_modes, 17, zi)
-        dp = DeformedProblem(mesh, vf, sf, s.z)
-        u0 = dp.solve_u0()
         acc = np.zeros(mesh.n_nodes)
         largest = 0.0
         for node, w in zip(rule.nodes, rule.weights):
-            d = dp.solve_delta_u(node, u0)
+            _, (d,) = solve_block(mesh, vf, sf, [s.z], [node], [0.0],
+                                  with_delta=True)
             acc += w * d.values
             largest = max(largest, h1_norm(mesh, d))
         ratio = h1_norm(mesh, NodalField(acc, mesh.level)) / largest

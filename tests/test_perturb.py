@@ -20,6 +20,25 @@ from domainuq.perturb import (DeformedProblem, _fill_realization, solve_block,
 from domainuq.uq import smolyak_rule
 
 
+def smooth_solve(mesh, vf, sf, z, diag_out=None):
+    """u0 of the domain realization z, as a one-column block."""
+    return solve_block(mesh, vf, sf, [z], diag_out=diag_out)[0][0][0]
+
+
+def full_solve(mesh, vf, sf, z, y, eps, diag_out=None):
+    """u_eps of the realization z at the coefficient a_s + eps * a_r(y),
+    as a one-column block."""
+    return solve_block(mesh, vf, sf, [z], [y], [eps],
+                       diag_out=diag_out)[0][0][0]
+
+
+def derivative_solves(mesh, vf, sf, z, ys):
+    """The derivative solves of the realization z at each of `ys`, one
+    `solve_block` call per direction."""
+    return [solve_block(mesh, vf, sf, [z], [y], [0.0], with_delta=True)[1][0]
+            for y in ys]
+
+
 def negation_partner(mesh):
     """Index map i -> j with nodes[j] == -nodes[i] (disc meshes are
     symmetric under point reflection, bitwise)."""
@@ -30,19 +49,19 @@ def negation_partner(mesh):
 class TestSmoothSolve:
     def test_unit_coefficient_matches_poisson(self, mesh4, vf4,
                                               unit_coefficient):
-        u = DeformedProblem(mesh4, vf4, unit_coefficient,
-                            np.zeros(vf4.n_modes)).solve_u0()
+        u = smooth_solve(mesh4, vf4, unit_coefficient, np.zeros(vf4.n_modes))
         assert abs(u.values[0] - 0.25) < 5e-3
 
     def test_even_symmetry_at_nominal_domain(self, mesh3, vf3, sf64):
-        u = DeformedProblem(mesh3, vf3, sf64, np.zeros(vf3.n_modes)).solve_u0()
+        u = smooth_solve(mesh3, vf3, sf64, np.zeros(vf3.n_modes))
         partner = negation_partner(mesh3)
         assert np.abs(u.values - u.values[partner]).max() <= 1e-8
 
     def test_load_scaling(self, mesh3, vf3, sf64):
         z = sample_uniform(vf3.n_modes, rng_stream(0, 0))
-        u1 = DeformedProblem(mesh3, vf3, sf64, z).solve_u0()
-        u2 = DeformedProblem(mesh3, vf3, sf64, z, f=lambda p: 2.0).solve_u0()
+        dp = DeformedProblem(mesh3, vf3, sf64, z)
+        u1, u2 = fem.solve_dirichlet(np.stack([dp.K_s, dp.K_s]),
+                                     np.stack([dp.b, 2.0 * dp.b]), mesh3)
         assert np.abs(u2.values - 2.0 * u1.values).max() <= 1e-8 * np.abs(
             u1.values).max()
 
@@ -50,17 +69,14 @@ class TestSmoothSolve:
 class TestDerivativeSolve:
     def test_zero_direction(self, mesh3, vf3, sf64):
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 1, 0)
-        dp = DeformedProblem(mesh3, vf3, sf64, s.z)
-        u0 = dp.solve_u0()
-        d = dp.solve_delta_u(np.zeros(sf64.n_modes), u0)
+        (d,) = derivative_solves(mesh3, vf3, sf64, s.z,
+                                 [np.zeros(sf64.n_modes)])
         assert np.array_equal(d.values, np.zeros(mesh3.n_nodes))
 
     def test_exact_negation(self, mesh3, vf3, sf64):
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 5, 3)
-        dp = DeformedProblem(mesh3, vf3, sf64, s.z)
-        u0 = dp.solve_u0()
-        d_plus = dp.solve_delta_u(s.y, u0)
-        d_minus = dp.solve_delta_u(-s.y, u0)
+        d_plus, d_minus = derivative_solves(mesh3, vf3, sf64, s.z,
+                                            [s.y, -s.y])
         assert np.array_equal(d_minus.values, -d_plus.values)
 
     def test_superposition(self, mesh3, vf3, sf64):
@@ -68,11 +84,8 @@ class TestDerivativeSolve:
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 6, 1)
         y1 = sample_uniform(sf64.n_modes, rng) * 0.5
         y2 = sample_uniform(sf64.n_modes, rng) * 0.5
-        dp = DeformedProblem(mesh3, vf3, sf64, s.z)
-        u0 = dp.solve_u0()
-        d12 = dp.solve_delta_u(y1 + y2, u0)
-        d1 = dp.solve_delta_u(y1, u0)
-        d2 = dp.solve_delta_u(y2, u0)
+        d12, d1, d2 = derivative_solves(mesh3, vf3, sf64, s.z,
+                                        [y1 + y2, y1, y2])
         scale = h1_norm(mesh3, d12)
         diff = h1_norm(mesh3, d12 - (d1 + d2))
         assert diff <= 1e-9 * max(scale, 1e-12) + 1e-14
@@ -81,16 +94,15 @@ class TestDerivativeSolve:
 class TestFullSolve:
     def test_zero_amplitude_bitwise_equals_smooth(self, mesh3, vf3, sf64):
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 7, 2)
-        dp = DeformedProblem(mesh3, vf3, sf64, s.z)
-        u0 = dp.solve_u0()
-        ue = dp.solve_u_eps(s.y, 0.0)
+        u0 = smooth_solve(mesh3, vf3, sf64, s.z)
+        ue = full_solve(mesh3, vf3, sf64, s.z, s.y, 0.0)
         assert np.array_equal(ue.values, u0.values)
 
     def test_full_amplitude_sample_sweep(self, mesh3, vf3, sf64):
         interior = np.setdiff1d(np.arange(mesh3.n_nodes), mesh3.boundary)
         for i in range(100):
             s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 77, i)
-            u = DeformedProblem(mesh3, vf3, sf64, s.z).solve_u_eps(s.y, 1.0)
+            u = full_solve(mesh3, vf3, sf64, s.z, s.y, 1.0)
             assert (u.values[interior] > 0.0).all()
             assert np.array_equal(u.values[mesh3.boundary],
                                   np.zeros(len(mesh3.boundary)))
@@ -105,46 +117,43 @@ class TestFullSolve:
         y[y == 0.0] = SQRT3
         s = dq.Sample(y=y, z=np.zeros(vf3.n_modes))
         with pytest.raises(dq.NonPositiveCoefficient):
-            DeformedProblem(mesh3, vf3, sf64, s.z).solve_u_eps(s.y, 50.0)
+            full_solve(mesh3, vf3, sf64, s.z, s.y, 50.0)
 
     AMPLITUDES = [0.0, 0.25, 0.5, 1.0, -0.25, -0.5, -1.0]
 
-    def parts(self, mesh, vf, sf, seed):
-        s = dq.draw_sample(sf.n_modes, vf.n_modes, seed, 0)
-        dp = DeformedProblem(mesh, vf, sf, s.z)
-        a_r_q = dp.rough_qvalues(s.y)
-        return dp, a_r_q, dp.rough_stiffness(a_r_q)
-
     def test_columns_match_one_amplitude_solves(self, mesh4, vf4, sf64):
-        dp, a_r_q, K_r = self.parts(mesh4, vf4, sf64, 21)
+        s = dq.draw_sample(sf64.n_modes, vf4.n_modes, 21, 0)
         diag = {}
-        fields = dp.solve_amplitudes(a_r_q, K_r, self.AMPLITUDES, diag)
+        (fields,), _ = solve_block(mesh4, vf4, sf64, [s.z], [s.y],
+                                   self.AMPLITUDES, diag_out=diag)
         assert diag["iterations"] == max(diag["column_iterations"])
         for eps, u, iterations in zip(self.AMPLITUDES, fields,
                                       diag["column_iterations"]):
             one = {}
-            single = dp.solve_u_eps_from_parts(a_r_q, K_r, eps, one)
+            single = full_solve(mesh4, vf4, sf64, s.z, s.y, eps, one)
             assert iterations == one["iterations"]
             assert (np.abs(u.values - single.values).max()
                     <= 1e-12 * np.abs(single.values).max())
 
     def test_nonpositive_amplitude_is_named(self, mesh3, vf3, sf64):
-        dp, a_r_q, K_r = self.parts(mesh3, vf3, sf64, 22)
+        s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 22, 0)
         with pytest.raises(dq.NonPositiveCoefficient,
                            match="amplitude 1000000.0"):
-            dp.solve_amplitudes(a_r_q, K_r, [0.5, 1e6])
+            solve_block(mesh3, vf3, sf64, [s.z], [s.y], [0.5, 1e6])
 
     def test_nan_amplitude_raises(self, mesh3, vf3, sf64):
-        dp, a_r_q, K_r = self.parts(mesh3, vf3, sf64, 23)
+        s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 23, 0)
         with pytest.raises(dq.NonPositiveCoefficient, match="amplitude nan"):
-            dp.solve_amplitudes(a_r_q, K_r, [0.5, float("nan")])
+            solve_block(mesh3, vf3, sf64, [s.z], [s.y], [0.5, float("nan")])
 
     def test_nan_rough_value_raises(self, mesh3, vf3, sf64):
-        dp, a_r_q, K_r = self.parts(mesh3, vf3, sf64, 24)
-        a_r_q = a_r_q.copy()
+        s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 24, 0)
+        dp = DeformedProblem(mesh3, vf3, sf64, s.z)
+        a_r_q = dp.rough_qvalues(s.y)
+        K_r = dp.rough_stiffness(a_r_q)
         a_r_q[0] = np.nan
         with pytest.raises(dq.NonPositiveCoefficient):
-            dp.solve_amplitudes(a_r_q, K_r, [0.5])
+            dp.matrix_data(a_r_q, K_r, [0.5], np.empty((1, len(K_r))))
 
     def test_nan_smooth_part_raises(self, mesh3, vf3, sf64):
         mean = sf64.mean.copy()
@@ -157,11 +166,10 @@ class TestFullSolve:
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 25, 0)
         u0, u_eps, _ = solve_pairs(mesh3, vf3, sf64, [s], [0.5, -0.5],
                                    with_delta=True)[0]
-        dp = DeformedProblem(mesh3, vf3, sf64, s.z)
-        minus = dp.solve_u_eps(-s.y, 0.5).values
+        minus = full_solve(mesh3, vf3, sf64, s.z, -s.y, 0.5).values
         assert (np.abs(u_eps[-0.5] - minus).max()
                 <= 1e-12 * np.abs(minus).max())
-        smooth = dp.solve_u0().values
+        smooth = smooth_solve(mesh3, vf3, sf64, s.z).values
         assert np.abs(u0 - smooth).max() <= 1e-12 * np.abs(smooth).max()
         with pytest.raises(KeyError):
             u_eps[0.25]
@@ -184,17 +192,17 @@ class TestSolveBlock:
                                with_delta=True, diag_out=diag)
         k = len(self.AMPLITUDES)
         for i, s in enumerate(samples):
-            dp = DeformedProblem(mesh4, vf4, sf64, s.z)
-            a_r_q = dp.rough_qvalues(s.y)
             one = {}
-            single = dp.solve_amplitudes(a_r_q, dp.rough_stiffness(a_r_q),
-                                         self.AMPLITUDES, one)
+            (single,), (d,) = solve_block(mesh4, vf4, sf64, [s.z], [s.y],
+                                          self.AMPLITUDES, with_delta=True,
+                                          diag_out=one)
             assert (diag["column_iterations"][i * k:(i + 1) * k]
                     == one["column_iterations"])
+            assert (diag["delta"]["column_iterations"][i]
+                    == one["delta"]["column_iterations"][0])
             for got, want in zip(u[i], single):
                 assert (np.abs(got.values - want.values).max()
                         <= 1e-12 * np.abs(want.values).max())
-            d = dp.solve_delta_u(s.y, single[0])
             assert (np.abs(delta[i].values - d.values).max()
                     <= 1e-12 * np.abs(d.values).max())
 
@@ -203,7 +211,7 @@ class TestSolveBlock:
         u, delta = solve_block(mesh3, vf3, sf64, zs)
         assert delta is None
         for z, fields in zip(zs, u):
-            want = DeformedProblem(mesh3, vf3, sf64, z).solve_u0().values
+            want = smooth_solve(mesh3, vf3, sf64, z).values
             assert np.abs(fields[0].values - want).max() <= 1e-12 * np.abs(
                 want).max()
 
@@ -290,12 +298,10 @@ class TestCenteredness:
         rule = smolyak_rule(sf64.n_modes, 1)
         for zi in range(3):
             s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 17, zi)
-            dp = DeformedProblem(mesh3, vf3, sf64, s.z)
-            u0 = dp.solve_u0()
+            deltas = derivative_solves(mesh3, vf3, sf64, s.z, rule.nodes)
             acc = np.zeros(mesh3.n_nodes)
             largest = 0.0
-            for node, w in zip(rule.nodes, rule.weights):
-                d = dp.solve_delta_u(node, u0)
+            for d, w in zip(deltas, rule.weights):
                 acc += w * d.values
                 largest = max(largest, h1_norm(mesh3, d))
             total = h1_norm(mesh3, NodalField(acc, mesh3.level))
@@ -308,14 +314,13 @@ class TestSecondOrderCorrection:
         from domainuq.uq import quadrature_estimate
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 21, 0)
         direct = delta_second_moment(mesh3, vf3, sf64, s.z)
-        dp = DeformedProblem(mesh3, vf3, sf64, s.z)
-        u0 = dp.solve_u0()
         # a level-1 rule integrates the diagonal quadratic terms exactly and
         # kills the mixed ones at every node
         rule = smolyak_rule(sf64.n_modes, 1)
         qstats = quadrature_estimate(
-            lambda ys: [NodalField(dp.solve_delta_u(y, u0).values ** 2,
-                                   mesh3.level) for y in ys], rule)
+            lambda ys: [NodalField(d.values ** 2, mesh3.level) for d in
+                        derivative_solves(mesh3, vf3, sf64, s.z, ys)],
+            rule)
         assert np.allclose(qstats.mean.values, direct.values,
                            rtol=1e-7, atol=1e-14)
 
@@ -367,7 +372,7 @@ class TestTransportedCrossCheck:
         mesh = dq.build_disc_mesh(level)
         vf = dq.build_vector_field_kl(mesh, 1e-2)
         s = dq.draw_sample(sf64.n_modes, vf.n_modes, 42, 1)
-        u_moving = DeformedProblem(mesh, vf, sf64, s.z).solve_u_eps(s.y, 0.5)
+        u_moving = full_solve(mesh, vf, sf64, s.z, s.y, 0.5)
         u_transported = solve_transported(mesh, vf, sf64, s, 0.5)
         rel = (h1_norm(mesh, u_moving - u_transported)
                / h1_norm(mesh, u_moving))
@@ -390,6 +395,25 @@ class TestDiagnostics:
         assert ss.eps == 0.5
         assert ss.deformed.n_nodes == mesh3.n_nodes
         assert not np.array_equal(ss.deformed.nodes, mesh3.nodes)
+
+    def test_sample_solve_matches_pairs_and_one_column_solves(self, mesh4,
+                                                              vf4, sf64):
+        s = dq.draw_sample(sf64.n_modes, vf4.n_modes, 13, 0)
+        ss = solve_sample(mesh4, vf4, sf64, s, 0.5)
+        u0, u_eps, delta = solve_pairs(mesh4, vf4, sf64, [s], [0.5],
+                                       with_delta=True)[0]
+        for got, want in ((ss.u0, u0), (ss.u_eps, u_eps[0.5]),
+                          (ss.delta_u, delta)):
+            assert np.abs(got.values - want).max() <= 1e-12 * np.abs(
+                want).max()
+        one = {"u0": {}, "u_eps": {}, "delta_u": {}}
+        smooth_solve(mesh4, vf4, sf64, s.z, one["u0"])
+        full_solve(mesh4, vf4, sf64, s.z, s.y, 0.5, one["u_eps"])
+        # a one-column derivative solve follows a one-column u0 solve
+        solve_block(mesh4, vf4, sf64, [s.z], [s.y], [0.0], with_delta=True,
+                    diag_out=one["delta_u"])
+        one["delta_u"] = one["delta_u"]["delta"]
+        assert ss.iterations == {k: d["iterations"] for k, d in one.items()}
 
 
 def counting(monkeypatch, owner, name):
@@ -514,21 +538,18 @@ class TestMultigridPCG:
             iterations = []
             for i in range(3):
                 s = dq.draw_sample(sf64.n_modes, vf.n_modes, 31, i)
-                dp = DeformedProblem(mesh, vf, sf64, s.z)
                 diag = {}
-                u0 = dp.solve_u0(diag_out=diag)
-                iterations.append(diag["iterations"])
-                dp.solve_delta_u(s.y, u0, diag_out=diag)
-                iterations.append(diag["iterations"])
-                dp.solve_u_eps(s.y, 1.0, diag_out=diag)
-                iterations.append(diag["iterations"])
+                solve_block(mesh, vf, sf64, [s.z], [s.y], [0.0, 1.0],
+                            with_delta=True, diag_out=diag)
+                iterations += (diag["column_iterations"]
+                               + diag["delta"]["column_iterations"])
             assert 0 < min(iterations) and max(iterations) <= 30, (
                 mesh.level, iterations)
 
     def test_matches_dense_direct_solve(self, mesh3, vf3, sf64):
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 8, 0)
+        u = full_solve(mesh3, vf3, sf64, s.z, s.y, 1.0)
         dp = DeformedProblem(mesh3, vf3, sf64, s.z)
-        u = dp.solve_u_eps(s.y, 1.0)
         ref = fem.reference_solver(mesh3)
         K = ref.interior_matrix(
             dp.K_s + dp.rough_stiffness(dp.rough_qvalues(s.y))).toarray()
@@ -553,9 +574,8 @@ class TestMultigridPCG:
         fields = [None] * 4
 
         def work(k):
-            dp = DeformedProblem(mesh, vf4, sf64, s.z)
             start.wait(timeout=30)
-            fields[k] = dp.solve_u_eps(s.y, 1.0).values
+            fields[k] = full_solve(mesh, vf4, sf64, s.z, s.y, 1.0).values
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -570,6 +590,6 @@ class TestMultigridPCG:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert len(builds) == 1
-        serial = DeformedProblem(mesh, vf4, sf64, s.z).solve_u_eps(s.y, 1.0)
+        serial = full_solve(mesh, vf4, sf64, s.z, s.y, 1.0)
         for values in fields:
             assert np.array_equal(values, serial.values)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import domainuq as dq
 from domainuq.errors import MeshMismatch, NonPositiveData
 from domainuq.fem import NodalField, h1_norm, _h1_gram
-from domainuq.perturb import DeformedProblem
+from domainuq.perturb import solve_block
 from domainuq.uq import (RunningMoments, Statistics, field_error,
                          gauss_legendre_1d, map_blocks, mc_estimate,
                          quadrature_estimate, sample_blocks, slope_fit,
@@ -270,6 +270,41 @@ class TestMapBlocks:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "broken"
 
+    def test_dead_worker_names_the_block_of_the_missing_outputs(self,
+                                                                tmp_path):
+        script = (
+            "import os, sys, time\n"
+            "from domainuq import uq\n"
+            "from domainuq.errors import DomainUQError, WorkerDied\n"
+            "uq._cpu_count = lambda: 2  # a pool even on a one-CPU host\n"
+            f"done = {str(tmp_path)!r}\n"
+            "def fn(block):\n"
+            "    if 8 in block:\n"
+            "        # die only once both earlier blocks have returned\n"
+            "        deadline = time.monotonic() + 30\n"
+            "        while len(os.listdir(done)) < 2:\n"
+            "            assert time.monotonic() < deadline\n"
+            "            time.sleep(0.005)\n"
+            "        time.sleep(0.2)\n"
+            "        os._exit(1)\n"
+            "    if block[0] < 8:\n"
+            "        open(os.path.join(done, str(block[0])), 'w').close()\n"
+            "    return list(block)\n"
+            "outputs = []\n"
+            "try:\n"
+            "    for x in uq.solve_blocks(fn, 16, 'sample pair', threads=2):\n"
+            "        outputs.append(x)\n"
+            "except WorkerDied as e:\n"
+            "    assert isinstance(e, DomainUQError)\n"
+            "    print(outputs)\n"
+            "    print(e)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs, message = proc.stdout.splitlines()
+        assert outputs == str(list(range(8)))
+        assert message.startswith("sample pairs 8 to 11 and later: ")
+
     def test_no_worker_left_after_success_or_failure(self):
         def fn(i):
             if i == 5:
@@ -354,14 +389,13 @@ class TestQuadratureEstimate:
     def test_quadrature_matches_mc_for_smooth_problem(self, mesh3, vf3, sf64):
         rule = smolyak_rule(vf3.n_modes, 1)
         qstats = quadrature_estimate(
-            each(lambda z: DeformedProblem(mesh3, vf3, sf64, z).solve_u0()),
-            rule)
+            each(lambda z: solve_block(mesh3, vf3, sf64, [z])[0][0][0]), rule)
 
         n = 10 ** 4
         fields = np.empty((n, mesh3.n_nodes))
         for i in range(n):
             s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 321, i)
-            fields[i] = DeformedProblem(mesh3, vf3, sf64, s.z).solve_u0().values
+            fields[i] = solve_block(mesh3, vf3, sf64, [s.z])[0][0][0].values
         mc_mean = fields.mean(axis=0)
         # H1 standard error of the MC mean from per-sample H1 deviations
         devs = fields - mc_mean
@@ -552,10 +586,9 @@ class TestCoupledDifferences:
             acc = RunningMoments(mesh2.n_nodes)
             for i in range(n):
                 s = dq.draw_sample(sf64.n_modes, vf.n_modes, 31, i)
-                dp = DeformedProblem(mesh2, vf, sf64, s.z)
-                u0 = dp.solve_u0()
-                delta = dp.solve_delta_u(s.y, u0)
-                ue = dp.solve_u_eps(s.y, eps)
+                ((u0, ue),), (delta,) = solve_block(
+                    mesh2, vf, sf64, [s.z], [s.y], [0.0, eps],
+                    with_delta=True)
                 acc.update(ue.values - u0.values - eps * delta.values)
             var_l2[eps] = np.linalg.norm(acc.m2 / (n - 1))
         assert var_l2[0.5] / var_l2[0.25] >= 3.0
