@@ -14,9 +14,8 @@ from .errors import (ConfigError, DegenerateDeformation, DomainUQError,
                      NonPositiveCoefficient, NonPositiveData, NotPSD,
                      OutOfHoldAll, SolverDiverged, WorkerDied)
 from .mesh import Mesh, build_disc_mesh, displace, refine
-from .fem import (NodalField, assemble_load, assemble_mass,
-                  assemble_perturbation_load, assemble_stiffness, h1_norm,
-                  l2_norm, solve_dirichlet, w11_norm)
+from .fem import (NodalField, assemble_mass, h1_norm, l2_norm,
+                  solve_dirichlet, w11_norm)
 from .lowrank import (CovarianceOracle, DenseOracle, KLBasis, LowRankFactor,
                       mode_magnitudes, pivoted_cholesky, reduced_eigs,
                       truncate)

@@ -4,7 +4,8 @@ Subcommands: build-kl, solve-one, mc, taylor, convergence.  Every output
 file carries the config hash, seed, and RNG algorithm; identical configs
 reproduce identical bytes for any `--threads` value.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure or a
+worker process that died.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import (ExperimentConfig, config_hash, load_config,
                      override_config, validate_config)
-from .errors import ConfigError, DomainUQError
+from .errors import ConfigError, DomainUQError, WorkerDied
 from .fem import NodalField, reference_solver, save_field
 from .fields import (RNG_ALGORITHM, Sample, build_coefficient_kl,
                      build_vector_field_kl, draw_sample, load_scalar_field,
@@ -181,6 +182,12 @@ def cmd_solve_one(cfg: ExperimentConfig, y_text: str, z_text: str,
 
 
 def cmd_mc(cfg: ExperimentConfig, threads: int) -> None:
+    first = {}  # the first eps of each statistics file name
+    for eps in cfg.eps_list:
+        other = first.setdefault(f"{eps:g}", eps)
+        if other != eps:
+            raise ConfigError(f"eps_list values {other!r} and {eps!r} would "
+                              f"both write mc_stats_eps{eps:g}.txt")
     mesh = build_disc_mesh(cfg.mesh_level)
     vf, sf = _load_artifacts(cfg, mesh)
     reference_solver(mesh)  # built once here, inherited by forked workers
@@ -465,6 +472,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except WorkerDied as e:
+        print(f"worker failure: {e}", file=sys.stderr)
+        return 3
     except DomainUQError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

@@ -82,8 +82,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("eps_list must not be empty")
     if not all(0.0 < e < math.inf for e in cfg.eps_list):
         raise ConfigError("eps_list entries must be positive and finite")
-    if list(cfg.eps_list) != sorted(cfg.eps_list):
-        raise ConfigError("eps_list must be ascending")
+    if any(a >= b for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
+        raise ConfigError("eps_list must be strictly ascending")
     if cfg.n_mc < 2:
         raise ConfigError("n_mc must be at least 2")
     if cfg.n_taylor < 1:

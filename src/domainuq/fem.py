@@ -9,12 +9,13 @@ by every displaced copy of the mesh.  The element geometry comes from
 `mesh.geometry`, computed once per placement of the nodes; an element
 stiffness is its cached gradient products `grad(phi_i) . grad(phi_j)`
 scaled by the mean coefficient times the area, so every stiffness matrix
-of a domain realization reuses the same products.  Assembly either sums
-the element matrices into a CSR matrix, or, with `interior`, straight
-into the interior CSR data that the solver consumes: the topology's
-`ReferenceSolver` maps every element entry to its interior slot (entries
-on the Dirichlet boundary go to one dummy slot), so a domain realization
-builds no matrix and gathers nothing.
+of a domain realization reuses the same products.  Stiffness matrices and
+loads are assembled straight into the interior CSR data and interior load
+vectors that the solver consumes: the topology's `ReferenceSolver` maps
+every element entry to its interior slot (entries on the Dirichlet
+boundary go to one dummy slot), so a domain realization builds no matrix
+and gathers nothing.  The mass matrix and the H1 gram matrix of the norms
+are summed into full CSR matrices.
 
 Dirichlet problems are solved by conjugate gradients preconditioned with a
 geometric multigrid V-cycle for the unit-coefficient Laplacian on the
@@ -29,8 +30,7 @@ columns may come from several domain realizations and amplitudes.  The
 block is held as (k, m) in C order; each iteration applies the matrices
 as one block-diagonal CSR product and the V-cycle as one multi-vector
 product to all unconverged columns, so the per-call overhead of numpy and
-scipy is paid once per block, not once per column.  A plain solve is the
-one-column case.
+scipy is paid once per block, not once per column.
 """
 
 from __future__ import annotations
@@ -40,18 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, diags
 
-from .errors import (MeshMismatch, NonFiniteValue, NonPositiveCoefficient,
-                     SolverDiverged)
-from .mesh import (Geometry, Mesh, compute_geometry, edge_midpoints, edges,
-                   geometry, signed_areas)
+from .errors import MeshMismatch, NonFiniteValue, SolverDiverged
+from .mesh import Geometry, Mesh, compute_geometry, geometry, signed_areas
 from .textio import fmt
-
-#: P1 basis values at the edge midpoints (row: midpoint opposite vertex q).
-_PHI_AT_MIDPOINTS = np.array([
-    [0.0, 0.5, 0.5],
-    [0.5, 0.0, 0.5],
-    [0.5, 0.5, 0.0],
-])
 
 #: Relative residual target of the conjugate gradient solver.
 CG_RTOL = 1e-10
@@ -91,40 +82,6 @@ class NodalField:
         return NodalField(self.values * scalar, self.level)
 
     __rmul__ = __mul__
-
-
-def element_geometry(mesh: Mesh):
-    """Per-element areas, P1 basis gradients, and edge-midpoint quadrature points.
-
-    Returns (areas (m,), grads (m, 3, 2), qpoints (m, 3, 2)): the mesh's
-    `geometry`, computed once per placement of its nodes, and its
-    `edge_midpoints` gathered per element (point q lies opposite vertex q).
-    """
-    g = geometry(mesh)
-    return g.areas, g.grads, edge_midpoints(mesh)[edges(mesh).of_element]
-
-
-def _eval_at_points(fn, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar function at (k, 2) points in one call.
-
-    `fn` receives the whole array and returns k values, or one scalar for
-    a constant.  Any other shape raises ValueError; an exception raised by
-    `fn` itself propagates unchanged.
-    """
-    vals = np.asarray(fn(pts), dtype=float)
-    if vals.ndim == 0:
-        return np.full(len(pts), float(vals))
-    if vals.shape != (len(pts),):
-        raise ValueError(
-            f"function of the points returned shape {vals.shape}, "
-            f"expected ({len(pts)},) or a scalar")
-    return vals
-
-
-def _eval_at_quadrature(mesh: Mesh, fn) -> np.ndarray:
-    _, _, qpts = element_geometry(mesh)
-    m = len(mesh.triangles)
-    return _eval_at_points(fn, qpts.reshape(-1, 2)).reshape(m, 3)
 
 
 @dataclass(frozen=True)
@@ -181,28 +138,13 @@ def _local_stiffness(g: Geometry, cbar) -> np.ndarray:
     return (cbar * g.areas)[:, None, None] * g.grad_products
 
 
-def stiffness_from_qvalues(mesh: Mesh, coeff_q: np.ndarray,
-                           require_positive: bool = True,
-                           interior: bool = False):
-    """Stiffness matrix from coefficient values at the (m, 3) quadrature
-    points, or with `interior` its interior CSR data in the layout of the
-    topology's `ReferenceSolver`, summed without building the matrix."""
-    if require_positive and not np.all(coeff_q > 0.0):
-        raise NonPositiveCoefficient(
-            f"coefficient minimum {coeff_q.min():.6e} at a quadrature point")
+def stiffness_from_qvalues(mesh: Mesh, coeff_q: np.ndarray) -> np.ndarray:
+    """Interior CSR data, in the layout of the topology's
+    `ReferenceSolver`, of the stiffness of the coefficient with the values
+    `coeff_q` at the (m, 3) quadrature points, summed without building the
+    matrix."""
     local = _local_stiffness(geometry(mesh), _element_mean(coeff_q))
-    if interior:
-        return reference_solver(mesh).interior_matrix_data(local)
-    return _scatter(mesh, local)
-
-
-def assemble_stiffness(mesh: Mesh, coeff) -> csr_matrix:
-    """K_ij = sum_T int_T coeff grad(phi_i) . grad(phi_j) dx.
-
-    Raises NonPositiveCoefficient if the coefficient is not strictly
-    positive at every quadrature point.
-    """
-    return stiffness_from_qvalues(mesh, _eval_at_quadrature(mesh, coeff))
+    return reference_solver(mesh).interior_matrix_data(local)
 
 
 def assemble_mass(mesh: Mesh) -> csr_matrix:
@@ -217,51 +159,16 @@ def assemble_mass(mesh: Mesh) -> csr_matrix:
     return _scatter(mesh, local)
 
 
-def _scatter_vector(mesh: Mesh, local: np.ndarray) -> np.ndarray:
-    """Sum (m, 3) element vectors into a nodal vector, in element order."""
-    return np.bincount(mesh.triangles.reshape(-1), weights=local.reshape(-1),
-                       minlength=mesh.n_nodes)
-
-
-def _assembled_vector(mesh: Mesh, local: np.ndarray,
-                      interior: bool) -> np.ndarray:
-    if interior:
-        return reference_solver(mesh).interior_vector(local)
-    return _scatter_vector(mesh, local)
-
-
-def load_from_qvalues(mesh: Mesh, fq: np.ndarray,
-                      interior: bool = False) -> np.ndarray:
-    """Load vector from right-hand side values at the (m, 3) quadrature
-    points; with `interior`, only its interior entries, in the order of
-    the topology's `ReferenceSolver.interior`."""
-    areas = geometry(mesh).areas
-    return _assembled_vector(
-        mesh, (areas / 3.0)[:, None] * (fq @ _PHI_AT_MIDPOINTS), interior)
-
-
-def assemble_load(mesh: Mesh, f) -> np.ndarray:
-    """b_i = int f phi_i dx via the element quadrature rule."""
-    return load_from_qvalues(mesh, _eval_at_quadrature(mesh, f))
-
-
 def perturbation_load_from_qvalues(mesh: Mesh, aq: np.ndarray,
-                                   u0_values: np.ndarray,
-                                   interior: bool = False) -> np.ndarray:
-    """Load -int a_r grad(u0) . grad(phi_i) dx from the (m, 3) quadrature
-    values of a_r; with `interior`, only its interior entries."""
+                                   u0_values: np.ndarray) -> np.ndarray:
+    """Interior entries of the load -int a_r grad(u0) . grad(phi_i) dx,
+    from the (m, 3) quadrature values of a_r."""
     g = geometry(mesh)
     grad_u = np.einsum("mi,mid->md", u0_values[mesh.triangles], g.grads)
     gdot = np.einsum("md,mjd->mj", grad_u, g.grads)
     abar = _element_mean(aq)
-    return _assembled_vector(mesh, -(abar * g.areas)[:, None] * gdot,
-                             interior)
-
-
-def assemble_perturbation_load(mesh: Mesh, a_r, u0: NodalField) -> np.ndarray:
-    """Right-hand side of the derivative problem, linear in a_r and in u0."""
-    return perturbation_load_from_qvalues(
-        mesh, _eval_at_quadrature(mesh, a_r), u0.values)
+    return reference_solver(mesh).interior_vector(
+        -(abar * g.areas)[:, None] * gdot)
 
 
 def _prolongation(edges: np.ndarray, n_coarse: int, fine_interior: np.ndarray,
@@ -300,7 +207,7 @@ class ReferenceSolver:
       interior index of every corner of the flattened (m, 3) element
       vectors, with one dummy slot past the end for those on the
       boundary, so assembling straight into the interior layout is one
-      `np.bincount` (in element order, as the full assembly sums);
+      `np.bincount` (in element order, as `_scatter` sums);
     * the structure of the block-diagonal matrix of k such interior
       matrices, built for the widest block so far; a narrower block is a
       prefix slice of it;
@@ -326,7 +233,6 @@ class ReferenceSolver:
         n = mesh.n_nodes
         self.level = mesh.level
         self.n_nodes = n
-        self.pattern = pattern
         is_interior = np.ones(n, dtype=bool)
         is_interior[mesh.boundary] = False
         self.interior = np.flatnonzero(is_interior)
@@ -380,18 +286,6 @@ class ReferenceSolver:
         return np.bincount(self.element_nodes, weights=local.reshape(-1),
                            minlength=len(self.interior) + 1)[:-1]
 
-    def interior_data(self, K: csr_matrix) -> np.ndarray:
-        """The interior entries of `K` in the CSR order of `indptr` and
-        `indices`.  Raises MeshMismatch unless `K` has this topology's
-        sparsity pattern."""
-        n = self.n_nodes
-        if K.shape != (n, n) or not (
-                np.array_equal(K.indptr, self.pattern.indptr)
-                and np.array_equal(K.indices, self.pattern.indices)):
-            raise MeshMismatch(
-                "matrix sparsity pattern differs from the mesh topology's")
-        return K.data[self.slots]
-
     def block_matrix(self, data: np.ndarray) -> csr_matrix:
         """Block-diagonal matrix whose j-th block is the interior matrix
         with data `data[j]`, for a C-ordered (k, nnz) array `data`."""
@@ -430,13 +324,6 @@ def reference_solver(mesh: Mesh) -> ReferenceSolver:
                                 lambda: ReferenceSolver(mesh))
 
 
-def _matrix_columns(ref: ReferenceSolver, K: csr_matrix, b: np.ndarray):
-    """(k, nnz) interior data of `K`, one row per load column, and the
-    (k, m) interior loads, for the matrix form of `solve_dirichlet`."""
-    loads = (b if b.ndim == 2 else b[:, None])[ref.interior].T
-    return np.tile(ref.interior_data(K), (len(loads), 1)), loads
-
-
 def _first_non_finite(block: np.ndarray):
     """Index of the first row of `block` holding a NaN or an infinity, or None."""
     bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
@@ -465,31 +352,28 @@ def _restore(work: np.ndarray, order: np.ndarray) -> None:
             order[[i, j]] = order[[j, i]]
 
 
-def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
-                    rtol: float = CG_RTOL,
-                    diag_out: dict | None = None):
+def solve_dirichlet(K: np.ndarray, b: np.ndarray, mesh: Mesh,
+                    diag_out: dict | None = None) -> list[NodalField]:
     """Solve a block of Dirichlet problems A_j u_j = b_j, with u_j = 0 on
     the boundary nodes of `mesh`, for every column j at once.
 
-    Matrix form: `K` is a CSR matrix assembled on `mesh` or on a mesh
-    displaced from it (`assemble_stiffness`), A_j = K for every column,
-    and `b` is one load (`assemble_load`) or an (n, k) array of loads.
-
-    Block form, for columns drawn from several domain realizations and
-    amplitudes: `K` is a (k, nnz) array whose row j holds the interior CSR
-    data of A_j (as `stiffness_from_qvalues(..., interior=True)`
-    assembles it) and `b` the (k, m) array of interior loads.  A writeable
-    C-ordered float `K` serves as the solver's work space, so the block is
-    not copied: as columns converge, the rows of the others move to its
-    front.  Its rows are back in place when the call returns or raises.
+    The columns may be drawn from several domain realizations on the
+    topology of `mesh` and from several amplitudes.  `K` is a (k, nnz)
+    array whose row j holds the interior CSR data of A_j, in the layout of
+    the topology's `ReferenceSolver` (as `stiffness_from_qvalues`
+    assembles it), and `b` the (k, m) array of interior loads.  A
+    writeable C-ordered float `K` serves as the solver's work space, so
+    the block is not copied: as columns converge, the rows of the others
+    move to its front.  Its rows are back in place when the call returns
+    or raises.
 
     Boundary unknowns are eliminated symmetrically (the system is
     restricted to the interior), and the columns are solved in lockstep by
     conjugate gradients preconditioned with one V-cycle of the topology's
     `ReferenceSolver`: every iteration applies the block-diagonal matrix
     of the unconverged columns and the V-cycle to all of them.  A column
-    that reaches its own relative residual target `rtol` is frozen, so it
-    takes the iterations of a one-column solve and agrees with it to
+    that reaches its own relative residual target `CG_RTOL` is frozen, so
+    it takes the iterations of a one-column solve and agrees with it to
     rounding.  The iteration cap is `CG_CAP_FACTOR` per interior unknown.
 
     `diag_out`, if given, receives `iterations` (the lockstep count, the
@@ -497,14 +381,12 @@ def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
     norm), and `column_iterations` and `column_residuals` (one count and
     one final residual norm per column).
 
-    Returns a NodalField for a one-dimensional `b` in the matrix form,
-    otherwise a list of NodalFields, one per column.
+    Returns a list of NodalFields, one per column.
 
     Raises
     ------
     MeshMismatch
-        If `K` does not have the sparsity pattern of the mesh topology, or
-        block-form arrays do not have its interior sizes.
+        If the arrays do not have the interior sizes of the mesh topology.
     NonFiniteValue
         If an interior load, an interior matrix entry or a residual holds
         a NaN or an infinity.
@@ -516,18 +398,14 @@ def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
     """
     ref = reference_solver(mesh)
     n, m = ref.n_nodes, len(ref.interior)
-    b = np.asarray(b, dtype=float)
-    if isinstance(K, np.ndarray):
-        data = np.require(K, dtype=float, requirements=["C", "W"])
-        if data.ndim != 2 or data.shape[1] != len(ref.slots) or (
-                b.shape != (len(data), m)):
-            raise MeshMismatch(
-                f"block of {data.shape} matrix data and {b.shape} loads, "
-                f"the topology has {len(ref.slots)} interior entries and "
-                f"{m} interior nodes")
-        loads = b
-    else:
-        data, loads = _matrix_columns(ref, K, b)
+    loads = np.asarray(b, dtype=float)
+    data = np.require(K, dtype=float, requirements=["C", "W"])
+    if data.ndim != 2 or data.shape[1] != len(ref.slots) or (
+            loads.shape != (len(data), m)):
+        raise MeshMismatch(
+            f"block of {data.shape} matrix data and {loads.shape} loads, "
+            f"the topology has {len(ref.slots)} interior entries and "
+            f"{m} interior nodes")
     k = len(data)
     j = _first_non_finite(loads)
     if j is not None:
@@ -554,7 +432,7 @@ def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
         p = np.zeros_like(r)  # with rz = 1 the first direction is exactly z
         rz = np.ones(len(cols))
         res = norm_b[cols]
-        tol = rtol * res
+        tol = CG_RTOL * res
         iterations = 0
         while cols.size:
             z = ref.precondition(r)
@@ -598,14 +476,14 @@ def solve_dirichlet(K, b: np.ndarray, mesh: Mesh,
                         residual=float(final_residual.max(initial=0.0)),
                         column_iterations=column_iterations.tolist(),
                         column_residuals=final_residual.tolist())
-    fields = [NodalField(values, ref.level) for values in u]
-    return fields[0] if b.ndim == 1 else fields
+    return [NodalField(values, ref.level) for values in u]
 
 
 def _h1_gram(mesh: Mesh) -> csr_matrix:
     gram = mesh._cache.get("h1_gram")
     if gram is None:
-        gram = assemble_stiffness(mesh, lambda p: 1.0) + assemble_mass(mesh)
+        gram = (_scatter(mesh, _local_stiffness(geometry(mesh), 1.0))
+                + _mass(mesh))
         mesh._cache["h1_gram"] = gram
     return gram
 

@@ -90,9 +90,8 @@ class DeformedProblem:
         if not np.all(self.a_s > 0.0):
             raise NonPositiveCoefficient(
                 f"smooth coefficient minimum {self.a_s.min():.6e}")
-        self.K_s = stiffness_from_qvalues(
-            self.deformed, self.a_s[self._of_element],
-            require_positive=False, interior=True)
+        self.K_s = stiffness_from_qvalues(self.deformed,
+                                          self.a_s[self._of_element])
         # unit load: the midpoint rule gives each corner a third of the area
         self.b = reference_solver(mesh).interior_vector(
             np.repeat(geometry(self.deformed).areas / 3.0, 3))
@@ -104,8 +103,7 @@ class DeformedProblem:
     def rough_stiffness(self, a_r: np.ndarray) -> np.ndarray:
         """Interior CSR data of the stiffness of the coefficient with the
         values `a_r` at the edge midpoints."""
-        return stiffness_from_qvalues(self.deformed, a_r[self._of_element],
-                                      require_positive=False, interior=True)
+        return stiffness_from_qvalues(self.deformed, a_r[self._of_element])
 
     def matrix_data(self, a_r: np.ndarray | None, K_r, amplitudes,
                     out: np.ndarray) -> None:
@@ -136,7 +134,7 @@ def _derivative_load(deformed: Mesh, a_r: np.ndarray,
     """Interior load of the derivative problem on a deformed mesh, from
     the rough part's values at its edge midpoints."""
     return perturbation_load_from_qvalues(
-        deformed, a_r[edges(deformed).of_element], u0_values, interior=True)
+        deformed, a_r[edges(deformed).of_element], u0_values)
 
 
 def solve_sample(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,

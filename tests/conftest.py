@@ -3,6 +3,7 @@ import pytest
 
 import domainuq as dq
 import domainuq.fem as fem
+from domainuq.errors import MeshMismatch
 from domainuq.fields import (HoldAllGrid, ScalarFieldKL, eval_displacement,
                              eval_mean, eval_rough)
 from domainuq.lowrank import KLBasis
@@ -121,26 +122,84 @@ def smoothly_displaced(level, seed):
     return displace(mesh, disp)
 
 
+def at_quadrature(mesh, fn):
+    """(m, 3) values at the edge midpoints of each element (point q
+    opposite vertex q) of a function of (k, 2) points, or of a constant."""
+    qpoints = reference_geometry(mesh)[2].reshape(-1, 2)
+    values = np.asarray(fn(qpoints), dtype=float)
+    return np.broadcast_to(values, (len(qpoints),)).reshape(-1, 3)
+
+
+def reference_stiffness(mesh, coeff):
+    """Full CSR stiffness matrix of a coefficient given as a function of
+    the points or as its (m, 3) values at the quadrature points."""
+    areas, _, _, products = reference_geometry(mesh)
+    aq = at_quadrature(mesh, coeff) if callable(coeff) else coeff
+    return fem._scatter(
+        mesh, (aq.mean(axis=1) * areas)[:, None, None] * products)
+
+
+def nodal_sum(mesh, local):
+    """Sum (m, 3) element vectors into a full nodal vector."""
+    return np.bincount(mesh.triangles.reshape(-1), weights=local.reshape(-1),
+                       minlength=mesh.n_nodes)
+
+
+def reference_load(mesh, f):
+    """Full load vector b_i = int f phi_i dx of a function of the points
+    or its (m, 3) quadrature values; phi_i is 1/2 at the two midpoints of
+    the edges through vertex i and 0 at the third."""
+    fq = at_quadrature(mesh, f) if callable(f) else f
+    return nodal_sum(mesh, (reference_geometry(mesh)[0] / 3.0)[:, None]
+                     * (fq @ ((1.0 - np.eye(3)) / 2.0)))
+
+
+def reference_perturbation_load(mesh, aq, u0):
+    """Full load -int a grad(u0) . grad(phi_i) dx from (m, 3) values of a."""
+    areas, grads, _, _ = reference_geometry(mesh)
+    grad_u = np.einsum("mi,mid->md", u0[mesh.triangles], grads)
+    return nodal_sum(mesh, -(aq.mean(axis=1) * areas)[:, None]
+                     * np.einsum("md,mjd->mj", grad_u, grads))
+
+
+def interior_gather(mesh, K):
+    """Interior CSR data of a full matrix in the layout of the topology's
+    `ReferenceSolver`; MeshMismatch unless `K` has the topology's pattern."""
+    pattern = fem._pattern(mesh)
+    if K.shape != (mesh.n_nodes,) * 2 or not (
+            np.array_equal(K.indptr, pattern.indptr)
+            and np.array_equal(K.indices, pattern.indices)):
+        raise MeshMismatch("matrix pattern differs from the topology's")
+    return K.data[fem.reference_solver(mesh).slots]
+
+
+def matrix_solve(K, b, mesh, diag_out=None):
+    """Dirichlet solve of a full matrix for one (n,) load, or for each
+    column of (n, k) loads, as a block of k copies of its interior data."""
+    loads = np.reshape(b, (mesh.n_nodes, -1))[
+        fem.reference_solver(mesh).interior].T
+    data = np.tile(interior_gather(mesh, K), (len(loads), 1))
+    fields = fem.solve_dirichlet(data, loads, mesh, diag_out=diag_out)
+    return fields[0] if np.ndim(b) == 1 else fields
+
+
 def reference_realization(mesh, vf, sf, z, y=None, amplitudes=(0.0,)):
     """Interior matrix data, one row per amplitude c of `K_s + c * K_r`,
     and the interior load of one domain realization, by the per-element
     route: each element's own quadrature points located with `stencil`,
-    full matrices and vectors summed by `fem._scatter` and
-    `fem._scatter_vector`, then the interior gathers."""
-    ref = fem.reference_solver(mesh)
+    full matrices and vectors summed by `reference_stiffness` and
+    `reference_load`, then the interior gathers."""
     deformed = displace(mesh, eval_displacement(vf, z))
-    areas, _, qpoints, products = reference_geometry(deformed)
-    m = len(mesh.triangles)
-    stencil = sf.grid.stencil(qpoints.reshape(-1, 2))
+    stencil = sf.grid.stencil(reference_geometry(deformed)[2].reshape(-1, 2))
 
-    def interior_stiffness(aq):
-        local = (aq.mean(axis=1) * areas)[:, None, None] * products
-        return ref.interior_data(fem._scatter(deformed, local))
+    def interior_stiffness(values):
+        return interior_gather(
+            mesh, reference_stiffness(deformed, values.reshape(-1, 3)))
 
-    ks = interior_stiffness(eval_mean(sf, stencil).reshape(m, 3))
-    load = fem._scatter_vector(deformed, (areas / 3.0)[:, None] * (
-        np.ones((m, 3)) @ fem._PHI_AT_MIDPOINTS))[ref.interior]
+    ks = interior_stiffness(eval_mean(sf, stencil))
+    load = reference_load(deformed, lambda p: 1.0)[
+        fem.reference_solver(mesh).interior]
     if y is None:
         return np.tile(ks, (len(amplitudes), 1)), load
-    kr = interior_stiffness(eval_rough(sf, stencil, y).reshape(m, 3))
+    kr = interior_stiffness(eval_rough(sf, stencil, y))
     return np.multiply.outer(amplitudes, kr) + ks, load

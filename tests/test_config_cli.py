@@ -44,6 +44,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("line", [
         "eps_list = 1, 0.5",          # not ascending
+        "eps_list = 0.5, 0.5",        # repeated
         "eps_list = -1, 1",           # not positive
         "eps_list = 0.25, nan",       # not finite
         "eps_list = 0.25, inf",
@@ -220,6 +221,34 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "big.cfg", cfg_text)
         _, out = tiny_run
         assert main(["taylor", "--config", cfg, "--out", out]) == 3
+
+    def test_mc_stats_name_clash(self, tiny_run, tmp_path, capsys):
+        _, out = artifacts_copy(tiny_run, tmp_path / "clash")
+        cfg = write_config(tmp_path / "clash.cfg", TINY.replace(
+            "eps_list = 0.5, 1", "eps_list = 0.25, 0.2500001"))
+        assert main(["mc", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "0.25 and 0.2500001" in err
+        assert "mc_stats_eps0.25.txt" in err
+        assert not any(name.startswith("mc") for name in os.listdir(out))
+
+    def test_dead_worker_is_a_worker_failure(self, tiny_run, tmp_path,
+                                             capsys, monkeypatch):
+        from domainuq import cli, uq
+        cfg, out = artifacts_copy(tiny_run, tmp_path / "dead")
+        parent = os.getpid()
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise AssertionError("solved in the calling process")
+
+        monkeypatch.setattr(uq, "_cpu_count", lambda: 2)  # one-CPU hosts
+        monkeypatch.setattr(cli, "solve_block", dying)
+        assert main(["mc", "--config", cfg, "--out", out,
+                     "--threads", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("worker failure: samples 0 to 3 and later")
 
 
     def test_artifacts_of_another_grid(self, tiny_run, tmp_path, capsys):

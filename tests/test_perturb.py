@@ -8,7 +8,8 @@ import pytest
 import domainuq as dq
 import domainuq.fem as fem
 import domainuq.mesh as mesh_module
-from conftest import reference_geometry, reference_realization
+from conftest import (interior_gather, matrix_solve, reference_geometry,
+                      reference_load, reference_realization)
 from domainuq.fields import HoldAllGrid
 from domainuq.fem import NodalField, h1_norm
 from domainuq.fields import (SQRT3, VectorFieldKL, eval_displacement,
@@ -156,11 +157,15 @@ class TestFullSolve:
             dp.matrix_data(a_r_q, K_r, [0.5], np.empty((1, len(K_r))))
 
     def test_nan_smooth_part_raises(self, mesh3, vf3, sf64):
-        mean = sf64.mean.copy()
-        mean[len(mean) // 2] = np.nan  # a vertex at the disc centre
-        sf = dataclasses.replace(sf64, mean=mean)
-        with pytest.raises(dq.NonPositiveCoefficient):
-            DeformedProblem(mesh3, vf3, sf, np.zeros(vf3.n_modes))
+        for bad in (np.nan, 0.0, -1.0):
+            mean = sf64.mean.copy()
+            if np.isnan(bad):
+                mean[len(mean) // 2] = bad  # a vertex at the disc centre
+            else:
+                mean = np.minimum(mean, bad)  # nowhere positive
+            sf = dataclasses.replace(sf64, mean=mean)
+            with pytest.raises(dq.NonPositiveCoefficient):
+                DeformedProblem(mesh3, vf3, sf, np.zeros(vf3.n_modes))
 
     def test_pair_serves_listed_amplitudes_only(self, mesh3, vf3, sf64):
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 25, 0)
@@ -327,7 +332,7 @@ class TestSecondOrderCorrection:
 
 def stiffness_from_element_tensors(mesh, tensors):
     """Stiffness matrix for a per-element constant 2x2 matrix coefficient."""
-    areas, grads, _ = fem.element_geometry(mesh)
+    areas, grads, _, _ = reference_geometry(mesh)
     local = areas[:, None, None] * np.einsum(
         "mid,mde,mje->mij", grads, tensors, grads)
     return fem._scatter(mesh, local)
@@ -353,8 +358,7 @@ def solve_transported(mesh, vf, sf, sample, eps):
     detVp = np.linalg.det(Vp)
     B = np.linalg.inv(np.transpose(Vp, (0, 2, 1)) @ Vp) * detVp[:, None, None]
 
-    _, _, qpts_def = fem.element_geometry(deformed)
-    qflat = qpts_def.reshape(-1, 2)
+    qflat = reference_geometry(deformed)[2].reshape(-1, 2)
     a_q = (eval_mean(sf, qflat)
            + eps * eval_rough(sf, qflat, sample.y)).reshape(m, 3)
     if not np.all(a_q > 0.0):
@@ -362,8 +366,8 @@ def solve_transported(mesh, vf, sf, sample, eps):
             f"coefficient minimum {a_q.min():.6e} at amplitude {eps}")
     tensors = a_q.mean(axis=1)[:, None, None] * B
     K = stiffness_from_element_tensors(mesh, tensors)
-    b = fem.load_from_qvalues(mesh, np.ones((m, 3)) * detVp[:, None])
-    return fem.solve_dirichlet(K, b, mesh)
+    b = reference_load(mesh, np.ones((m, 3)) * detVp[:, None])
+    return matrix_solve(K, b, mesh)
 
 
 class TestTransportedCrossCheck:
@@ -448,7 +452,7 @@ class TestPerRealizationWork:
         a_r_q = dp.rough_qvalues(s.y)
         areas, _, _, products = reference_geometry(dp.deformed)
         per_element = a_r_q[mesh_module.edges(mesh3).of_element]
-        expected = fem.reference_solver(mesh3).interior_data(fem._scatter(
+        expected = interior_gather(mesh3, fem._scatter(
             dp.deformed,
             (per_element.mean(axis=1) * areas)[:, None, None] * products))
         passes = counting(monkeypatch, mesh_module, "compute_geometry")
