@@ -4,8 +4,8 @@ Subcommands: build-kl, solve-one, mc, taylor, convergence.  Every output
 file carries the config hash, seed, and RNG algorithm; identical configs
 reproduce identical bytes for any `--threads` value.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure or a
-worker process that died.
+Exit codes: 0 success, 2 configuration error (an `--out` that cannot be
+created included), 3 numerical failure or a worker process that died.
 """
 
 from __future__ import annotations
@@ -114,7 +114,6 @@ def _load_artifacts(cfg: ExperimentConfig, mesh):
 
 
 def cmd_build_kl(cfg: ExperimentConfig) -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     mesh = build_disc_mesh(cfg.mesh_level)
     vf = build_vector_field_kl(mesh, cfg.kl_tol_v)
     sf = build_coefficient_kl(cfg.grid_cells, cfg.kl_tol_a)
@@ -451,7 +450,11 @@ def run(argv=None) -> None:
     cfg = load_config(args.config) if args.config else validate_config(
         ExperimentConfig())
     cfg = override_config(cfg, seed=args.seed, out_dir=args.out)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir!r}: "
+                          f"{e}") from e
 
     if args.command == "build-kl":
         cmd_build_kl(cfg)

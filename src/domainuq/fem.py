@@ -303,10 +303,8 @@ class ReferenceSolver:
                            indptr[:k * m + 1]), shape=(k * m, k * m))
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        """One V-cycle applied to an interior residual vector, or to each
-        row of a (k, m) block of them as one multi-vector product."""
-        if r.ndim == 1:
-            return self._vcycle(0, r)
+        """One V-cycle applied to each row of a (k, m) block of interior
+        residuals, as one multi-vector product."""
         return np.ascontiguousarray(self._vcycle(0, r.T.copy()).T)
 
     def _vcycle(self, k: int, r: np.ndarray) -> np.ndarray:

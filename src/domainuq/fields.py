@@ -26,8 +26,7 @@ from scipy.sparse import csr_matrix, diags, kron
 
 from .errors import OutOfHoldAll
 from .fem import assemble_mass
-from .lowrank import (CovarianceOracle, KLBasis, pivoted_cholesky,
-                      reduced_eigs, truncate)
+from .lowrank import CovarianceOracle, KLBasis, pivoted_cholesky, reduced_eigs
 from .mesh import Mesh
 from .textio import hex_row, parse_hex_row
 
@@ -157,8 +156,9 @@ def build_vector_field_kl(mesh: Mesh, tol: float,
 
     Runs the pivoted Cholesky factorization of the 2n x 2n nodal covariance,
     solves the reduced eigenproblem against the block mass matrix, and
-    truncates so the relative L2 truncation error of the field stays below
-    `tol`, i.e. the discarded eigenvalue mass is at most tol^2 of the trace.
+    lifts only the modes that keep the relative L2 truncation error of the
+    field below `tol`, i.e. the discarded eigenvalue mass is at most tol^2
+    of the trace.
     """
     oracle = VectorFieldCovariance(mesh.nodes)
     if chol_tol is None:
@@ -169,7 +169,7 @@ def build_vector_field_kl(mesh: Mesh, tol: float,
     # mesh level 6).
     mass = assemble_mass(mesh)
     factor = pivoted_cholesky(oracle, chol_tol, max_rank)
-    basis = truncate(reduced_eigs(factor, mass, block=2), tol * tol)
+    basis = reduced_eigs(factor, mass, block=2, tol=tol * tol)
     info = {"chol_rank": factor.rank, "chol_residual": factor.trace_residual}
     return VectorFieldKL(mean=mesh.nodes.copy(), basis=basis,
                          level=mesh.level, build_info=info)
@@ -313,7 +313,7 @@ def build_coefficient_kl(grid_cells: int, tol: float,
     if chol_tol is None:
         chol_tol = CHOL_TOL_FACTOR * tol * tol
     factor = pivoted_cholesky(oracle, chol_tol, max_rank)
-    basis = truncate(reduced_eigs(factor, _grid_mass(grid), block=1), tol * tol)
+    basis = reduced_eigs(factor, _grid_mass(grid), block=1, tol=tol * tol)
     info = {"chol_rank": factor.rank, "chol_residual": factor.trace_residual}
     return ScalarFieldKL(grid=grid, mean=coefficient_mean(points),
                          basis=basis, build_info=info)

@@ -4,7 +4,11 @@ The pivoted Cholesky decomposition builds C ~= L L^T column by column,
 choosing the largest remaining diagonal entry as the next pivot and
 evaluating covariance entries on the fly, so the full matrix is never
 stored.  The generalized eigenproblem of the mass-weighted covariance is
-then reduced to a dense symmetric problem of the factor's rank.
+then reduced to a dense symmetric problem of the factor's rank.  The
+truncation rule is applied to the eigenvalues of that small problem, and
+only the modes it keeps are lifted back to the n nodal values, so the KL
+build holds at most the factor, one factor-sized product and two copies
+of the kept modes at once.
 """
 
 from __future__ import annotations
@@ -164,7 +168,9 @@ class KLBasis:
 
     `modes[k]` is the nodal vector of the k-th mode scaled such that
     modes[k] @ M_hat @ modes[k] = mu[k]; i.e. the rows already carry the
-    sqrt-eigenvalue factor of the truncated expansion.
+    sqrt-eigenvalue factor of the truncated expansion.  A basis built by
+    `reduced_eigs` with a `tol` holds only the kept modes: the discarded
+    ones are never lifted to nodal vectors.
     """
 
     mu: np.ndarray             # (m,)
@@ -180,13 +186,36 @@ class KLBasis:
         return self.modes.shape[1]
 
 
-def reduced_eigs(factor: LowRankFactor, mass: csr_matrix, block: int) -> KLBasis:
-    """All eigenpairs of the mass-weighted covariance restricted to range(L).
+def kept_count(mu: np.ndarray, tol: float) -> int:
+    """Length of the smallest leading set of the descending eigenvalues
+    `mu` whose discarded trace is within tol.
+
+    The criterion is relative: sum of discarded eigenvalues at most
+    tol * sum of all eigenvalues.
+    """
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must lie in (0, 1)")
+    total = float(mu.sum())
+    if total == 0.0:
+        return 0
+    suffix = np.concatenate([np.cumsum(mu[::-1])[::-1], [0.0]])
+    return int(np.argmax(suffix <= tol * total))
+
+
+def reduced_eigs(factor: LowRankFactor, mass: csr_matrix, block: int,
+                 tol: float | None = None) -> KLBasis:
+    """Eigenpairs of the mass-weighted covariance restricted to range(L).
 
     Solves the dense symmetric problem (L^T M_hat L) v~ = mu v~, where
     M_hat is the block-diagonal matrix with `block` copies of `mass`, and
     lifts the eigenvectors by v = L v~.  The lifted vectors satisfy
-    v_i^T M_hat v_j = mu_i delta_ij.
+    v_i^T M_hat v_j = mu_i delta_ij.  With `tol`, only the leading pairs
+    that `kept_count` keeps are lifted; without it, all `rank` are.
+
+    Besides the (n, rank) factor L, the arrays live at once are M_hat L
+    until L^T M_hat L is formed (it is freed before the lift), then the
+    (n, m) lift of the m kept eigenvectors and its contiguous (m, n)
+    transpose, which becomes `modes`.
     """
     L = factor.columns
     n_total, rank = L.shape
@@ -194,14 +223,12 @@ def reduced_eigs(factor: LowRankFactor, mass: csr_matrix, block: int) -> KLBasis
     if n_total != block * n_mass:
         raise ValueError(
             f"factor rows {n_total} != block {block} x mass dimension {n_mass}")
-    if rank == 0:
-        return KLBasis(np.zeros(0), np.zeros((0, n_total)))
-
     ML = np.empty_like(L)
     for b in range(block):
         sl = slice(b * n_mass, (b + 1) * n_mass)
         ML[sl] = mass @ L[sl]
     S = L.T @ ML
+    del ML
     S = 0.5 * (S + S.T)
     try:
         w, V = np.linalg.eigh(S)
@@ -209,8 +236,9 @@ def reduced_eigs(factor: LowRankFactor, mass: csr_matrix, block: int) -> KLBasis
         raise EigFailed(f"dense symmetric eigensolve failed: {e}") from e
     w = np.maximum(w[::-1], 0.0)
     V = V[:, ::-1]
-    modes = (L @ V).T
-    return KLBasis(mu=w.copy(), modes=np.ascontiguousarray(modes))
+    keep = rank if tol is None else kept_count(w, tol)
+    modes = np.ascontiguousarray((L @ V[:, :keep]).T)
+    return KLBasis(mu=w[:keep].copy(), modes=modes, truncation_tol=tol or 0.0)
 
 
 def mode_magnitudes(basis: KLBasis) -> np.ndarray:
@@ -223,17 +251,12 @@ def mode_magnitudes(basis: KLBasis) -> np.ndarray:
 
 
 def truncate(basis: KLBasis, tol: float) -> KLBasis:
-    """Keep the smallest leading mode set whose discarded trace is within tol.
+    """Keep the leading modes of an already lifted basis by `kept_count`.
 
-    The criterion is relative: sum of discarded eigenvalues at most
-    tol * sum of all eigenvalues.
+    Lifting every mode and then truncating gives bit for bit the basis
+    that `reduced_eigs` with the same `tol` builds, at the cost of holding
+    all `rank` lifted modes and then copying the kept rows.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
-    total = float(basis.mu.sum())
-    if total == 0.0:
-        return KLBasis(basis.mu[:0], basis.modes[:0], truncation_tol=tol)
-    suffix = np.concatenate([np.cumsum(basis.mu[::-1])[::-1], [0.0]])
-    keep = int(np.argmax(suffix <= tol * total))
+    keep = kept_count(basis.mu, tol)
     return KLBasis(basis.mu[:keep].copy(), basis.modes[:keep].copy(),
                    truncation_tol=tol)

@@ -207,6 +207,15 @@ class TestExitCodes:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+    def test_out_that_cannot_be_created(self, tmp_path, capsys, sub):
+        taken = tmp_path / "file"
+        taken.write_text("a regular file\n")
+        out = taken / sub if sub else taken
+        assert main(["build-kl", "--out", str(out)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert taken.read_text() == "a regular file\n"
+
     def test_missing_artifacts(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", TINY)
         assert main(["convergence", "--config", cfg,

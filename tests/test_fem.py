@@ -464,11 +464,11 @@ class TestReferenceSolver:
         ref = reference_solver(mesh5)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            r1, r2 = rng.standard_normal((2, len(ref.interior)))
-            a = r1 @ ref.precondition(r2)
-            b = r2 @ ref.precondition(r1)
+            r1, r2 = rng.standard_normal((2, 1, len(ref.interior)))
+            a = r1[0] @ ref.precondition(r2)[0]
+            b = r2[0] @ ref.precondition(r1)[0]
             assert abs(a - b) <= 1e-12 * abs(a)
-            assert r1 @ ref.precondition(r1) > 0.0
+            assert r1[0] @ ref.precondition(r1)[0] > 0.0
 
     def test_prolongation_reproduces_linear_functions(self, mesh5):
         edges = mesh5.refinements[-1]

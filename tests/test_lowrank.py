@@ -1,13 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, diags, identity
 
 from domainuq import lowrank
 from domainuq.errors import NotPSD
-from domainuq.fields import (HoldAllGrid, ScalarFieldKL, load_scalar_field,
-                             save_scalar_field)
+from domainuq.fem import assemble_mass
+from domainuq.fields import (CHOL_TOL_FACTOR, CoefficientCovariance,
+                             HoldAllGrid, ScalarFieldKL, VectorFieldCovariance,
+                             _grid_mass, load_scalar_field, save_scalar_field)
 from domainuq.lowrank import (DenseOracle, KLBasis, pivoted_cholesky,
                               reduced_eigs, truncate)
+
+#: Trace-level truncation target of a KL build at the default tolerance 1e-2.
+KL_TOL = 1e-2 ** 2
 
 
 def gaussian_kernel_matrix(n):
@@ -200,6 +207,59 @@ class TestTruncate:
             truncate(basis, 0.0)
         with pytest.raises(ValueError):
             truncate(basis, 1.0)
+
+
+def vector_field_problem(mesh):
+    """Factor and mass matrix of the vector-field KL build on `mesh`."""
+    mass = assemble_mass(mesh)
+    factor = pivoted_cholesky(VectorFieldCovariance(mesh.nodes),
+                              CHOL_TOL_FACTOR * KL_TOL)
+    return factor, mass
+
+
+class TestKeptLift:
+    def test_bit_equal_to_lift_then_truncate(self, mesh4):
+        grid = HoldAllGrid(64)
+        coefficient = (pivoted_cholesky(
+            CoefficientCovariance(grid.vertex_points()),
+            CHOL_TOL_FACTOR * KL_TOL), _grid_mass(grid))
+        for (factor, mass), block in ((vector_field_problem(mesh4), 2),
+                                      (coefficient, 1)):
+            reference = truncate(reduced_eigs(factor, mass, block), KL_TOL)
+            kept = reduced_eigs(factor, mass, block, tol=KL_TOL)
+            assert 0 < kept.n_modes < factor.rank
+            assert np.array_equal(kept.mu, reference.mu)
+            assert np.array_equal(kept.modes, reference.modes)
+            assert kept.modes.flags.c_contiguous
+            assert kept.truncation_tol == reference.truncation_tol
+
+    def test_rank_zero_factor(self):
+        factor = pivoted_cholesky(DenseOracle(np.zeros((3, 3))), 1e-12)
+        assert factor.rank == 0
+        for tol in (None, KL_TOL):
+            basis = reduced_eigs(factor, csr_matrix(identity(3)), 1, tol=tol)
+            assert basis.mu.shape == (0,) and basis.modes.shape == (0, 3)
+        with pytest.raises(ValueError):
+            reduced_eigs(factor, csr_matrix(identity(3)), 1, tol=1.0)
+
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_eigen_step_peak_memory(self, level, request):
+        """The eigen step holds about one factor-sized product beyond the
+        factor, not the full lift and its transposed copy as well."""
+        factor, mass = vector_field_problem(
+            request.getfixturevalue(f"mesh{level}"))
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            basis = reduced_eigs(factor, mass, block=2, tol=KL_TOL)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert basis.n_modes < factor.rank
+        assert peak <= 2 * factor.columns.nbytes
 
 
 def test_klbasis_roundtrip_bit_exact(tmp_path):
