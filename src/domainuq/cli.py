@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import closing
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .fields import (RNG_ALGORITHM, Sample, build_coefficient_kl,
                      build_vector_field_kl, draw_sample, load_scalar_field,
                      load_vector_field, save_scalar_field, save_vector_field)
 from .mesh import build_disc_mesh, save_mesh
-from .perturb import remainders, solve_block, solve_pairs, solve_sample
+from .perturb import remainders, solve_block, solve_sample
 from .textio import fmt
 from .uq import (block_accumulators, l2_norm, mc_estimate, norm_by_name,
                  quadrature_estimate, save_statistics, slope_fit,
@@ -188,16 +189,13 @@ def cmd_mc(cfg: ExperimentConfig, threads: int) -> None:
             raise ConfigError(f"eps_list values {other!r} and {eps!r} would "
                               f"both write mc_stats_eps{eps:g}.txt")
     mesh = build_disc_mesh(cfg.mesh_level)
-    vf, sf = _load_artifacts(cfg, mesh)
-    reference_solver(mesh)  # built once here, inherited by forked workers
+    model = FEModel(mesh, *_load_artifacts(cfg, mesh))
 
     def solver(samples):
-        u, _ = solve_block(mesh, vf, sf, [s.z for s in samples],
-                           [s.y for s in samples], cfg.eps_list)
-        return u
+        return model.pairs(samples, cfg.eps_list)[0]
 
-    per_eps = mc_estimate(solver, (sf.n_modes, vf.n_modes), cfg.n_mc,
-                          cfg.seed, threads=threads)
+    per_eps = mc_estimate(solver, model.dims, cfg.n_mc, cfg.seed,
+                          threads=threads)
     rows = []
     for eps, stats in zip(cfg.eps_list, per_eps):
         path = os.path.join(cfg.out_dir, f"mc_stats_eps{eps:g}.txt")
@@ -226,8 +224,9 @@ class FEModel:
         return [fields[0] for fields in u]
 
     def pairs(self, samples, amplitudes, with_delta=False):
-        return solve_pairs(self.mesh, self.vf, self.sf, samples, amplitudes,
-                           with_delta)
+        return solve_block(self.mesh, self.vf, self.sf,
+                           [s.z for s in samples], [s.y for s in samples],
+                           amplitudes, with_delta)
 
 
 class SyntheticModel:
@@ -256,13 +255,14 @@ class SyntheticModel:
         return [NodalField(self.u0_values(z), self.level) for z in zs]
 
     def pairs(self, samples, amplitudes, with_delta=False):
-        out = []
+        u, deltas = [], []
         for sample in samples:
             u0 = self.u0_values(sample.z)
             delta = self.base * float(self.coeffs @ sample.y)
-            out.append((u0, {float(c): u0 + c * delta + c * c * self.q
-                             for c in amplitudes}, delta))
-        return out
+            u.append([NodalField(u0 + c * delta + c * c * self.q, self.level)
+                      for c in amplitudes])
+            deltas.append(NodalField(delta, self.level))
+        return u, (deltas if with_delta else None)
 
 
 def _model(cfg: ExperimentConfig, mesh, synthetic: bool):
@@ -270,14 +270,27 @@ def _model(cfg: ExperimentConfig, mesh, synthetic: bool):
 
     Both offer `dims` (n_y, n_z) and two block solvers: `u0(zs)`, one
     NodalField per domain parameter vector, and `pairs(samples, amplitudes,
-    with_delta)`, per sample the (u0 values, {amplitude: u_eps values},
-    delta values) triple of `perturb.solve_pairs` for the signed
-    amplitudes sign * eps listed.
+    with_delta)`, the (u, delta) of `perturb.solve_block`: per sample one
+    NodalField per amplitude in the order given (u0 at amplitude 0, and
+    u_eps at the parameters sign * y at amplitude sign * eps), and per
+    sample the derivative solve (`delta` is None without `with_delta`).
     """
     if synthetic:
         return SyntheticModel(mesh)
     vf, sf = _load_artifacts(cfg, mesh)
     return FEModel(mesh, vf, sf)
+
+
+def _slope(points) -> float | None:
+    """`slope_fit` of (eps, error) points; None with fewer than two
+    points or an error that is not positive."""
+    if len(points) < 2 or not all(v > 0.0 for _, v in points):
+        return None
+    return slope_fit(points)
+
+
+def _slope_text(slope: float | None) -> str:
+    return "undefined" if slope is None else fmt(slope)
 
 
 def cmd_taylor(cfg: ExperimentConfig, synthetic: bool) -> None:
@@ -288,17 +301,18 @@ def cmd_taylor(cfg: ExperimentConfig, synthetic: bool) -> None:
     slopes = []
     for s in range(cfg.n_taylor):
         sample = draw_sample(*model.dims, cfg.seed, s)
-        pair = model.pairs([sample], eps_grid, with_delta=True)[0]
-        rems = remainders(mesh, pair, eps_grid)
+        u, delta = model.pairs([sample], eps_grid, with_delta=True)
+        rems = remainders(mesh, u[0], delta[0], eps_grid)
         for eps, rem in zip(eps_grid, rems):
             rows.append(f"{s},{fmt(eps)},{fmt(rem)}")
         positive = [(e, r) for e, r in zip(eps_grid, rems) if e > 0.0]
-        slopes.append(slope_fit(positive))
+        slopes.append(_slope(positive))
 
     lines = _header_lines(cfg) + ["sample,eps,remainder_h1"] + rows
     for s, sl in enumerate(slopes):
-        lines.append(f"# slope sample={s} {fmt(sl)}")
-    lines.append(f"# slope_mean {fmt(float(np.mean(slopes)))}")
+        lines.append(f"# slope sample={s} {_slope_text(sl)}")
+    mean = None if None in slopes else float(np.mean(slopes))
+    lines.append(f"# slope_mean {_slope_text(mean)}")
     _write(os.path.join(cfg.out_dir, "taylor.csv"), "\n".join(lines) + "\n")
 
 
@@ -308,44 +322,48 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
 
     `factory(samples, amplitudes, with_delta)` is a model's `pairs`
     block solver, called on blocks of consecutive pairs (see
-    `uq.solve_blocks`) with the signed amplitudes sign * eps of both
-    signs.  Returns per-eps (momD, momE, mom0): moments of the coupled
-    difference, of u_eps, and of u0, over 2 * n_pairs samples, plus the
-    moments of the derivative solve when `with_delta` is set.
+    `uq.solve_blocks`) with 0, then the signed amplitudes sign * eps of
+    both signs in ascending order: a column's rounding depends on its
+    position in the lockstep block.  Returns per-eps (momD, momE, mom0):
+    moments of the coupled difference, of u_eps, and of u0, over
+    2 * n_pairs samples, plus the moments of the derivative solve when
+    `with_delta` is set.
     """
     n_pairs = cfg.n_mc // 2
     if n_pairs < 1:
         raise ConfigError("n_mc must be at least 2 for the paired sweep")
-    n_eps = len(cfg.eps_list)
     signs = (1.0, -1.0)
-    amplitudes = [sign * eps for sign in signs for eps in cfg.eps_list]
+    amplitudes = [0.0] + sorted(sign * eps for sign in signs
+                                for eps in cfg.eps_list)
+    # per eps, the column of each sign
+    columns = [[amplitudes.index(sign * eps) for sign in signs]
+               for eps in cfg.eps_list]
 
     def pair_fields(pairs):
-        """Per pair, u0, u_eps at each (sign, eps) in sign-major order, and
-        the derivative solve or None."""
         samples = [draw_sample(dims[0], dims[1], cfg.seed, p) for p in pairs]
-        return [(u0, [u_eps[sign * eps] for sign in signs
-                      for eps in cfg.eps_list], delta)
-                for u0, u_eps, delta in factory(samples, amplitudes,
-                                                with_delta)]
+        u, delta = factory(samples, amplitudes, with_delta)
+        return [(fields, None if delta is None else delta[i])
+                for i, fields in enumerate(u)]
 
-    def updates():
-        """Per pair, the vectors of each accumulator in update order: for
-        each eps those of u_eps - u0, u_eps and u0, one per sign, then
-        those of the derivative solve."""
-        for u0, u_eps, delta in solve_blocks(pair_fields, n_pairs,
-                                             "sample pair", threads):
-            out = []
-            for ei in range(n_eps):
-                u = [u_eps[ei], u_eps[n_eps + ei]]
-                out += [[x - u0 for x in u], u, [u0, u0]]
-            if with_delta:
-                out.append([sign * delta for sign in signs])
-            yield out
+    def updates(fields, delta):
+        """The vectors of each accumulator in update order: for each eps
+        those of u_eps - u0, u_eps and u0, one per sign, then those of the
+        derivative solve."""
+        u0 = fields[0].values
+        out = []
+        for cols in columns:
+            u = [fields[j].values for j in cols]
+            out += [[x - u0 for x in u], u, [u0, u0]]
+        if with_delta:
+            out.append([sign * delta.values for sign in signs])
+        return out
 
-    moments = [tree_merge(accs)
-               for accs in block_accumulators(updates(), n_pairs)]
-    merged = [tuple(moments[3 * ei:3 * ei + 3]) for ei in range(n_eps)]
+    with closing(solve_blocks(pair_fields, n_pairs, "sample pair",
+                              threads)) as outputs:
+        moments = [tree_merge(accs) for accs in block_accumulators(
+            (updates(*pair) for pair in outputs), n_pairs)]
+    merged = [tuple(moments[3 * ei:3 * ei + 3])
+              for ei in range(len(cfg.eps_list))]
     return merged, (moments[-1] if with_delta else None)
 
 
@@ -389,15 +407,13 @@ def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
         f"# quad_level={cfg.quad_level} quad_nodes={len(rule.nodes)}",
         f"# norms: mean={cfg.norm_mean} variance={cfg.norm_var}",
         f"# second_order_variance={'on' if second_order_variance else 'off'}",
-        "eps,err_mean_h1,err_var_w11,mc_stderr_mean,n_samples",
+        f"eps,err_mean_{cfg.norm_mean},err_var_{cfg.norm_var},"
+        "mc_stderr_mean,n_samples",
     ] + rows
     if len(cfg.eps_list) >= 2:
         for label, points in (("slope_mean", mean_points),
                               ("slope_var", var_points)):
-            if all(v > 0.0 for _, v in points):
-                lines.append(f"# {label} {fmt(slope_fit(points))}")
-            else:
-                lines.append(f"# {label} undefined")
+            lines.append(f"# {label} {_slope_text(_slope(points))}")
     _write(os.path.join(cfg.out_dir, "convergence.csv"),
            "\n".join(lines) + "\n")
 

@@ -241,15 +241,6 @@ def reduced_eigs(factor: LowRankFactor, mass: csr_matrix, block: int,
     return KLBasis(mu=w[:keep].copy(), modes=modes, truncation_tol=tol or 0.0)
 
 
-def mode_magnitudes(basis: KLBasis) -> np.ndarray:
-    """Sup norms of the scaled modes, one per retained eigenpair.
-
-    These are the natural per-dimension importance weights for anisotropic
-    sparse quadrature over the expansion parameters.
-    """
-    return np.abs(basis.modes).max(axis=1)
-
-
 def truncate(basis: KLBasis, tol: float) -> KLBasis:
     """Keep the leading modes of an already lifted basis by `kept_count`.
 

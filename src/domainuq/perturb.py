@@ -234,41 +234,27 @@ def _fill_realization(mesh, vf, sf, z, y, amplitudes, data, loads, rough):
         rough.append((dp.deformed, a_r))
 
 
-def solve_pairs(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, samples,
-                amplitudes, with_delta: bool = False):
-    """Coupled solves of a block of samples, one domain realization each.
-
-    `amplitudes` lists the signed amplitudes sign * eps the caller will
-    ask for; u0 and u_eps at each of them are solved in one `solve_block`
-    call.  Returns, per sample, (u0 values, {amplitude: values of u_eps},
-    delta_u values at y, or None without `with_delta`).  The u_eps at the
-    parameters sign * y is the solve at amplitude sign * eps, and the one
-    at amplitude 0 is u0 itself.
-    """
-    columns = [0.0] + sorted({float(c) for c in amplitudes} - {0.0})
-    u, delta = solve_block(mesh, vf, sf, [s.z for s in samples],
-                           [s.y for s in samples], columns, with_delta)
-    return [(fields[0].values,
-             {c: f.values for c, f in zip(columns, fields)},
-             None if delta is None else delta[i].values)
-            for i, fields in enumerate(u)]
-
-
-def remainders(mesh: Mesh, pair, eps_list) -> list[float]:
-    """H1 norms (on the reference disc) of u_eps - u0 - eps * delta_u over
-    several amplitudes, from one sample's `solve_pairs` triple."""
-    u0, u_eps, delta = pair
-    return [h1_norm(mesh, NodalField(u_eps[float(eps)] - u0 - eps * delta,
+def remainders(mesh: Mesh, u, delta: NodalField, amplitudes) -> list[float]:
+    """H1 norms (on the reference disc) of u_eps - u0 - eps * delta_u for
+    each amplitude eps, from one realization of a `solve_block` call:
+    `u` holds its fields at `amplitudes`, which must list 0 (u0), and
+    `delta` its derivative solve."""
+    u0 = u[amplitudes.index(0.0)].values
+    return [h1_norm(mesh, NodalField(f.values - u0 - eps * delta.values,
                                      mesh.level))
-            for eps in eps_list]
+            for f, eps in zip(u, amplitudes)]
 
 
 def taylor_remainders(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
                       sample: Sample, eps_list) -> list[float]:
     """Taylor remainders for one sample over several amplitudes, sharing
-    the domain realization, u0, and delta_u across amplitudes."""
-    pair = solve_pairs(mesh, vf, sf, [sample], eps_list, with_delta=True)[0]
-    return remainders(mesh, pair, eps_list)
+    the domain realization, u0, and delta_u across amplitudes.  The
+    block holds u0 and each distinct nonzero amplitude once, ascending."""
+    columns = [0.0] + sorted({float(eps) for eps in eps_list} - {0.0})
+    u, delta = solve_block(mesh, vf, sf, [sample.z], [sample.y], columns,
+                           with_delta=True)
+    rems = dict(zip(columns, remainders(mesh, u[0], delta[0], columns)))
+    return [rems[float(eps)] for eps in eps_list]
 
 
 def delta_second_moment(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,

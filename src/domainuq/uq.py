@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import BrokenExecutor
+from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, product
 from math import comb
 
 import numpy as np
@@ -230,14 +231,14 @@ def solve_blocks(fn, n_items: int, label: str, threads: int = 1,
                      if e.index in range(len(block)) else span(block))
             raise type(e)(f"{where}: {e}") from e
 
-    outputs = map_blocks(run, blocks, threads)
-    for block in blocks:
-        try:
-            block_outputs = next(outputs)
-        except BrokenExecutor as e:
-            raise WorkerDied(f"{span(block)} and later: a worker process "
-                             "died before their outputs arrived") from e
-        yield from block_outputs
+    with closing(map_blocks(run, blocks, threads)) as outputs:
+        for block in blocks:
+            try:
+                block_outputs = next(outputs)
+            except BrokenExecutor as e:
+                raise WorkerDied(f"{span(block)} and later: a worker process "
+                                 "died before their outputs arrived") from e
+            yield from block_outputs
 
 
 def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
@@ -245,11 +246,10 @@ def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
     """Plain Monte Carlo mean and variance over i.i.d. draws of (y, z).
 
     `solver(samples)` takes a list of up to `SOLVE_BLOCK` consecutive
-    samples (see `solve_blocks`) and returns one output per sample.  An
-    output that is a NodalField makes the result its Statistics; one that
-    is a list of NodalFields, several quantities computed from one
-    sample, makes the result a list of Statistics in the same order, each
-    from its own accumulators.
+    samples (see `solve_blocks`) and returns, per sample, a list of
+    NodalFields: several quantities computed from one sample.  The result
+    is a list of Statistics in the same order, each from its own
+    accumulators.
 
     Sample i is generated from the stream (seed, i), so the estimate is a
     pure function of (seed, n_samples) regardless of the thread count.
@@ -258,22 +258,16 @@ def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     n_y, n_z = dims
-    outputs = solve_blocks(
-        lambda indices: solver([draw_sample(n_y, n_z, seed, i)
-                               for i in indices]),
-        n_samples, "sample", threads)
-    first = next(outputs)
-    single = isinstance(first, NodalField)
-
-    def fields(out):
-        return [out] if single else out
-
-    blocks = block_accumulators(([(f.values,) for f in fields(out)]
-                                 for out in chain([first], outputs)),
-                                n_samples)
-    stats = [tree_merge(accs).freeze(f.level)
-             for accs, f in zip(blocks, fields(first))]
-    return stats[0] if single else stats
+    with closing(solve_blocks(
+            lambda indices: solver([draw_sample(n_y, n_z, seed, i)
+                                    for i in indices]),
+            n_samples, "sample", threads)) as outputs:
+        first = next(outputs)
+        blocks = block_accumulators(([(f.values,) for f in out]
+                                     for out in chain([first], outputs)),
+                                    n_samples)
+    return [tree_merge(accs).freeze(f.level)
+            for accs, f in zip(blocks, first)]
 
 
 def quadrature_estimate(solver, rule: "QuadratureRule",
@@ -291,15 +285,16 @@ def quadrature_estimate(solver, rule: "QuadratureRule",
     """
     if len(rule.nodes) == 0:
         raise ValueError("quadrature rule is empty")
-    outputs = solve_blocks(
-        lambda indices: solver(rule.nodes[indices.start:indices.stop]),
-        len(rule.nodes), "quadrature node", threads, QUADRATURE_BLOCK)
     s1 = s2 = None
-    for w, u in zip(rule.weights, outputs):
-        if s1 is None:
-            s1, s2, level = np.zeros(u.n), np.zeros(u.n), u.level
-        s1 += w * u.values
-        s2 += w * (u.values * u.values)
+    with closing(solve_blocks(
+            lambda indices: solver(rule.nodes[indices.start:indices.stop]),
+            len(rule.nodes), "quadrature node", threads,
+            QUADRATURE_BLOCK)) as outputs:
+        for w, u in zip(rule.weights, outputs):
+            if s1 is None:
+                s1, s2, level = np.zeros(u.n), np.zeros(u.n), u.level
+            s1 += w * u.values
+            s2 += w * (u.values * u.values)
     return Statistics(weight=float(rule.weights.sum()),
                       mean=NodalField(s1, level),
                       second_central=NodalField(s2 - s1 * s1, level),
@@ -329,47 +324,34 @@ def gauss_legendre_1d(n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes.reshape(-1, 1), weights=weights)
 
 
-def _index_set(dim: int, level: float, weights: np.ndarray) -> list[tuple[int, ...]]:
-    """All multi-indices alpha with sum_j weights_j * alpha_j <= level."""
+def _index_set(dim: int, level: int) -> list[tuple[int, ...]]:
+    """All multi-indices alpha with sum_j alpha_j <= level."""
     out: list[tuple[int, ...]] = []
 
-    def rec(j: int, prefix: tuple[int, ...], budget: float):
+    def rec(j: int, prefix: tuple[int, ...], budget: int):
         if j == dim:
             out.append(prefix)
             return
-        k = 0
-        while k * weights[j] <= budget + 1e-12:
-            rec(j + 1, prefix + (k,), budget - k * weights[j])
-            k += 1
-    rec(0, (), float(level))
+        for k in range(budget + 1):
+            rec(j + 1, prefix + (k,), budget - k)
+    rec(0, (), level)
     return out
 
 
-def smolyak_rule(dim: int, level: int,
-                 weights: np.ndarray | None = None) -> QuadratureRule:
+def smolyak_rule(dim: int, level: int) -> QuadratureRule:
     """Sparse combination of 1D Gauss-Legendre rules.
 
-    The multi-index set is {alpha : sum_j weights_j * alpha_j <= level}
-    with the 1D rule of order alpha_j + 1 in dimension j, so for dim = 1
-    the rule coincides with gauss_legendre_1d(level + 1) and level 0 is
-    the single midpoint node.  Per-dimension weights >= 1 thin out the
-    weakly contributing dimensions.  Combination weights of the merged
-    nodes may be negative for dim >= 2; they always sum to one and the
-    node set is symmetric under sign flips.
+    The multi-index set is {alpha : sum_j alpha_j <= level} with the 1D
+    rule of order alpha_j + 1 in dimension j, so for dim = 1 the rule
+    coincides with gauss_legendre_1d(level + 1) and level 0 is the single
+    midpoint node.  Combination weights of the merged nodes may be
+    negative for dim >= 2; they always sum to one and the node set is
+    symmetric under sign flips.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
     if level < 0:
         raise ValueError("level must be at least 0")
-    if weights is None:
-        weights = np.ones(dim)
-    weights = np.asarray(weights, dtype=float)
-    if len(weights) != dim:
-        raise ValueError(f"weights must have length {dim}")
-    if np.any(weights < 1.0):
-        raise ValueError("anisotropy weights must be at least 1")
-
-    members = set(_index_set(dim, level, weights))
 
     rules_1d: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -378,22 +360,11 @@ def smolyak_rule(dim: int, level: int,
             rules_1d[order] = _gl_1d(order)
         return rules_1d[order]
 
-    uniform = bool(np.all(weights == 1.0))
     merged: dict[tuple, float] = {}
-    for alpha in sorted(members):
-        budget = level - sum(w * a for w, a in zip(weights, alpha))
-        if uniform:
-            # c_alpha = sum_{r <= budget} (-1)^r C(dim, r), telescoped.
-            b = int(budget + 1e-12)
-            coeff = 0 if b >= dim else (-1) ** b * comb(dim - 1, b)
-        else:
-            dims_in_budget = [j for j in range(dim) if weights[j] <= budget + 1e-12]
-            coeff = 0
-            max_extra = int(budget + 1e-12)
-            for r in range(0, min(len(dims_in_budget), max_extra) + 1):
-                for subset in combinations(dims_in_budget, r):
-                    if sum(weights[j] for j in subset) <= budget + 1e-12:
-                        coeff += -1 if r % 2 else 1
+    for alpha in sorted(_index_set(dim, level)):
+        # c_alpha = sum_{r <= b} (-1)^r C(dim, r), telescoped
+        b = level - sum(alpha)
+        coeff = 0 if b >= dim else (-1) ** b * comb(dim - 1, b)
         if coeff == 0:
             continue
         axes = [list(zip(*rule_1d(a + 1))) for a in alpha]
@@ -406,18 +377,6 @@ def smolyak_rule(dim: int, level: int,
     nodes = np.array(sorted(keys))
     wts = np.array([merged[tuple(row.tolist())] for row in nodes])
     return QuadratureRule(nodes=nodes.reshape(len(nodes), dim), weights=wts)
-
-
-def anisotropy_weights(mode_magnitudes: np.ndarray) -> np.ndarray:
-    """Per-dimension sparse grid weights from KL mode magnitudes.
-
-    Dimensions with smaller magnitude get larger weight (fewer nodes):
-    w_k = max(1, 1 + log2(g_max / g_k)).
-    """
-    g = np.asarray(mode_magnitudes, dtype=float)
-    if np.any(g <= 0.0):
-        raise ValueError("mode magnitudes must be positive")
-    return np.maximum(1.0, 1.0 + np.log2(g.max() / g))
 
 
 def field_error(mesh: Mesh, a: Statistics, b: Statistics,

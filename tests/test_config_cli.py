@@ -9,9 +9,10 @@ import pytest
 from domainuq.cli import main
 from domainuq.config import ExperimentConfig, config_hash, parse_config
 from domainuq.errors import ConfigError
-from domainuq.fem import load_field
-from domainuq.fields import (load_scalar_field, load_vector_field,
-                             save_scalar_field, save_vector_field)
+from domainuq.fem import NodalField, load_field
+from domainuq.fields import (draw_sample, load_scalar_field,
+                             load_vector_field, save_scalar_field,
+                             save_vector_field)
 from domainuq.lowrank import KLBasis
 from domainuq.textio import hex_row
 from domainuq.uq import QUADRATURE_BLOCK, SOLVE_BLOCK
@@ -426,6 +427,20 @@ class TestSyntheticMode:
         assert zero_rows
         assert all(l.rsplit(",", 1)[1] == "0" for l in zero_rows)
 
+    def test_taylor_one_eps_leaves_slopes_undefined(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", TINY.replace(
+            "eps_list = 0.5, 1", "eps_list = 0.5"))
+        out = tmp_path / "one"
+        assert main(["taylor", "--config", cfg, "--out", str(out),
+                     "--synthetic"]) == 0
+        lines = (out / "taylor.csv").read_text().splitlines()
+        rows = [l for l in lines if l[0].isdigit()]
+        assert [l.split(",")[:2] for l in rows] == [
+            [str(s), eps] for s in range(2) for eps in ("0", "0.5")]
+        assert lines[-3:] == ["# slope sample=0 undefined",
+                              "# slope sample=1 undefined",
+                              "# slope_mean undefined"]
+
 
 @pytest.mark.parametrize("command", [
     ["build-kl"], ["mc"],
@@ -566,6 +581,39 @@ class TestConvergenceCSV:
         # gnuplot companions carry the same number of rows
         dat = open(os.path.join(out, "convergence_mean.dat")).read()
         assert len(dat.splitlines()) == len(eps)
+
+    def test_columns_named_after_the_norms(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg",
+                           TINY + "norm_mean = l2\nnorm_var = h1\n")
+        out = tmp_path / "norms"
+        assert main(["convergence", "--config", cfg, "--out", str(out),
+                     "--synthetic"]) == 0
+        lines = (out / "convergence.csv").read_text().splitlines()
+        header = [l for l in lines if l.startswith("eps,")][0]
+        assert header == "eps,err_mean_l2,err_var_h1,mc_stderr_mean,n_samples"
+
+
+@pytest.mark.parametrize("with_delta", [False, True])
+def test_models_return_the_solve_block_shape(tiny_run, with_delta):
+    from domainuq import cli
+    cfg, out = tiny_run
+    config = replace(parse_config(open(cfg).read()), out_dir=out)
+    mesh = cli.build_disc_mesh(config.mesh_level)
+    amplitudes = [0.0, -0.5, 0.5]
+    for model in (cli._model(config, mesh, False), cli.SyntheticModel(mesh)):
+        samples = [draw_sample(*model.dims, 0, i) for i in range(3)]
+        u, delta = model.pairs(samples, amplitudes, with_delta)
+        assert len(u) == len(samples)
+        for fields in u:
+            assert len(fields) == len(amplitudes)
+            assert all(isinstance(f, NodalField) and f.n == mesh.n_nodes
+                       for f in fields)
+        if with_delta:
+            assert len(delta) == len(samples)
+            assert all(isinstance(d, NodalField) and d.n == mesh.n_nodes
+                       for d in delta)
+        else:
+            assert delta is None
 
 
 def test_cli_entrypoint_runs():

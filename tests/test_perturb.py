@@ -17,7 +17,7 @@ from domainuq.fields import (SQRT3, VectorFieldKL, eval_displacement,
                              sample_uniform)
 from domainuq.lowrank import KLBasis
 from domainuq.perturb import (DeformedProblem, _fill_realization, solve_block,
-                              solve_pairs, solve_sample, taylor_remainders)
+                              solve_sample, taylor_remainders)
 from domainuq.uq import smolyak_rule
 
 
@@ -169,15 +169,15 @@ class TestFullSolve:
 
     def test_pair_serves_listed_amplitudes_only(self, mesh3, vf3, sf64):
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 25, 0)
-        u0, u_eps, _ = solve_pairs(mesh3, vf3, sf64, [s], [0.5, -0.5],
-                                   with_delta=True)[0]
+        (u,), _ = solve_block(mesh3, vf3, sf64, [s.z], [s.y],
+                              [0.0, -0.5, 0.5], with_delta=True)
         minus = full_solve(mesh3, vf3, sf64, s.z, -s.y, 0.5).values
-        assert (np.abs(u_eps[-0.5] - minus).max()
+        assert (np.abs(u[1].values - minus).max()
                 <= 1e-12 * np.abs(minus).max())
         smooth = smooth_solve(mesh3, vf3, sf64, s.z).values
-        assert np.abs(u0 - smooth).max() <= 1e-12 * np.abs(smooth).max()
-        with pytest.raises(KeyError):
-            u_eps[0.25]
+        assert np.abs(u[0].values - smooth).max() <= 1e-12 * np.abs(
+            smooth).max()
+        assert len(u) == 3
 
 
 class TestSolveBlock:
@@ -404,10 +404,10 @@ class TestDiagnostics:
                                                               vf4, sf64):
         s = dq.draw_sample(sf64.n_modes, vf4.n_modes, 13, 0)
         ss = solve_sample(mesh4, vf4, sf64, s, 0.5)
-        u0, u_eps, delta = solve_pairs(mesh4, vf4, sf64, [s], [0.5],
-                                       with_delta=True)[0]
-        for got, want in ((ss.u0, u0), (ss.u_eps, u_eps[0.5]),
-                          (ss.delta_u, delta)):
+        (u,), (delta,) = solve_block(mesh4, vf4, sf64, [s.z], [s.y],
+                                     [0.0, 0.5], with_delta=True)
+        for got, want in ((ss.u0, u[0].values), (ss.u_eps, u[1].values),
+                          (ss.delta_u, delta.values)):
             assert np.abs(got.values - want).max() <= 1e-12 * np.abs(
                 want).max()
         one = {"u0": {}, "u_eps": {}, "delta_u": {}}
@@ -441,7 +441,8 @@ class TestPerRealizationWork:
         passes = counting(monkeypatch, mesh_module, "compute_geometry")
         stencils = counting(monkeypatch, HoldAllGrid, "stencil")
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 14, 0)
-        solve_pairs(mesh3, vf3, sf64, [s], [0.5, -0.5], with_delta=True)
+        solve_block(mesh3, vf3, sf64, [s.z], [s.y], [0.0, -0.5, 0.5],
+                    with_delta=True)
         assert len(passes) == 1
         assert len(stencils) == 1
 

@@ -99,23 +99,23 @@ class TestRunningMoments:
 class TestMCEstimate:
     def test_constant_solver(self):
         c = np.array([3.0, -1.0])
-        stats = mc_estimate(each(lambda s: NodalField(c, 0)), (2, 2), 50,
-                            seed=0)
+        (stats,) = mc_estimate(each(lambda s: [NodalField(c, 0)]), (2, 2),
+                               50, seed=0)
         assert np.array_equal(stats.mean.values, c)
         assert np.array_equal(stats.variance().values, np.zeros(2))
 
     def test_uniform_moments(self):
-        stats = mc_estimate(each(lambda s: NodalField(s.y[:1], 0)), (1, 1),
-                            10 ** 5, seed=0)
+        (stats,) = mc_estimate(each(lambda s: [NodalField(s.y[:1], 0)]),
+                               (1, 1), 10 ** 5, seed=0)
         assert abs(stats.mean.values[0]) <= 3.0 / np.sqrt(10 ** 5)
         assert abs(stats.variance().values[0] - 1.0) <= 0.05
 
     def test_thread_count_invariance(self):
         def solver(s):
-            return NodalField(np.array([s.y[0] * s.z[1], s.z[0] ** 2]), 0)
+            return [NodalField(np.array([s.y[0] * s.z[1], s.z[0] ** 2]), 0)]
 
-        a = mc_estimate(each(solver), (2, 2), 333, seed=5, threads=1)
-        b = mc_estimate(each(solver), (2, 2), 333, seed=5, threads=4)
+        (a,) = mc_estimate(each(solver), (2, 2), 333, seed=5, threads=1)
+        (b,) = mc_estimate(each(solver), (2, 2), 333, seed=5, threads=4)
         assert np.array_equal(a.mean.values, b.mean.values)
         assert np.array_equal(a.second_central.values, b.second_central.values)
 
@@ -129,7 +129,8 @@ class TestMCEstimate:
         both = mc_estimate(each(lambda s: [first(s), second(s)]), (2, 2),
                            99, seed=4, threads=3)
         for stats, solver in zip(both, (first, second)):
-            alone = mc_estimate(each(solver), (2, 2), 99, seed=4)
+            (alone,) = mc_estimate(each(lambda s: [solver(s)]), (2, 2), 99,
+                                   seed=4)
             assert stats.weight == alone.weight
             assert np.array_equal(stats.mean.values, alone.mean.values)
             assert np.array_equal(stats.second_central.values,
@@ -139,15 +140,15 @@ class TestMCEstimate:
         def solver(s):
             if s.z[0] > 0:
                 raise dq.SolverDiverged("boom")
-            return NodalField(np.zeros(1), 0)
+            return [NodalField(np.zeros(1), 0)]
 
         with pytest.raises(dq.SolverDiverged, match=r"sample \d+"):
             mc_estimate(each(solver), (1, 1), 64, seed=0)
 
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
-            mc_estimate(each(lambda s: NodalField(np.zeros(1), 0)), (1, 1),
-                        1, 0)
+            mc_estimate(each(lambda s: [NodalField(np.zeros(1), 0)]),
+                        (1, 1), 1, 0)
 
     @settings(max_examples=25, deadline=None)
     @given(n_samples=st.integers(2, 200), threads=st.integers(1, 4))
@@ -155,12 +156,12 @@ class TestMCEstimate:
     @example(n_samples=200, threads=4)
     def test_bit_identical_for_any_thread_count(self, n_samples, threads):
         def solver(s):
-            return NodalField(np.array([s.y[0] * s.z[1], s.z[0] ** 2,
-                                        np.exp(s.y[1])]), 0)
+            return [NodalField(np.array([s.y[0] * s.z[1], s.z[0] ** 2,
+                                         np.exp(s.y[1])]), 0)]
 
-        serial = mc_estimate(each(solver), (2, 2), n_samples, seed=3)
-        spread = mc_estimate(each(solver), (2, 2), n_samples, seed=3,
-                             threads=threads)
+        (serial,) = mc_estimate(each(solver), (2, 2), n_samples, seed=3)
+        (spread,) = mc_estimate(each(solver), (2, 2), n_samples, seed=3,
+                                threads=threads)
         assert spread.weight == serial.weight == n_samples
         assert np.array_equal(spread.mean.values, serial.mean.values)
         assert np.array_equal(spread.second_central.values,
@@ -171,10 +172,10 @@ class TestMCEstimate:
 
         def block_solver(samples):
             blocks.append(samples)
-            return [NodalField(np.array([s.y[0] * s.z[1]]), 0)
+            return [[NodalField(np.array([s.y[0] * s.z[1]]), 0)]
                     for s in samples]
 
-        stats = mc_estimate(block_solver, (2, 2), 45, seed=8)
+        (stats,) = mc_estimate(block_solver, (2, 2), 45, seed=8)
         assert [len(b) for b in blocks] == [SOLVE_BLOCK] * 11 + [1]
         drawn = [s for b in blocks for s in b]
         for i, s in enumerate(drawn):
@@ -191,7 +192,7 @@ class TestMCEstimate:
             if np.array_equal(samples[0].z,
                               dq.draw_sample(1, 1, 0, SOLVE_BLOCK).z):
                 raise dq.SolverDiverged("stuck in column 5", index=2)
-            return [NodalField(np.zeros(1), 0) for _ in samples]
+            return [[NodalField(np.zeros(1), 0)] for _ in samples]
 
         assert SOLVE_BLOCK == 4
         with pytest.raises(dq.SolverDiverged,
@@ -211,10 +212,27 @@ class TestMCEstimate:
         def solver(s):
             if np.array_equal(s.y, bad.y) and np.array_equal(s.z, bad.z):
                 raise dq.NonPositiveCoefficient("negative")
-            return NodalField(np.zeros(1), 0)
+            return [NodalField(np.zeros(1), 0)]
 
         with pytest.raises(dq.NonPositiveCoefficient, match="sample 37: "):
             mc_estimate(each(solver), (1, 1), 100, seed=0, threads=3)
+
+    def test_parent_error_leaves_no_worker_running(self, monkeypatch):
+        from domainuq import uq
+        monkeypatch.setattr(uq, "_cpu_count", lambda: 2)  # one-CPU hosts
+
+        first = dq.draw_sample(1, 1, 0, 0)
+
+        def solver(s):
+            # a longer field after the first, so folding fails in the parent
+            return [NodalField(np.zeros(1 if np.array_equal(s.y, first.y)
+                                        else 2), 0)]
+
+        with pytest.raises(ValueError) as info:
+            mc_estimate(each(solver), (1, 1), 64, seed=0, threads=2)
+        # `info` still holds the traceback, and with it the estimator's frames
+        assert info.tb is not None
+        assert multiprocessing.active_children() == []
 
 
 class TestMapBlocks:
@@ -491,25 +509,6 @@ class TestSmolyak:
             exact += c * np.prod([self.uniform_moment(b) for b in power])
             scale += np.abs(rule.weights) @ np.abs(values)
         assert abs(total - exact) <= 1e-12 * max(scale, 1.0)
-
-    def test_anisotropic_weights_thin_dimensions(self):
-        iso = smolyak_rule(4, 2)
-        aniso = smolyak_rule(4, 2, weights=np.array([1.0, 2.0, 3.0, 3.0]))
-        assert len(aniso.nodes) < len(iso.nodes)
-        assert abs(aniso.weights.sum() - 1.0) <= 1e-12
-
-    def test_weights_from_mode_magnitudes(self, vf3):
-        from domainuq.lowrank import mode_magnitudes
-        from domainuq.uq import anisotropy_weights
-        gamma = mode_magnitudes(vf3.basis)
-        w = anisotropy_weights(gamma)
-        assert w.min() >= 1.0
-        assert w[np.argmax(gamma)] == 1.0
-        # decaying modes get larger weights, so the rule thins out
-        iso = smolyak_rule(vf3.n_modes, 1)
-        aniso = smolyak_rule(vf3.n_modes, 1, weights=w)
-        assert len(aniso.nodes) <= len(iso.nodes)
-        assert abs(aniso.weights.sum() - 1.0) <= 1e-12
 
 
 class TestFieldError:
