@@ -361,7 +361,7 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
     with closing(solve_blocks(pair_fields, n_pairs, "sample pair",
                               threads)) as outputs:
         moments = [tree_merge(accs) for accs in block_accumulators(
-            (updates(*pair) for pair in outputs), n_pairs)]
+            (updates(*pair) for pair in outputs), n_pairs, "sample pair")]
     merged = [tuple(moments[3 * ei:3 * ei + 3])
               for ei in range(len(cfg.eps_list))]
     return merged, (moments[-1] if with_delta else None)

@@ -27,10 +27,11 @@ preconditioner is fixed and every matrix has the topology's sparsity
 pattern, `solve_dirichlet` runs a block of systems `A_j u_j = b_j` in
 lockstep, where each column j has its own interior matrix data: the
 columns may come from several domain realizations and amplitudes.  The
-block is held as (k, m) in C order; each iteration applies the matrices
-as one block-diagonal CSR product and the V-cycle as one multi-vector
-product to all unconverged columns, so the per-call overhead of numpy and
-scipy is paid once per block, not once per column.
+block is held as (k, m) in C order; each iteration applies each
+unconverged column's matrix as its own CSR product on the topology's
+shared index arrays, and the V-cycle as one multi-vector product to all of
+them, so the preconditioner's per-call overhead is paid once per block and
+no structure grows with the block's width.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, diags
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import MeshMismatch, NonFiniteValue, SolverDiverged
 from .mesh import Geometry, Mesh, compute_geometry, geometry, signed_areas
@@ -208,9 +210,9 @@ class ReferenceSolver:
       vectors, with one dummy slot past the end for those on the
       boundary, so assembling straight into the interior layout is one
       `np.bincount` (in element order, as `_scatter` sums);
-    * the structure of the block-diagonal matrix of k such interior
-      matrices, built for the widest block so far; a narrower block is a
-      prefix slice of it;
+    * through `matvec`, the product of a block of interior matrices, one
+      per row of their CSR data, each on the shared `indptr` and `indices`,
+      so a block of any width adds no index arrays;
     * a V-cycle for the unit-coefficient interior stiffness of the
       reference mesh: Galerkin coarse operators `P^T A P` along the
       refinement chain (`P` keeps parent values and averages the two edge
@@ -244,7 +246,6 @@ class ReferenceSolver:
         self.slots = np.flatnonzero(keep)
         self.indices = relabel[pattern.indices[keep]].astype(np.int32)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        self._block = (self.indptr, self.indices)
         slot = np.full(len(pattern.indices), len(self.slots), dtype=np.int32)
         slot[self.slots] = np.arange(len(self.slots))
         self.element_slots = slot[pattern.slots]
@@ -286,21 +287,24 @@ class ReferenceSolver:
         return np.bincount(self.element_nodes, weights=local.reshape(-1),
                            minlength=len(self.interior) + 1)[:-1]
 
-    def block_matrix(self, data: np.ndarray) -> csr_matrix:
-        """Block-diagonal matrix whose j-th block is the interior matrix
-        with data `data[j]`, for a C-ordered (k, nnz) array `data`."""
-        k = len(data)
-        m, nnz = len(self.interior), len(self.indices)
-        indptr, indices = self._block
-        if len(indptr) <= k * m:
-            dtype = np.int32 if k * nnz < 2**31 else np.int64
-            block = np.arange(k, dtype=dtype)[:, None]
-            indptr = np.concatenate([np.zeros(1, dtype),
-                                     (self.indptr[1:] + nnz * block).ravel()])
-            indices = (self.indices + m * block).ravel()
-            self._block = (indptr, indices)
-        return csr_matrix((data.reshape(-1), indices[:k * nnz],
-                           indptr[:k * m + 1]), shape=(k * m, k * m))
+    def matvec(self, data: np.ndarray, rows, x: np.ndarray) -> np.ndarray:
+        """Row i of the (len(x), m) result is the interior matrix with the
+        CSR data `data[rows[i]]` applied to `x[i]`, bit for bit what
+        `interior_matrix(data[rows[i]]) @ x[i]` gives: both call scipy's
+        `csr_matvec` into zeros.  `x` must be a C-ordered float block, and
+        each row of `data` a contiguous float vector.  Raises MeshMismatch
+        unless their sizes are the topology's, which the kernel does not
+        check."""
+        m = len(self.interior)
+        if data.shape[-1] != len(self.indices) or x.shape[1:] != (m,):
+            raise MeshMismatch(
+                f"matrix data of {data.shape} and vectors of {x.shape}, the "
+                f"topology has {len(self.indices)} interior entries and "
+                f"{m} interior nodes")
+        out = np.zeros((len(x), m))
+        for i, j in enumerate(rows):
+            csr_matvec(m, m, self.indptr, self.indices, data[j], x[i], out[i])
+        return out
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """One V-cycle applied to each row of a (k, m) block of interior
@@ -328,28 +332,6 @@ def _first_non_finite(block: np.ndarray):
     return int(bad[0]) if bad.size else None
 
 
-def _compact(work: np.ndarray, order: np.ndarray,
-             rows: np.ndarray) -> np.ndarray:
-    """Move the rows `rows` (ascending) of `work` to its front, in place,
-    by swapping them with the rows they pass, and return that prefix.
-    `order[i]`, the original position of the row now at i, is kept in
-    step."""
-    for new, old in enumerate(rows):
-        if new != old:
-            work[[new, old]] = work[[old, new]]
-            order[[new, old]] = order[[old, new]]
-    return work[:len(rows)]
-
-
-def _restore(work: np.ndarray, order: np.ndarray) -> None:
-    """Put every row of `work` back at its original position `order[i]`."""
-    for i in range(len(order)):
-        while order[i] != i:
-            j = order[i]
-            work[[i, j]] = work[[j, i]]
-            order[[i, j]] = order[[j, i]]
-
-
 def solve_dirichlet(K: np.ndarray, b: np.ndarray, mesh: Mesh,
                     diag_out: dict | None = None) -> list[NodalField]:
     """Solve a block of Dirichlet problems A_j u_j = b_j, with u_j = 0 on
@@ -359,17 +341,16 @@ def solve_dirichlet(K: np.ndarray, b: np.ndarray, mesh: Mesh,
     topology of `mesh` and from several amplitudes.  `K` is a (k, nnz)
     array whose row j holds the interior CSR data of A_j, in the layout of
     the topology's `ReferenceSolver` (as `stiffness_from_qvalues`
-    assembles it), and `b` the (k, m) array of interior loads.  A
-    writeable C-ordered float `K` serves as the solver's work space, so
-    the block is not copied: as columns converge, the rows of the others
-    move to its front.  Its rows are back in place when the call returns
-    or raises.
+    assembles it), and `b` the (k, m) array of interior loads.  `K` is
+    only read: a read-only block, or a view of every few rows of one, is
+    used as it is, and copied only if its rows are not contiguous float
+    vectors.
 
     Boundary unknowns are eliminated symmetrically (the system is
     restricted to the interior), and the columns are solved in lockstep by
     conjugate gradients preconditioned with one V-cycle of the topology's
-    `ReferenceSolver`: every iteration applies the block-diagonal matrix
-    of the unconverged columns and the V-cycle to all of them.  A column
+    `ReferenceSolver`: every iteration applies each unconverged column's
+    own matrix, and the V-cycle to all of them at once.  A column
     that reaches its own relative residual target `CG_RTOL` is frozen, so
     it takes the iterations of a one-column solve and agrees with it to
     rounding.  The iteration cap is `CG_CAP_FACTOR` per interior unknown.
@@ -397,7 +378,9 @@ def solve_dirichlet(K: np.ndarray, b: np.ndarray, mesh: Mesh,
     ref = reference_solver(mesh)
     n, m = ref.n_nodes, len(ref.interior)
     loads = np.asarray(b, dtype=float)
-    data = np.require(K, dtype=float, requirements=["C", "W"])
+    data = np.asarray(K, dtype=float)
+    if data.ndim == 2 and data.strides[1] != data.itemsize:
+        data = np.ascontiguousarray(data)  # `matvec` reads rows in place
     if data.ndim != 2 or data.shape[1] != len(ref.slots) or (
             loads.shape != (len(data), m)):
         raise MeshMismatch(
@@ -420,54 +403,47 @@ def solve_dirichlet(K: np.ndarray, b: np.ndarray, mesh: Mesh,
     u = np.zeros((k, n))
     column_iterations = np.zeros(k, dtype=int)
     final_residual = np.zeros(k)
-    order = np.arange(k)  # original position of each row of `data`
-    try:
-        # Arrays of the unconverged columns only; `cols` maps them back.
-        cols = np.flatnonzero(norm_b != 0.0)
-        A = ref.block_matrix(_compact(data, order, cols))
-        r = np.array(loads[cols])
-        xs = np.zeros_like(r)
-        p = np.zeros_like(r)  # with rz = 1 the first direction is exactly z
-        rz = np.ones(len(cols))
-        res = norm_b[cols]
-        tol = CG_RTOL * res
-        iterations = 0
-        while cols.size:
-            z = ref.precondition(r)
-            rz_next = np.vecdot(r, z)
-            p *= (rz_next / rz)[:, None]
-            p += z
-            rz = rz_next
-            if iterations >= cap:
-                worst = np.argmax(res / tol)
-                raise SolverDiverged(
-                    f"no convergence in {cap} iterations, residual "
-                    f"{res[worst]:.3e} > {tol[worst]:.3e} "
-                    f"in column {cols[worst]}", index=int(cols[worst]))
-            q = (A @ p.reshape(-1)).reshape(p.shape)
-            alpha = (rz / np.vecdot(p, q))[:, None]
-            q *= alpha
-            r -= q
-            xs += np.multiply(p, alpha, out=q)
-            iterations += 1
-            res = np.sqrt(np.vecdot(r, r))
-            if not np.isfinite(res).all():
-                j = np.flatnonzero(~np.isfinite(res))[0]
-                raise NonFiniteValue(
-                    f"residual {res[j]} in column {cols[j]} "
-                    f"after {iterations} iterations", index=int(cols[j]))
-            done = res <= tol
-            if done.any():
-                u[np.ix_(cols[done], ref.interior)] = xs[done]
-                column_iterations[cols[done]] = iterations
-                final_residual[cols[done]] = res[done]
-                keep = ~done
-                cols, r, xs, p = cols[keep], r[keep], xs[keep], p[keep]
-                rz, res, tol = rz[keep], res[keep], tol[keep]
-                A = ref.block_matrix(
-                    _compact(data, order, np.flatnonzero(keep)))
-    finally:
-        _restore(data, order)
+    # Arrays of the unconverged columns only; `cols` maps them back.
+    cols = np.flatnonzero(norm_b != 0.0)
+    r = loads[cols]
+    xs = np.zeros_like(r)
+    p = np.zeros_like(r)  # with rz = 1 the first direction is exactly z
+    rz = np.ones(len(cols))
+    res = norm_b[cols]
+    tol = CG_RTOL * res
+    iterations = 0
+    while cols.size:
+        z = ref.precondition(r)
+        rz_next = np.vecdot(r, z)
+        p *= (rz_next / rz)[:, None]
+        p += z
+        rz = rz_next
+        if iterations >= cap:
+            worst = np.argmax(res / tol)
+            raise SolverDiverged(
+                f"no convergence in {cap} iterations, residual "
+                f"{res[worst]:.3e} > {tol[worst]:.3e} "
+                f"in column {cols[worst]}", index=int(cols[worst]))
+        q = ref.matvec(data, cols, p)
+        alpha = (rz / np.vecdot(p, q))[:, None]
+        q *= alpha
+        r -= q
+        xs += np.multiply(p, alpha, out=q)
+        iterations += 1
+        res = np.sqrt(np.vecdot(r, r))
+        if not np.isfinite(res).all():
+            j = np.flatnonzero(~np.isfinite(res))[0]
+            raise NonFiniteValue(
+                f"residual {res[j]} in column {cols[j]} "
+                f"after {iterations} iterations", index=int(cols[j]))
+        done = res <= tol
+        if done.any():
+            u[np.ix_(cols[done], ref.interior)] = xs[done]
+            column_iterations[cols[done]] = iterations
+            final_residual[cols[done]] = res[done]
+            keep = ~done
+            cols, r, xs, p = cols[keep], r[keep], xs[keep], p[keep]
+            rz, res, tol = rz[keep], res[keep], tol[keep]
 
     if diag_out is not None:
         diag_out.update(iterations=iterations,

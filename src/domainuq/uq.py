@@ -127,7 +127,8 @@ def sample_blocks(n_samples: int, block_size: int = MC_BLOCK_SIZE):
             for s in range(0, n_samples, block_size)]
 
 
-def block_accumulators(streams, n_items: int) -> list[list[RunningMoments]]:
+def block_accumulators(streams, n_items: int,
+                       label: str) -> list[list[RunningMoments]]:
     """Welford accumulators of per-item vectors, per quantity and block.
 
     `streams` yields, for each of `n_items` items in order, one sequence
@@ -135,16 +136,26 @@ def block_accumulators(streams, n_items: int) -> list[list[RunningMoments]]:
     Each block of `sample_blocks(n_items)` folds its items into fresh
     accumulators, vector by vector in the order given.  Returns, for each
     quantity, its accumulators in block order, ready for `tree_merge`.
+
+    Raises MeshMismatch, naming the item as `label i`, for a vector whose
+    length differs from that of its quantity's first vector.
     """
+    sizes = None
     blocks = []
     for lo, hi in sample_blocks(n_items):
         accs = None
-        for _ in range(lo, hi):
+        for i in range(lo, hi):
             vectors = next(streams)
+            if sizes is None:
+                sizes = [len(v[0]) for v in vectors]
             if accs is None:
-                accs = [RunningMoments(len(v[0])) for v in vectors]
-            for acc, values in zip(accs, vectors):
+                accs = [RunningMoments(size) for size in sizes]
+            for acc, size, values in zip(accs, sizes, vectors):
                 for x in values:
+                    if len(x) != size:
+                        raise MeshMismatch(
+                            f"{label} {i}: field of {len(x)} values, "
+                            f"{label} 0 gave {size}")
                     acc.update(x)
         blocks.append(accs)
     return [list(per_quantity) for per_quantity in zip(*blocks)]
@@ -265,7 +276,7 @@ def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
         first = next(outputs)
         blocks = block_accumulators(([(f.values,) for f in out]
                                      for out in chain([first], outputs)),
-                                    n_samples)
+                                    n_samples, "sample")
     return [tree_merge(accs).freeze(f.level)
             for accs, f in zip(blocks, first)]
 

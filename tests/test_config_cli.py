@@ -566,6 +566,37 @@ def test_paired_sweep_error_names_the_failing_pair():
     assert blocks == [4, 4]
 
 
+@pytest.mark.parametrize("change", [-1, 1])
+@pytest.mark.parametrize("with_delta", [False, True])
+def test_paired_sweep_field_of_another_length_names_the_pair(change,
+                                                             with_delta):
+    """Pair 3's fields are one value shorter (numpy would broadcast them
+    into wrong moments) or one value longer than pair 0's."""
+    from domainuq import cli
+    from domainuq.errors import MeshMismatch
+    cfg = parse_config(TINY)
+    model = cli.SyntheticModel(cli.build_disc_mesh(cfg.mesh_level))
+    calls = []
+
+    def resized(field):
+        return NodalField(np.resize(field.values, field.n + change),
+                          field.level)
+
+    def factory(samples, amplitudes, with_delta):
+        calls.append(len(samples))
+        u, delta = model.pairs(samples, amplitudes, with_delta)
+        if len(calls) == 1:
+            u[3] = [resized(f) for f in u[3]]
+            if delta is not None:
+                delta[3] = resized(delta[3])
+        return u, delta
+
+    with pytest.raises(MeshMismatch, match=r"^sample pair 3: field of \d+ "
+                                           r"values, sample pair 0 gave \d+$"):
+        cli._paired_sweep(cfg, model.dims, factory, threads=1,
+                          with_delta=with_delta)
+
+
 class TestConvergenceCSV:
     def test_eps_column_echoes_config(self, tiny_run):
         cfg, out = tiny_run

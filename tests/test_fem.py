@@ -447,16 +447,69 @@ class TestBlockSolve:
             solve_dirichlet(data, loads, mesh3)
         assert np.array_equal(data, before)
 
-    def test_block_matrix_prefix_is_block_diagonal(self, mesh3):
-        from scipy.sparse import block_diag
-        ref = reference_solver(mesh3)
-        data, _, _ = realization_block(mesh3, 5)
-        ref.block_matrix(data)  # the widest structure first
-        narrow = ref.block_matrix(data[:3])
-        expected = block_diag([ref.interior_matrix(interior_gather(mesh3, K))
-                               for K, _ in realization_block(mesh3, 3)[2]])
-        assert narrow.shape == expected.shape
-        assert abs(narrow - expected).max() == 0.0
+    @pytest.mark.parametrize("level", [3, 5])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_matvec_rows_are_interior_matrix_products(self, request, level,
+                                                      k):
+        mesh = request.getfixturevalue(f"mesh{level}")
+        ref = reference_solver(mesh)
+        data, _, _ = realization_block(mesh, 2 * k)
+        x = np.random.default_rng(k).standard_normal((k, len(ref.interior)))
+        # contiguous rows, a row-strided view, and rows picked out of order
+        for block, rows in [(data[:k], range(k)), (data[::2], range(k)),
+                            (data, np.arange(0, 2 * k, 2)[::-1])]:
+            q = ref.matvec(block, rows, x)
+            assert q.shape == x.shape
+            for i, j in enumerate(rows):
+                assert np.array_equal(q[i],
+                                      ref.interior_matrix(block[j]) @ x[i])
+        with pytest.raises(MeshMismatch):  # csr_matvec reads past the end
+            ref.matvec(data[:, :-1], range(k), x)
+        with pytest.raises(MeshMismatch):
+            ref.matvec(data, range(k), x[:, :-1])
+
+    def test_wide_block_adds_no_solver_arrays(self):
+        def array_bytes(obj):
+            if isinstance(obj, np.ndarray):
+                return obj.nbytes
+            if isinstance(obj, (tuple, list)):
+                return sum(array_bytes(o) for o in obj)
+            if hasattr(obj, "indptr"):  # a sparse matrix
+                return sum(array_bytes(getattr(obj, name))
+                           for name in ("data", "indices", "indptr"))
+            return 0
+
+        mesh = build_disc_mesh(3)  # a topology no other test has solved on
+        ref = reference_solver(mesh)
+        before = array_bytes(list(vars(ref).values()))
+        data, loads, _ = realization_block(mesh, 28)
+        solve_dirichlet(data, loads, mesh)
+        assert array_bytes(list(vars(ref).values())) == before
+
+    def test_read_only_and_strided_blocks_are_read_in_place(self, mesh3,
+                                                           monkeypatch):
+        import domainuq.fem as fem
+        data, loads, _ = realization_block(mesh3, 6)
+        frozen = data.copy()
+        frozen.setflags(write=False)
+        seen = []
+        matvec = fem.ReferenceSolver.matvec
+
+        def recording(self, block, rows, x):
+            seen.append(block)
+            return matvec(self, block, rows, x)
+
+        for block, rhs in [(frozen, loads), (data[::2], loads[::2])]:
+            before = np.array(block)
+            want = solve_dirichlet(np.array(block), np.array(rhs), mesh3)
+            with monkeypatch.context() as patch:
+                patch.setattr(fem.ReferenceSolver, "matvec", recording)
+                got = solve_dirichlet(block, rhs, mesh3)
+            assert seen and all(used is block for used in seen)
+            seen.clear()
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g.values, w.values)
+            assert np.array_equal(block, before)
 
 
 class TestReferenceSolver:

@@ -145,6 +145,20 @@ class TestMCEstimate:
         with pytest.raises(dq.SolverDiverged, match=r"sample \d+"):
             mc_estimate(each(solver), (1, 1), 64, seed=0)
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_field_of_another_length_names_the_sample(self, length):
+        """Sample 3 returns a field shorter (numpy would broadcast it into
+        wrong moments) or longer than sample 0's two values."""
+        odd = dq.draw_sample(1, 1, 0, 3)
+
+        def solver(s):
+            n = length if np.array_equal(s.z, odd.z) else 2
+            return [NodalField(np.zeros(n), 0)]
+
+        with pytest.raises(MeshMismatch, match=f"^sample 3: field of {length}"
+                                               " values, sample 0 gave 2$"):
+            mc_estimate(each(solver), (1, 1), 8, seed=0)
+
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             mc_estimate(each(lambda s: [NodalField(np.zeros(1), 0)]),
@@ -228,7 +242,7 @@ class TestMCEstimate:
             return [NodalField(np.zeros(1 if np.array_equal(s.y, first.y)
                                         else 2), 0)]
 
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(MeshMismatch) as info:
             mc_estimate(each(solver), (1, 1), 64, seed=0, threads=2)
         # `info` still holds the traceback, and with it the estimator's frames
         assert info.tb is not None
