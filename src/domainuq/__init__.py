@@ -16,14 +16,11 @@ from .errors import (ConfigError, DegenerateDeformation, DomainUQError,
 from .mesh import Mesh, build_disc_mesh, displace, refine
 from .fem import (NodalField, assemble_mass, h1_norm, l2_norm,
                   solve_dirichlet, w11_norm)
-from .lowrank import (CovarianceOracle, DenseOracle, KLBasis, LowRankFactor,
-                      pivoted_cholesky, reduced_eigs, truncate)
+from .lowrank import KLBasis, LowRankFactor, pivoted_cholesky, reduced_eigs
 from .fields import (HoldAllGrid, Sample, ScalarFieldKL, VectorFieldKL,
                      build_coefficient_kl, build_vector_field_kl, draw_sample,
-                     eval_coefficient, eval_displacement, g_hat, rng_stream,
-                     sample_uniform)
-from .perturb import (DeformedProblem, SampleSolve, delta_second_moment,
-                      solve_block, solve_sample, taylor_remainders)
-from .uq import (QuadratureRule, Statistics, field_error, gauss_legendre_1d,
-                 mc_estimate, quadrature_estimate, slope_fit, smolyak_rule)
+                     eval_displacement, g_hat, rng_stream, sample_uniform)
+from .perturb import DeformedProblem, SampleSolve, solve_block, solve_sample
+from .uq import (QuadratureRule, Statistics, mc_estimate, quadrature_estimate,
+                 slope_fit, smolyak_rule)
 from .config import ExperimentConfig, load_config, parse_config

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import (ExperimentConfig, config_hash, load_config,
                      override_config, validate_config)
-from .errors import ConfigError, DomainUQError, WorkerDied
+from .errors import ConfigError, DomainUQError, MeshMismatch, WorkerDied
 from .fem import NodalField, reference_solver, save_field
 from .fields import (RNG_ALGORITHM, Sample, build_coefficient_kl,
                      build_vector_field_kl, draw_sample, load_scalar_field,
@@ -345,11 +345,16 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
         return [(fields, None if delta is None else delta[i])
                 for i, fields in enumerate(u)]
 
-    def updates(fields, delta):
+    def updates(i, fields, delta):
         """The vectors of each accumulator in update order: for each eps
         those of u_eps - u0, u_eps and u0, one per sign, then those of the
-        derivative solve."""
+        derivative solve.  Raises MeshMismatch unless every field of pair
+        i has as many values as its u0."""
         u0 = fields[0].values
+        for f in [*fields, delta] if with_delta else fields:
+            if f.n != len(u0):
+                raise MeshMismatch(f"sample pair {i}: field of {f.n} values, "
+                                   f"its u0 has {len(u0)}")
         out = []
         for cols in columns:
             u = [fields[j].values for j in cols]
@@ -361,7 +366,8 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
     with closing(solve_blocks(pair_fields, n_pairs, "sample pair",
                               threads)) as outputs:
         moments = [tree_merge(accs) for accs in block_accumulators(
-            (updates(*pair) for pair in outputs), n_pairs, "sample pair")]
+            (updates(i, *pair) for i, pair in enumerate(outputs)), n_pairs,
+            "sample pair")]
     merged = [tuple(moments[3 * ei:3 * ei + 3])
               for ei in range(len(cfg.eps_list))]
     return merged, (moments[-1] if with_delta else None)

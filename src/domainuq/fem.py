@@ -509,20 +509,7 @@ def field_to_text(v: NodalField) -> str:
     return "\n".join(lines) + "\n"
 
 
-def field_from_text(text: str, level: int = -1) -> NodalField:
-    lines = text.splitlines()
-    header = lines[0].split()
-    if header[0] != "field":
-        raise ValueError(f"bad field header: {lines[0]!r}")
-    n = int(header[1])
-    return NodalField(np.array([float(lines[1 + i]) for i in range(n)]), level)
-
-
 def save_field(v: NodalField, path) -> None:
     with open(path, "w") as f:
         f.write(field_to_text(v))
 
-
-def load_field(path, level: int = -1) -> NodalField:
-    with open(path) as f:
-        return field_from_text(f.read(), level)

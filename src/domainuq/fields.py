@@ -26,7 +26,7 @@ from scipy.sparse import csr_matrix, diags, kron
 
 from .errors import OutOfHoldAll
 from .fem import assemble_mass
-from .lowrank import CovarianceOracle, KLBasis, pivoted_cholesky, reduced_eigs
+from .lowrank import KLBasis, pivoted_cholesky, reduced_eigs
 from .mesh import Mesh
 from .textio import hex_row, parse_hex_row
 
@@ -58,7 +58,7 @@ def coefficient_mean(pts) -> np.ndarray:
     return vals if np.ndim(pts) > 1 else float(vals[0])
 
 
-class VectorFieldCovariance(CovarianceOracle):
+class VectorFieldCovariance:
     """Matrix covariance of the deformation field at mesh node pairs.
 
     Index layout: entries 0..n-1 are the x components at the nodes,
@@ -70,27 +70,12 @@ class VectorFieldCovariance(CovarianceOracle):
         self.n_points = len(self.points)
         self.n = 2 * self.n_points
 
-    def _split(self, i: int) -> tuple[int, int]:
-        return (0, i) if i < self.n_points else (1, i - self.n_points)
-
-    def entry(self, i: int, j: int) -> float:
-        bi, pi = self._split(i)
-        bj, pj = self._split(j)
-        X, Xp = self.points[pi], self.points[pj]
-        if bi == 0 and bj == 0:
-            return 0.005 * np.exp(-2.0 * np.sum((X - Xp) ** 2))
-        if bi == 1 and bj == 1:
-            return 0.005 * np.exp(-0.5 * np.sum((X - Xp) ** 2))
-        if bi == 0:  # Cov_12(X, X')
-            return 0.001 * np.exp(-0.1 * np.sum((2.0 * X - Xp) ** 2))
-        return 0.001 * np.exp(-0.1 * np.sum((X - 2.0 * Xp) ** 2))
-
     def diagonal(self) -> np.ndarray:
         return np.full(self.n, 0.005)
 
     def column(self, j: int) -> np.ndarray:
         P = self.points
-        bj, pj = self._split(j)
+        bj, pj = divmod(j, self.n_points)
         Xj = P[pj]
         out = np.empty(self.n)
         if bj == 0:
@@ -106,17 +91,13 @@ class VectorFieldCovariance(CovarianceOracle):
         return out
 
 
-class CoefficientCovariance(CovarianceOracle):
+class CoefficientCovariance:
     """Scalar covariance of the rough coefficient at unit amplitude."""
 
     def __init__(self, points: np.ndarray):
         self.points = np.asarray(points, dtype=float)
         self.n = len(self.points)
         self._g = g_hat(self.points)
-
-    def entry(self, i: int, j: int) -> float:
-        d2 = np.sum((self.points[i] - self.points[j]) ** 2)
-        return 0.01 * (2.0 * np.exp(-d2 / 32.0) + 9.0 * self._g[i] * self._g[j])
 
     def diagonal(self) -> np.ndarray:
         return 0.01 * (2.0 + 9.0 * self._g ** 2)
@@ -333,18 +314,6 @@ def eval_rough(sf: ScalarFieldKL, pts, y: np.ndarray) -> np.ndarray:
     # Interpolation is linear, so the combination y @ modes is formed on the
     # grid and interpolated once, not each mode at every point.
     return sf.grid.interpolate(y @ sf.basis.modes, pts)
-
-
-def eval_coefficient(sf: ScalarFieldKL, pts, y: np.ndarray, eps: float):
-    """Full coefficient a_s(x) + eps * sum_k mode_k(x) y_k.
-
-    Accepts a single point (2,) or an array (p, 2); raises OutOfHoldAll
-    outside the hold-all box.
-    """
-    single = np.ndim(pts) == 1
-    p = np.atleast_2d(np.asarray(pts, dtype=float))
-    vals = eval_mean(sf, p) + eps * eval_rough(sf, p, y)
-    return float(vals[0]) if single else vals
 
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:

@@ -27,45 +27,6 @@ NEG_TOL_FACTOR = 1e-12
 INITIAL_BUFFER_COLUMNS = 16
 
 
-class CovarianceOracle:
-    """Entrywise access to a symmetric positive semi-definite matrix.
-
-    Subclasses set `n` and implement `entry`; `column` and `diagonal`
-    have generic loop fallbacks that concrete kernels should vectorize.
-    """
-
-    n: int
-
-    def entry(self, i: int, j: int) -> float:
-        raise NotImplementedError
-
-    def diag(self, i: int) -> float:
-        return self.entry(i, i)
-
-    def diagonal(self) -> np.ndarray:
-        return np.array([self.diag(i) for i in range(self.n)])
-
-    def column(self, j: int) -> np.ndarray:
-        return np.array([self.entry(i, j) for i in range(self.n)])
-
-
-class DenseOracle(CovarianceOracle):
-    """Oracle view of an explicitly stored symmetric matrix."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.n = self.matrix.shape[0]
-
-    def entry(self, i, j):
-        return float(self.matrix[i, j])
-
-    def diagonal(self):
-        return self.matrix.diagonal().copy()
-
-    def column(self, j):
-        return self.matrix[:, j].copy()
-
-
 @dataclass
 class LowRankFactor:
     """Pivoted Cholesky factor L with its pivot order and residual trace.
@@ -88,16 +49,18 @@ class LowRankFactor:
         return self.columns.shape[1]
 
 
-def pivoted_cholesky(oracle: CovarianceOracle, tol: float,
+def pivoted_cholesky(oracle, tol: float,
                      max_rank: int | None = None) -> LowRankFactor:
     """Greedy low-rank factorization C ~= L L^T of a PSD covariance.
 
-    Stops once the residual trace drops to tol * trace(C) or the rank cap
-    is reached.  Ties in the pivot search are broken by the lowest index.
-    Storage is O(n * rank); the oracle is queried one column per step.
-    The column buffer starts `INITIAL_BUFFER_COLUMNS` wide and doubles
-    whenever it is full, never past `max_rank`, so `max_rank` (default n)
-    only caps the rank and does not set how much memory is allocated.
+    `oracle` gives access to the symmetric C without storing it: its
+    size `n`, its `diagonal()` and its `column(j)`.  Stops once the
+    residual trace drops to tol * trace(C) or the rank cap is reached.
+    Ties in the pivot search are broken by the lowest index.  Storage is
+    O(n * rank); the oracle is queried one column per step.  The column
+    buffer starts `INITIAL_BUFFER_COLUMNS` wide and doubles whenever it
+    is full, never past `max_rank`, so `max_rank` (default n) only caps
+    the rank and does not set how much memory is allocated.
 
     Raises
     ------
@@ -175,7 +138,6 @@ class KLBasis:
 
     mu: np.ndarray             # (m,)
     modes: np.ndarray          # (m, n)
-    truncation_tol: float = 0.0
 
     @property
     def n_modes(self) -> int:
@@ -238,16 +200,5 @@ def reduced_eigs(factor: LowRankFactor, mass: csr_matrix, block: int,
     V = V[:, ::-1]
     keep = rank if tol is None else kept_count(w, tol)
     modes = np.ascontiguousarray((L @ V[:, :keep]).T)
-    return KLBasis(mu=w[:keep].copy(), modes=modes, truncation_tol=tol or 0.0)
+    return KLBasis(mu=w[:keep].copy(), modes=modes)
 
-
-def truncate(basis: KLBasis, tol: float) -> KLBasis:
-    """Keep the leading modes of an already lifted basis by `kept_count`.
-
-    Lifting every mode and then truncating gives bit for bit the basis
-    that `reduced_eigs` with the same `tol` builds, at the cost of holding
-    all `rank` lifted modes and then copying the kept rows.
-    """
-    keep = kept_count(basis.mu, tol)
-    return KLBasis(basis.mu[:keep].copy(), basis.modes[:keep].copy(),
-                   truncation_tol=tol)

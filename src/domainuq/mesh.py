@@ -358,21 +358,6 @@ def displace(mesh: Mesh, displacement: np.ndarray) -> Mesh:
     return moved
 
 
-def min_angle_deg(mesh: Mesh) -> float:
-    """Smallest interior angle over all triangles, in degrees."""
-    p = mesh.nodes
-    t = mesh.triangles
-    va, vb, vc = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
-    angles = []
-    for corner, left, right in ((va, vb, vc), (vb, vc, va), (vc, va, vb)):
-        u = left - corner
-        v = right - corner
-        cosang = np.sum(u * v, axis=1) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-    return float(np.min(angles))
-
-
 def mesh_to_text(mesh: Mesh) -> str:
     """ASCII dump: header, node lines, triangle lines (with patch id), boundary line."""
     lines = [f"nodes {mesh.n_nodes} triangles {mesh.n_triangles} level {mesh.level}"]
@@ -384,27 +369,7 @@ def mesh_to_text(mesh: Mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def mesh_from_text(text: str) -> Mesh:
-    lines = text.splitlines()
-    header = lines[0].split()
-    if header[0] != "nodes" or header[2] != "triangles" or header[4] != "level":
-        raise ValueError(f"bad mesh header: {lines[0]!r}")
-    n, m, level = int(header[1]), int(header[3]), int(header[5])
-    nodes = np.array([[float(v) for v in lines[1 + i].split()] for i in range(n)])
-    tri_rows = [[int(v) for v in lines[1 + n + i].split()] for i in range(m)]
-    triangles = np.array([r[:3] for r in tri_rows], dtype=np.int64)
-    patch_id = np.array([r[3] for r in tri_rows], dtype=np.int64)
-    boundary_line = lines[1 + n + m].split()
-    boundary = np.array([int(v) for v in boundary_line], dtype=np.int64)
-    return Mesh(level=level, nodes=nodes, triangles=triangles,
-                boundary=boundary, patch_id=patch_id)
-
-
 def save_mesh(mesh: Mesh, path) -> None:
     with open(path, "w") as f:
         f.write(mesh_to_text(mesh))
 
-
-def load_mesh(path) -> Mesh:
-    with open(path) as f:
-        return mesh_from_text(f.read())

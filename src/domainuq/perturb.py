@@ -129,14 +129,6 @@ class DeformedProblem:
         out += self.K_s
 
 
-def _derivative_load(deformed: Mesh, a_r: np.ndarray,
-                     u0_values: np.ndarray) -> np.ndarray:
-    """Interior load of the derivative problem on a deformed mesh, from
-    the rough part's values at its edge midpoints."""
-    return perturbation_load_from_qvalues(
-        deformed, a_r[edges(deformed).of_element], u0_values)
-
-
 def solve_sample(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
                  sample: Sample, eps: float) -> SampleSolve:
     """All three solves of one sample in one `solve_block` call: u0 and
@@ -211,7 +203,8 @@ def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
         return u, None
     j0 = amplitudes.index(0.0)
     for i, (deformed, a_r) in enumerate(rough):
-        loads[i] = _derivative_load(deformed, a_r, u[i][j0].values)
+        loads[i] = perturbation_load_from_qvalues(
+            deformed, a_r[edges(deformed).of_element], u[i][j0].values)
     # the zero-amplitude rows hold the smooth operator K_s exactly
     delta_diag = None if diag_out is None else diag_out.setdefault("delta", {})
     return u, solve_dirichlet(data[j0::k], loads[:r], mesh,
@@ -244,35 +237,3 @@ def remainders(mesh: Mesh, u, delta: NodalField, amplitudes) -> list[float]:
                                      mesh.level))
             for f, eps in zip(u, amplitudes)]
 
-
-def taylor_remainders(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
-                      sample: Sample, eps_list) -> list[float]:
-    """Taylor remainders for one sample over several amplitudes, sharing
-    the domain realization, u0, and delta_u across amplitudes.  The
-    block holds u0 and each distinct nonzero amplitude once, ascending."""
-    columns = [0.0] + sorted({float(eps) for eps in eps_list} - {0.0})
-    u, delta = solve_block(mesh, vf, sf, [sample.z], [sample.y], columns,
-                           with_delta=True)
-    rems = dict(zip(columns, remainders(mesh, u[0], delta[0], columns)))
-    return [rems[float(eps)] for eps in eps_list]
-
-
-def delta_second_moment(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
-                        z: np.ndarray) -> NodalField:
-    """Second moment of the derivative solve over the coefficient
-    parameters, at a fixed domain realization.
-
-    The derivative is linear in the independent unit-variance parameters,
-    so the moment is the sum of squared per-mode solves, which share the
-    smooth operator and run as one solve with a load column per mode.
-    Integrating this field over z gives the second order variance
-    correction term."""
-    dp = DeformedProblem(mesh, vf, sf, z)
-    u0 = solve_dirichlet(dp.K_s[None], dp.b[None], mesh)[0]
-    loads = np.empty((sf.n_modes, len(dp.b)))
-    for k, direction in enumerate(np.eye(sf.n_modes)):
-        loads[k] = _derivative_load(dp.deformed, dp.rough_qvalues(direction),
-                                    u0.values)
-    fields = solve_dirichlet(np.tile(dp.K_s, (sf.n_modes, 1)), loads, mesh)
-    return NodalField(sum((u.values ** 2 for u in fields),
-                          np.zeros(mesh.n_nodes)), mesh.level)

@@ -327,14 +327,6 @@ def _gl_1d(n: int) -> tuple[np.ndarray, np.ndarray]:
     return SQRT3 * t, 0.5 * w
 
 
-def gauss_legendre_1d(n: int) -> QuadratureRule:
-    """n-point rule, exact for polynomials up to degree 2n - 1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    nodes, weights = _gl_1d(n)
-    return QuadratureRule(nodes=nodes.reshape(-1, 1), weights=weights)
-
-
 def _index_set(dim: int, level: int) -> list[tuple[int, ...]]:
     """All multi-indices alpha with sum_j alpha_j <= level."""
     out: list[tuple[int, ...]] = []
@@ -353,8 +345,8 @@ def smolyak_rule(dim: int, level: int) -> QuadratureRule:
     """Sparse combination of 1D Gauss-Legendre rules.
 
     The multi-index set is {alpha : sum_j alpha_j <= level} with the 1D
-    rule of order alpha_j + 1 in dimension j, so for dim = 1 the rule
-    coincides with gauss_legendre_1d(level + 1) and level 0 is the single
+    rule of order alpha_j + 1 in dimension j, so for dim = 1 the rule is
+    the (level + 1)-point Gauss-Legendre rule and level 0 is the single
     midpoint node.  Combination weights of the merged nodes may be
     negative for dim >= 2; they always sum to one and the node set is
     symmetric under sign flips.
@@ -390,25 +382,6 @@ def smolyak_rule(dim: int, level: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes.reshape(len(nodes), dim), weights=wts)
 
 
-def field_error(mesh: Mesh, a: Statistics, b: Statistics,
-                which: str = "mean", norm: str = "h1") -> float:
-    """Norm of the difference between two estimates of the mean or the
-    variance field on the same mesh."""
-    if (a.level != b.level or a.mean.n != b.mean.n
-            or a.mean.n != mesh.n_nodes):
-        raise MeshMismatch(
-            f"statistics on levels {a.level}/{b.level} with sizes "
-            f"{a.mean.n}/{b.mean.n} do not match mesh level {mesh.level} "
-            f"({mesh.n_nodes} nodes)")
-    if which == "mean":
-        diff = a.mean - b.mean
-    elif which == "variance":
-        diff = a.variance() - b.variance()
-    else:
-        raise ValueError(f"unknown field selector {which!r}")
-    return norm_by_name(mesh, diff, norm)
-
-
 def norm_by_name(mesh: Mesh, v: NodalField, norm: str) -> float:
     if norm == "h1":
         return h1_norm(mesh, v)
@@ -438,21 +411,6 @@ def statistics_to_text(stats: Statistics) -> str:
     lines.append(f"field {n}")
     lines.extend(fmt(x) for x in stats.variance().values)
     return "\n".join(lines) + "\n"
-
-
-def statistics_from_text(text: str) -> Statistics:
-    lines = text.splitlines()
-    header = lines[0].split()
-    if header[0] != "stats":
-        raise ValueError(f"bad stats header: {lines[0]!r}")
-    n, level, weight, kind = (int(header[2]), int(header[4]),
-                              float(header[6]), header[8])
-    mean = np.array([float(lines[2 + i]) for i in range(n)])
-    var = np.array([float(lines[3 + n + i]) for i in range(n)])
-    weighted = kind == "quad"
-    sc = var if weighted else var * (weight - 1.0)
-    return Statistics(weight=weight, mean=NodalField(mean, level),
-                      second_central=NodalField(sc, level), weighted=weighted)
 
 
 def save_statistics(stats: Statistics, path) -> None:

@@ -8,6 +8,7 @@ from domainuq.fields import (HoldAllGrid, ScalarFieldKL, eval_displacement,
                              eval_mean, eval_rough)
 from domainuq.lowrank import KLBasis
 from domainuq.mesh import build_disc_mesh, displace
+from domainuq.perturb import remainders, solve_block
 
 #: One line per acceptance criterion, echoed after the run.
 ACCEPTANCE_LINES: list[str] = []
@@ -80,6 +81,30 @@ def unit_triangle():
         boundary=np.array([], dtype=np.int64),
         patch_id=np.array([0]),
     )
+
+
+class DenseOracle:
+    """`pivoted_cholesky` access to an explicitly stored symmetric matrix."""
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.n = self.matrix.shape[0]
+
+    def diagonal(self):
+        return self.matrix.diagonal()
+
+    def column(self, j):
+        return self.matrix[:, j]
+
+
+def taylor_remainders(mesh, vf, sf, sample, eps_list):
+    """Taylor remainders of one sample at each of `eps_list`, from one
+    `solve_block` of u0 and each distinct nonzero amplitude, ascending."""
+    columns = [0.0] + sorted({float(eps) for eps in eps_list} - {0.0})
+    u, delta = solve_block(mesh, vf, sf, [sample.z], [sample.y], columns,
+                           with_delta=True)
+    rems = dict(zip(columns, remainders(mesh, u[0], delta[0], columns)))
+    return [rems[float(eps)] for eps in eps_list]
 
 
 def reference_signed_areas(mesh):

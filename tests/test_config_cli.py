@@ -9,13 +9,15 @@ import pytest
 from domainuq.cli import main
 from domainuq.config import ExperimentConfig, config_hash, parse_config
 from domainuq.errors import ConfigError
-from domainuq.fem import NodalField, load_field
+from domainuq.fem import NodalField, field_to_text
 from domainuq.fields import (draw_sample, load_scalar_field,
                              load_vector_field, save_scalar_field,
                              save_vector_field)
 from domainuq.lowrank import KLBasis
 from domainuq.textio import hex_row
 from domainuq.uq import QUADRATURE_BLOCK, SOLVE_BLOCK
+from test_fem import field_from_text
+from test_mesh import mesh_from_text
 
 
 class TestConfigParsing:
@@ -155,18 +157,17 @@ class TestSolveOne:
         ue = open(os.path.join(out, "u_eps.txt"), "rb").read()
         u0 = open(os.path.join(out, "u0.txt"), "rb").read()
         assert ue == u0
-        delta = load_field(os.path.join(out, "delta_u.txt"))
+        delta = field_from_text(open(os.path.join(out, "delta_u.txt")).read())
         assert np.array_equal(delta.values, np.zeros(delta.n))
 
     def test_outputs_reloadable(self, tiny_run):
         cfg, out = tiny_run
         assert main(["solve-one", "--config", cfg, "--out", out,
                      "--y", "0", "--z", "0", "--eps", "0.5"]) == 0
-        from domainuq.fem import field_to_text
         text = open(os.path.join(out, "u_eps.txt")).read()
-        assert field_to_text(load_field(os.path.join(out, "u_eps.txt"))) == text
-        from domainuq.mesh import load_mesh
-        dmesh = load_mesh(os.path.join(out, "deformed_mesh.txt"))
+        assert field_to_text(field_from_text(text)) == text
+        dmesh = mesh_from_text(
+            open(os.path.join(out, "deformed_mesh.txt")).read())
         assert dmesh.level == 2
 
     def test_wrong_dimension_is_config_error(self, tiny_run):
@@ -566,12 +567,15 @@ def test_paired_sweep_error_names_the_failing_pair():
     assert blocks == [4, 4]
 
 
-@pytest.mark.parametrize("change", [-1, 1])
+@pytest.mark.parametrize("change, first_u_eps_only, reference", [
+    (-1, False, "sample pair 0 gave"), (1, False, "sample pair 0 gave"),
+    (-1, True, "its u0 has")], ids=["-1", "1", "first_u_eps-1"])
 @pytest.mark.parametrize("with_delta", [False, True])
-def test_paired_sweep_field_of_another_length_names_the_pair(change,
-                                                             with_delta):
+def test_paired_sweep_field_of_another_length_names_the_pair(
+        change, first_u_eps_only, reference, with_delta):
     """Pair 3's fields are one value shorter (numpy would broadcast them
-    into wrong moments) or one value longer than pair 0's."""
+    into wrong moments) or one value longer than pair 0's, or only its
+    first u_eps column is one value shorter than its own u0."""
     from domainuq import cli
     from domainuq.errors import MeshMismatch
     cfg = parse_config(TINY)
@@ -585,14 +589,16 @@ def test_paired_sweep_field_of_another_length_names_the_pair(change,
     def factory(samples, amplitudes, with_delta):
         calls.append(len(samples))
         u, delta = model.pairs(samples, amplitudes, with_delta)
-        if len(calls) == 1:
+        if len(calls) == 1 and first_u_eps_only:
+            u[3][1] = resized(u[3][1])
+        elif len(calls) == 1:
             u[3] = [resized(f) for f in u[3]]
             if delta is not None:
                 delta[3] = resized(delta[3])
         return u, delta
 
     with pytest.raises(MeshMismatch, match=r"^sample pair 3: field of \d+ "
-                                           r"values, sample pair 0 gave \d+$"):
+                                           rf"values, {reference} \d+$"):
         cli._paired_sweep(cfg, model.dims, factory, threads=1,
                           with_delta=with_delta)
 

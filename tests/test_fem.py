@@ -10,11 +10,18 @@ from conftest import (at_quadrature, interior_gather, matrix_solve,
                       smoothly_displaced)
 from domainuq.errors import MeshMismatch, NonFiniteValue, SolverDiverged
 from domainuq.fem import (NodalField, _h1_gram, _prolongation, _scatter,
-                          assemble_mass, field_from_text, field_to_text,
+                          assemble_mass, field_to_text,
                           h1_norm, l2_norm, perturbation_load_from_qvalues,
                           reference_solver, solve_dirichlet,
                           stiffness_from_qvalues, w11_norm)
 from domainuq.mesh import build_disc_mesh, displace, signed_areas
+
+
+def field_from_text(text, level=-1):
+    """The field that `field_to_text` wrote."""
+    lines = text.splitlines()
+    assert lines[0].split() == ["field", str(len(lines) - 1)]
+    return NodalField(np.array([float(v) for v in lines[1:]]), level)
 
 
 def poisson_solve(mesh, coeff=lambda p: 1.0, f=lambda p: 1.0):

@@ -10,10 +10,10 @@ import domainuq as dq
 from domainuq.errors import OutOfHoldAll
 from domainuq.fields import (CoefficientCovariance, HoldAllGrid, SQRT3,
                              VectorFieldCovariance, coefficient_mean,
-                             eval_coefficient, eval_displacement, eval_mean,
-                             eval_rough, g_hat, load_scalar_field,
-                             load_vector_field, rng_stream, sample_uniform,
-                             save_scalar_field, save_vector_field)
+                             eval_displacement, eval_mean, eval_rough, g_hat,
+                             load_scalar_field, load_vector_field, rng_stream,
+                             sample_uniform, save_scalar_field,
+                             save_vector_field)
 from domainuq.mesh import displace
 from domainuq.textio import hex_row, parse_hex_row
 
@@ -34,11 +34,30 @@ def reference_interpolate(grid, vertex_values, pts):
             + vals[..., v00 + stride + 1] * tx * ty)
 
 
+def coefficient(sf, pts, y, eps):
+    """Full coefficient a_s + eps * a_r(y) at (k, 2) points."""
+    return eval_mean(sf, pts) + eps * eval_rough(sf, pts, y)
+
+
+def vector_covariance_entry(points, i, j):
+    """Entry (i, j) of the deformation covariance at `points`, x
+    components first: the formula `VectorFieldCovariance.column` must
+    reproduce."""
+    (bi, pi), (bj, pj) = divmod(i, len(points)), divmod(j, len(points))
+    X, Xp = points[pi], points[pj]
+    if bi == 0 and bj == 0:
+        return 0.005 * np.exp(-2.0 * np.sum((X - Xp) ** 2))
+    if bi == 1 and bj == 1:
+        return 0.005 * np.exp(-0.5 * np.sum((X - Xp) ** 2))
+    if bi == 0:  # Cov_12(X, X')
+        return 0.001 * np.exp(-0.1 * np.sum((2.0 * X - Xp) ** 2))
+    return 0.001 * np.exp(-0.1 * np.sum((X - 2.0 * Xp) ** 2))
+
+
 class TestCovarianceOracles:
     def test_vector_covariance_at_origin(self):
         oracle = VectorFieldCovariance(np.array([[0.0, 0.0]]))
-        block = np.array([[oracle.entry(0, 0), oracle.entry(0, 1)],
-                          [oracle.entry(1, 0), oracle.entry(1, 1)]])
+        block = np.column_stack([oracle.column(0), oracle.column(1)])
         assert np.allclose(block, np.array([[5.0, 1.0], [1.0, 5.0]]) / 1000.0)
 
     def test_vector_covariance_symmetry(self, mesh2):
@@ -46,19 +65,20 @@ class TestCovarianceOracles:
         rng = np.random.default_rng(0)
         for _ in range(50):
             i, j = rng.integers(0, oracle.n, size=2)
-            assert np.isclose(oracle.entry(i, j), oracle.entry(j, i),
+            assert np.isclose(oracle.column(j)[i], oracle.column(i)[j],
                               rtol=1e-15)
 
     def test_vector_covariance_column_consistent(self, mesh2):
         oracle = VectorFieldCovariance(mesh2.nodes)
         for j in (0, 3, oracle.n - 1):
             col = oracle.column(j)
-            direct = np.array([oracle.entry(i, j) for i in range(oracle.n)])
+            direct = np.array([vector_covariance_entry(mesh2.nodes, i, j)
+                               for i in range(oracle.n)])
             assert np.allclose(col, direct, rtol=1e-15)
 
     def test_coefficient_covariance_at_origin(self):
         oracle = CoefficientCovariance(np.array([[0.0, 0.0]]))
-        assert np.isclose(oracle.entry(0, 0), 0.11, rtol=1e-15)
+        assert np.isclose(oracle.column(0)[0], 0.11, rtol=1e-15)
 
     def test_coefficient_diagonal(self):
         pts = np.array([[0.0, 0.0], [0.5, 0.5], [1.5, 0.0]])
@@ -115,20 +135,20 @@ class TestScalarFieldKL:
 
     def test_zero_y_gives_mean_exactly(self, sf64):
         pts = rng_stream(2, 0).uniform(-2, 2, size=(100, 2))
-        vals = eval_coefficient(sf64, pts, np.zeros(sf64.n_modes), 1.0)
+        vals = coefficient(sf64, pts, np.zeros(sf64.n_modes), 1.0)
         assert np.array_equal(vals, eval_mean(sf64, pts))
 
     def test_zero_eps_gives_mean_exactly(self, sf64):
         rng = rng_stream(2, 1)
         pts = rng.uniform(-2, 2, size=(100, 2))
         y = sample_uniform(sf64.n_modes, rng)
-        vals = eval_coefficient(sf64, pts, y, 0.0)
+        vals = coefficient(sf64, pts, y, 0.0)
         assert np.array_equal(vals, eval_mean(sf64, pts))
 
     def test_out_of_hold_all(self, sf64):
         with pytest.raises(OutOfHoldAll):
-            eval_coefficient(sf64, np.array([2.5, 0.0]),
-                             np.zeros(sf64.n_modes), 1.0)
+            coefficient(sf64, np.array([[2.5, 0.0]]),
+                        np.zeros(sf64.n_modes), 1.0)
 
     def test_nan_point_is_out_of_hold_all(self, sf64):
         pts = np.zeros((4, 2))
@@ -158,10 +178,10 @@ class TestScalarFieldKL:
             grid.interpolate(np.zeros(grid.n_vertices), stencil)
 
     def test_single_point_api(self, sf64):
-        val = eval_coefficient(sf64, np.array([1.0, 0.0]),
-                               np.zeros(sf64.n_modes), 1.0)
-        assert isinstance(val, float)
-        assert np.isclose(val, 1.025, atol=1e-6)
+        val = coefficient(sf64, np.array([[1.0, 0.0]]),
+                          np.zeros(sf64.n_modes), 1.0)
+        assert val.shape == (1,)
+        assert np.isclose(val[0], 1.025, atol=1e-6)
 
     def test_perturbation_magnitude_bracket(self, sf64):
         rng = rng_stream(11, 0)
@@ -186,7 +206,7 @@ class TestScalarFieldKL:
         for _ in range(100):
             pts = rng.uniform(-2, 2, size=(100, 2))
             y = sample_uniform(sf64.n_modes, rng)
-            vals = eval_coefficient(sf64, pts, y, 1.0)
+            vals = coefficient(sf64, pts, y, 1.0)
             amin, amax = min(amin, vals.min()), max(amax, vals.max())
         assert amin >= 0.05
         assert amax < 2.5
@@ -195,8 +215,8 @@ class TestScalarFieldKL:
         rng = rng_stream(3, 0)
         pts = rng.uniform(-2, 2, size=(10000, 2))
         y = sample_uniform(sf64.n_modes, rng)
-        avg = 0.5 * (eval_coefficient(sf64, pts, y, 1.0)
-                     + eval_coefficient(sf64, pts, -y, 1.0))
+        avg = 0.5 * (coefficient(sf64, pts, y, 1.0)
+                     + coefficient(sf64, pts, -y, 1.0))
         mean = eval_mean(sf64, pts)
         assert np.abs(avg - mean).max() <= 2 * np.finfo(float).eps * np.abs(
             mean).max()

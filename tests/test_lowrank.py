@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, diags, identity
 
+from conftest import DenseOracle
 from domainuq import lowrank
 from domainuq.errors import NotPSD
 from domainuq.fem import assemble_mass
 from domainuq.fields import (CHOL_TOL_FACTOR, CoefficientCovariance,
                              HoldAllGrid, ScalarFieldKL, VectorFieldCovariance,
                              _grid_mass, load_scalar_field, save_scalar_field)
-from domainuq.lowrank import (DenseOracle, KLBasis, pivoted_cholesky,
-                              reduced_eigs, truncate)
+from domainuq.lowrank import (KLBasis, kept_count, pivoted_cholesky,
+                              reduced_eigs)
 
 #: Trace-level truncation target of a KL build at the default tolerance 1e-2.
 KL_TOL = 1e-2 ** 2
@@ -187,14 +188,10 @@ class TestReducedEigs:
 
 class TestTruncate:
     def test_no_discard(self):
-        basis = KLBasis(np.array([1.0, 0.5]), np.eye(2))
-        out = truncate(basis, 1e-12)
-        assert out.n_modes == 2
+        assert kept_count(np.array([1.0, 0.5]), 1e-12) == 2
 
     def test_direct_criterion(self):
-        basis = KLBasis(np.array([0.9, 0.09, 0.01]), np.eye(3))
-        out = truncate(basis, 0.02)
-        assert out.n_modes == 2
+        assert kept_count(np.array([0.9, 0.09, 0.01]), 0.02) == 2
 
     def test_mode_count_bracket_at_desk_scale(self, mesh5):
         import domainuq as dq
@@ -202,11 +199,9 @@ class TestTruncate:
         assert 40 <= vf.n_modes <= 70
 
     def test_tol_bounds(self):
-        basis = KLBasis(np.array([1.0]), np.eye(1))
-        with pytest.raises(ValueError):
-            truncate(basis, 0.0)
-        with pytest.raises(ValueError):
-            truncate(basis, 1.0)
+        for tol in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                kept_count(np.array([1.0]), tol)
 
 
 def vector_field_problem(mesh):
@@ -225,13 +220,13 @@ class TestKeptLift:
             CHOL_TOL_FACTOR * KL_TOL), _grid_mass(grid))
         for (factor, mass), block in ((vector_field_problem(mesh4), 2),
                                       (coefficient, 1)):
-            reference = truncate(reduced_eigs(factor, mass, block), KL_TOL)
+            lifted = reduced_eigs(factor, mass, block)
+            keep = kept_count(lifted.mu, KL_TOL)
             kept = reduced_eigs(factor, mass, block, tol=KL_TOL)
-            assert 0 < kept.n_modes < factor.rank
-            assert np.array_equal(kept.mu, reference.mu)
-            assert np.array_equal(kept.modes, reference.modes)
+            assert 0 < kept.n_modes == keep < factor.rank
+            assert np.array_equal(kept.mu, lifted.mu[:keep])
+            assert np.array_equal(kept.modes, lifted.modes[:keep])
             assert kept.modes.flags.c_contiguous
-            assert kept.truncation_tol == reference.truncation_tol
 
     def test_rank_zero_factor(self):
         factor = pivoted_cholesky(DenseOracle(np.zeros((3, 3))), 1e-12)
@@ -268,8 +263,7 @@ def test_klbasis_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
     grid = HoldAllGrid(16)
     basis = KLBasis(np.sort(rng.random(4))[::-1],
-                    rng.standard_normal((4, grid.n_vertices)),
-                    truncation_tol=0.0)
+                    rng.standard_normal((4, grid.n_vertices)))
     first, second = tmp_path / "first.txt", tmp_path / "second.txt"
     save_scalar_field(ScalarFieldKL(grid, rng.standard_normal(grid.n_vertices),
                                     basis), first)

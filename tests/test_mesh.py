@@ -4,9 +4,37 @@ import pytest
 from conftest import (reference_geometry, reference_signed_areas,
                       smoothly_displaced)
 from domainuq.errors import DegenerateDeformation
-from domainuq.mesh import (build_disc_mesh, displace, edge_midpoints, edges,
-                           geometry, mesh_from_text, mesh_to_text,
-                           min_angle_deg, refine, signed_areas)
+from domainuq.mesh import (Mesh, build_disc_mesh, displace, edge_midpoints,
+                           edges, geometry, mesh_to_text, refine,
+                           signed_areas)
+
+
+def mesh_from_text(text):
+    """The mesh that `mesh_to_text` wrote."""
+    lines = text.splitlines()
+    header = lines[0].split()
+    assert header[0::2] == ["nodes", "triangles", "level"]
+    n, m, level = int(header[1]), int(header[3]), int(header[5])
+    nodes = np.array([[float(v) for v in line.split()]
+                      for line in lines[1:1 + n]])
+    rows = np.array([[int(v) for v in line.split()]
+                     for line in lines[1 + n:1 + n + m]], dtype=np.int64)
+    boundary = np.array(lines[1 + n + m].split(), dtype=np.int64)
+    return Mesh(level=level, nodes=nodes, triangles=rows[:, :3],
+                boundary=boundary, patch_id=rows[:, 3])
+
+
+def min_angle_deg(mesh):
+    """Smallest interior angle over all triangles, in degrees."""
+    corners = mesh.nodes[mesh.triangles]
+    angles = []
+    for k in range(3):
+        u = corners[:, (k + 1) % 3] - corners[:, k]
+        v = corners[:, (k + 2) % 3] - corners[:, k]
+        cosang = np.sum(u * v, axis=1) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
+    return float(np.min(angles))
 
 
 def polygon_area(level):

@@ -11,14 +11,29 @@ from hypothesis import strategies as st
 
 import domainuq as dq
 from domainuq.errors import MeshMismatch, NonPositiveData
-from domainuq.fem import NodalField, h1_norm, _h1_gram
+from domainuq.fem import NodalField, _h1_gram, h1_norm, l2_norm, w11_norm
 from domainuq.perturb import solve_block
-from domainuq.uq import (RunningMoments, Statistics, field_error,
-                         gauss_legendre_1d, map_blocks, mc_estimate,
-                         quadrature_estimate, sample_blocks, slope_fit,
-                         QUADRATURE_BLOCK, SOLVE_BLOCK,
-                         smolyak_rule, statistics_from_text,
-                         statistics_to_text, tree_merge)
+from domainuq.uq import (RunningMoments, Statistics, map_blocks,
+                         mc_estimate, norm_by_name, quadrature_estimate,
+                         sample_blocks, slope_fit, QUADRATURE_BLOCK,
+                         SOLVE_BLOCK, smolyak_rule, statistics_to_text,
+                         tree_merge)
+
+
+def statistics_from_text(text):
+    """The statistics that `statistics_to_text` wrote; a Monte Carlo
+    variance is rescaled to its sum of squared deviations."""
+    lines = text.splitlines()
+    header = lines[0].split()
+    assert header[0] == "stats"
+    n, level, weight, kind = (int(header[2]), int(header[4]),
+                              float(header[6]), header[8])
+    mean = np.array([float(v) for v in lines[2:2 + n]])
+    var = np.array([float(v) for v in lines[3 + n:3 + 2 * n]])
+    weighted = kind == "quad"
+    sc = var if weighted else var * (weight - 1.0)
+    return Statistics(weight=weight, mean=NodalField(mean, level),
+                      second_central=NodalField(sc, level), weighted=weighted)
 
 
 def each(fn):
@@ -381,14 +396,14 @@ class TestMapBlocks:
 
 class TestQuadratureEstimate:
     def test_single_node_rule(self):
-        rule = gauss_legendre_1d(1)
+        rule = smolyak_rule(1, 0)
         stats = quadrature_estimate(
             each(lambda z: NodalField(np.array([1.0 + z[0]]), 0)), rule)
         assert np.array_equal(stats.mean.values, [1.0])
         assert np.array_equal(stats.variance().values, [0.0])
 
     def test_linear_solver_symmetric_rule(self):
-        rule = gauss_legendre_1d(4)
+        rule = smolyak_rule(1, 3)
         stats = quadrature_estimate(
             each(lambda z: NodalField(np.array([2.0 + 3.0 * z[0]]), 0)), rule)
         # odd part cancels, the mean is the solve at the origin
@@ -397,14 +412,14 @@ class TestQuadratureEstimate:
         assert np.isclose(stats.variance().values[0], 9.0, rtol=1e-13)
 
     def test_variance_clamping(self):
-        rule = gauss_legendre_1d(2)
+        rule = smolyak_rule(1, 1)
         stats = quadrature_estimate(
             each(lambda z: NodalField(np.array([1.0]), 0)), rule)
         assert stats.second_central.values[0] >= -1e-12
         assert stats.variance().values[0] >= 0.0
 
     def test_block_error_names_the_failing_node(self):
-        rule = gauss_legendre_1d(17)
+        rule = smolyak_rule(1, 16)
 
         def block_solver(nodes):
             if (len(nodes) == QUADRATURE_BLOCK
@@ -444,25 +459,25 @@ class TestQuadratureEstimate:
 
 class TestGaussLegendre:
     def test_one_point(self):
-        rule = gauss_legendre_1d(1)
+        rule = smolyak_rule(1, 0)
         assert np.array_equal(rule.nodes, [[0.0]])
         assert np.array_equal(rule.weights, [1.0])
 
     def test_two_point(self):
-        rule = gauss_legendre_1d(2)
+        rule = smolyak_rule(1, 1)
         assert np.allclose(sorted(rule.nodes.ravel()), [-1.0, 1.0])
         assert np.allclose(rule.weights, [0.5, 0.5])
         second = np.sum(rule.weights * rule.nodes.ravel() ** 2)
         assert np.isclose(second, 1.0, rtol=1e-15)
 
     def test_three_point_fourth_moment(self):
-        rule = gauss_legendre_1d(3)
+        rule = smolyak_rule(1, 2)
         fourth = np.sum(rule.weights * rule.nodes.ravel() ** 4)
         assert np.isclose(fourth, 9.0 / 5.0, rtol=1e-14)
 
     def test_weights_normalized(self):
         for n in range(1, 9):
-            rule = gauss_legendre_1d(n)
+            rule = smolyak_rule(1, n - 1)
             assert abs(rule.weights.sum() - 1.0) <= 1e-12
 
 
@@ -470,11 +485,10 @@ class TestSmolyak:
     def test_one_dimension_degenerates(self):
         for level in range(4):
             rule = smolyak_rule(1, level)
-            gl = gauss_legendre_1d(level + 1)
+            t, w = np.polynomial.legendre.leggauss(level + 1)
             order = np.argsort(rule.nodes[:, 0])
-            gl_order = np.argsort(gl.nodes[:, 0])
-            assert np.allclose(rule.nodes[order], gl.nodes[gl_order])
-            assert np.allclose(rule.weights[order], gl.weights[gl_order])
+            assert np.allclose(rule.nodes[order, 0], np.sqrt(3.0) * t)
+            assert np.allclose(rule.weights[order], 0.5 * w)
 
     def test_level_zero_any_dimension(self):
         rule = smolyak_rule(7, 0)
@@ -525,48 +539,30 @@ class TestSmolyak:
         assert abs(total - exact) <= 1e-12 * max(scale, 1.0)
 
 
-class TestFieldError:
-    def make_stats(self, mesh, mean, var):
-        return Statistics(weight=1.0, mean=NodalField(mean, mesh.level),
-                          second_central=NodalField(var, mesh.level),
-                          weighted=True)
+class TestNormByName:
+    NORMS = {"h1": h1_norm, "w11": w11_norm, "l2": l2_norm}
 
-    def test_identical_statistics(self, mesh3):
-        rng = np.random.default_rng(2)
-        a = self.make_stats(mesh3, rng.random(mesh3.n_nodes),
-                            rng.random(mesh3.n_nodes))
-        assert field_error(mesh3, a, a, "mean", "h1") == 0.0
-        assert field_error(mesh3, a, a, "variance", "w11") == 0.0
-
-    def test_shift_equals_norm(self, mesh3):
-        rng = np.random.default_rng(3)
-        base = rng.random(mesh3.n_nodes)
-        v = rng.random(mesh3.n_nodes)
-        a = self.make_stats(mesh3, base + v, base)
-        b = self.make_stats(mesh3, base, base)
-        assert np.isclose(field_error(mesh3, a, b, "mean", "h1"),
-                          h1_norm(mesh3, NodalField(v, mesh3.level)),
-                          rtol=1e-12)
+    def test_each_name_is_its_norm(self, mesh3):
+        v = NodalField(np.random.default_rng(3).random(mesh3.n_nodes),
+                       mesh3.level)
+        for name, norm in self.NORMS.items():
+            assert norm_by_name(mesh3, v, name) == norm(mesh3, v)
+        with pytest.raises(ValueError):
+            norm_by_name(mesh3, v, "h2")
 
     def test_symmetry(self, mesh3):
         rng = np.random.default_rng(4)
-        a = self.make_stats(mesh3, rng.random(mesh3.n_nodes),
-                            rng.random(mesh3.n_nodes))
-        b = self.make_stats(mesh3, rng.random(mesh3.n_nodes),
-                            rng.random(mesh3.n_nodes))
-        for which in ("mean", "variance"):
-            for norm in ("h1", "w11"):
-                assert np.isclose(field_error(mesh3, a, b, which, norm),
-                                  field_error(mesh3, b, a, which, norm),
-                                  rtol=1e-14)
+        a, b = (NodalField(rng.random(mesh3.n_nodes), mesh3.level)
+                for _ in range(2))
+        for name in self.NORMS:
+            assert np.isclose(norm_by_name(mesh3, a - b, name),
+                              norm_by_name(mesh3, b - a, name), rtol=1e-14)
 
     def test_mesh_mismatch(self, mesh3, mesh2):
-        a = self.make_stats(mesh3, np.zeros(mesh3.n_nodes),
-                            np.zeros(mesh3.n_nodes))
-        b = self.make_stats(mesh2, np.zeros(mesh2.n_nodes),
-                            np.zeros(mesh2.n_nodes))
-        with pytest.raises(MeshMismatch):
-            field_error(mesh3, a, b)
+        v = NodalField(np.zeros(mesh2.n_nodes), mesh2.level)
+        for name in self.NORMS:
+            with pytest.raises(MeshMismatch):
+                norm_by_name(mesh3, v, name)
 
 
 class TestSlopeFit:
@@ -623,7 +619,7 @@ def test_statistics_roundtrip(mesh3):
 
 
 def test_statistics_roundtrip_quadrature_kind(mesh3):
-    rule = gauss_legendre_1d(3)
+    rule = smolyak_rule(1, 2)
     stats = quadrature_estimate(
         each(lambda z: NodalField(np.full(mesh3.n_nodes, 1.0 + z[0] ** 2),
                                   mesh3.level)), rule)
