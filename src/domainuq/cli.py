@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import closing
 
 import numpy as np
 
@@ -28,9 +27,8 @@ from .fields import (RNG_ALGORITHM, Sample, build_coefficient_kl,
 from .mesh import build_disc_mesh, save_mesh
 from .perturb import remainders, solve_block, solve_sample
 from .textio import fmt
-from .uq import (block_accumulators, l2_norm, mc_estimate, norm_by_name,
-                 quadrature_estimate, save_statistics, slope_fit,
-                 smolyak_rule, solve_blocks, tree_merge)
+from .uq import (l2_norm, mc_estimate, norm_by_name, quadrature_estimate,
+                 save_statistics, slope_fit, smolyak_rule)
 
 VECTOR_FIELD_FILE = "vector_field.txt"
 SCALAR_FIELD_FILE = "coefficient.txt"
@@ -73,9 +71,13 @@ def _check_manifest(cfg: ExperimentConfig) -> None:
     path = os.path.join(cfg.out_dir, MANIFEST_FILE)
     if not os.path.exists(path):
         raise ConfigError(f"KL manifest {path!r} not found; run build-kl")
-    with open(path) as f:
-        values = dict(line.strip().split("=", 1) for line in f
-                      if "=" in line and not line.startswith("#"))
+    try:
+        with open(path, encoding="utf-8") as f:
+            values = dict(line.strip().split("=", 1) for line in f
+                          if "=" in line and not line.startswith("#"))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"cannot read KL manifest {path!r}: {e}; "
+                          "run build-kl again") from e
     for key in ("kl_tol_v", "kl_tol_a"):
         want = getattr(cfg, key)
         try:
@@ -192,7 +194,8 @@ def cmd_mc(cfg: ExperimentConfig, threads: int) -> None:
     model = FEModel(mesh, *_load_artifacts(cfg, mesh))
 
     def solver(samples):
-        return model.pairs(samples, cfg.eps_list)[0]
+        u, _ = model.pairs(samples, cfg.eps_list)
+        return [[[f] for f in fields] for fields in u]
 
     per_eps = mc_estimate(solver, model.dims, cfg.n_mc, cfg.seed,
                           threads=threads)
@@ -322,12 +325,12 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
 
     `factory(samples, amplitudes, with_delta)` is a model's `pairs`
     block solver, called on blocks of consecutive pairs (see
-    `uq.solve_blocks`) with 0, then the signed amplitudes sign * eps of
+    `uq.mc_estimate`) with 0, then the signed amplitudes sign * eps of
     both signs in ascending order: a column's rounding depends on its
-    position in the lockstep block.  Returns per-eps (momD, momE, mom0):
-    moments of the coupled difference, of u_eps, and of u0, over
-    2 * n_pairs samples, plus the moments of the derivative solve when
-    `with_delta` is set.
+    position in the lockstep block.  Returns per-eps (statsD, statsE,
+    stats0): statistics of the coupled difference, of u_eps, and of u0,
+    over 2 * n_pairs samples, plus the statistics of the derivative solve
+    when `with_delta` is set.
     """
     n_pairs = cfg.n_mc // 2
     if n_pairs < 1:
@@ -339,38 +342,33 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
     columns = [[amplitudes.index(sign * eps) for sign in signs]
                for eps in cfg.eps_list]
 
-    def pair_fields(pairs):
-        samples = [draw_sample(dims[0], dims[1], cfg.seed, p) for p in pairs]
+    def solver(samples):
+        """Per pair the fields of each quantity: for each eps those of
+        u_eps - u0, u_eps and u0, one per sign, then those of the
+        derivative solve.  Raises MeshMismatch unless every field of a
+        pair has as many values as its u0."""
         u, delta = factory(samples, amplitudes, with_delta)
-        return [(fields, None if delta is None else delta[i])
-                for i, fields in enumerate(u)]
-
-    def updates(i, fields, delta):
-        """The vectors of each accumulator in update order: for each eps
-        those of u_eps - u0, u_eps and u0, one per sign, then those of the
-        derivative solve.  Raises MeshMismatch unless every field of pair
-        i has as many values as its u0."""
-        u0 = fields[0].values
-        for f in [*fields, delta] if with_delta else fields:
-            if f.n != len(u0):
-                raise MeshMismatch(f"sample pair {i}: field of {f.n} values, "
-                                   f"its u0 has {len(u0)}")
         out = []
-        for cols in columns:
-            u = [fields[j].values for j in cols]
-            out += [[x - u0 for x in u], u, [u0, u0]]
-        if with_delta:
-            out.append([sign * delta.values for sign in signs])
+        for i, fields in enumerate(u):
+            u0 = fields[0]
+            for f in [*fields, delta[i]] if with_delta else fields:
+                if f.n != u0.n:
+                    raise MeshMismatch(f"field of {f.n} values, its u0 has "
+                                       f"{u0.n}", index=i)
+            quantities = []
+            for cols in columns:
+                ue = [fields[j] for j in cols]
+                quantities += [[f - u0 for f in ue], ue, [u0, u0]]
+            if with_delta:
+                quantities.append([delta[i] * sign for sign in signs])
+            out.append(quantities)
         return out
 
-    with closing(solve_blocks(pair_fields, n_pairs, "sample pair",
-                              threads)) as outputs:
-        moments = [tree_merge(accs) for accs in block_accumulators(
-            (updates(i, *pair) for i, pair in enumerate(outputs)), n_pairs,
-            "sample pair")]
-    merged = [tuple(moments[3 * ei:3 * ei + 3])
-              for ei in range(len(cfg.eps_list))]
-    return merged, (moments[-1] if with_delta else None)
+    stats = mc_estimate(solver, dims, n_pairs, cfg.seed, threads,
+                        "sample pair")
+    per_eps = [tuple(stats[3 * ei:3 * ei + 3])
+               for ei in range(len(cfg.eps_list))]
+    return per_eps, (stats[-1] if with_delta else None)
 
 
 def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
@@ -383,19 +381,16 @@ def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
     save_statistics(baseline, base_path)
     print(f"wrote {base_path}")
 
-    moments, mom_delta = _paired_sweep(cfg, model.dims, model.pairs, threads,
-                                       second_order_variance)
-    correction = (mom_delta.freeze(mesh.level).variance().values
+    per_eps, stats_delta = _paired_sweep(cfg, model.dims, model.pairs,
+                                         threads, second_order_variance)
+    correction = (stats_delta.variance().values
                   if second_order_variance else None)
 
     rows = []
     mean_points = []
     var_points = []
     n = 2 * (cfg.n_mc // 2)
-    for eps, (momD, momE, mom0) in zip(cfg.eps_list, moments):
-        statsD = momD.freeze(mesh.level)
-        statsE = momE.freeze(mesh.level)
-        stats0 = mom0.freeze(mesh.level)
+    for eps, (statsD, statsE, stats0) in zip(cfg.eps_list, per_eps):
         err_mean = norm_by_name(mesh, statsD.mean, cfg.norm_mean)
         var_diff = (statsE.variance() - stats0.variance()).values
         if correction is not None:

@@ -99,9 +99,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return parse_config(f.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
 
 

@@ -130,9 +130,7 @@ class VectorFieldKL:
         return len(self.mean)
 
 
-def build_vector_field_kl(mesh: Mesh, tol: float,
-                          chol_tol: float | None = None,
-                          max_rank: int | None = None) -> VectorFieldKL:
+def build_vector_field_kl(mesh: Mesh, tol: float) -> VectorFieldKL:
     """Discretize the deformation covariance on the mesh and extract KL modes.
 
     Runs the pivoted Cholesky factorization of the 2n x 2n nodal covariance,
@@ -142,14 +140,12 @@ def build_vector_field_kl(mesh: Mesh, tol: float,
     of the trace.
     """
     oracle = VectorFieldCovariance(mesh.nodes)
-    if chol_tol is None:
-        chol_tol = CHOL_TOL_FACTOR * tol * tol
     # The mass matrix comes first: the sparsity pattern it caches on the
     # mesh topology then cannot pin heap memory that the factorization's
     # large temporaries free (1.2 MB instead of 6 MB of extra peak RSS at
     # mesh level 6).
     mass = assemble_mass(mesh)
-    factor = pivoted_cholesky(oracle, chol_tol, max_rank)
+    factor = pivoted_cholesky(oracle, CHOL_TOL_FACTOR * tol * tol)
     basis = reduced_eigs(factor, mass, block=2, tol=tol * tol)
     info = {"chol_rank": factor.rank, "chol_residual": factor.trace_residual}
     return VectorFieldKL(mean=mesh.nodes.copy(), basis=basis,
@@ -278,9 +274,7 @@ class ScalarFieldKL:
         return self.basis.n_modes
 
 
-def build_coefficient_kl(grid_cells: int, tol: float,
-                         chol_tol: float | None = None,
-                         max_rank: int | None = None) -> ScalarFieldKL:
+def build_coefficient_kl(grid_cells: int, tol: float) -> ScalarFieldKL:
     """KL expansion of the rough coefficient on the hold-all grid.
 
     As for the vector field, `tol` bounds the relative L2 truncation error
@@ -291,9 +285,7 @@ def build_coefficient_kl(grid_cells: int, tol: float,
     grid = HoldAllGrid(grid_cells)
     points = grid.vertex_points()
     oracle = CoefficientCovariance(points)
-    if chol_tol is None:
-        chol_tol = CHOL_TOL_FACTOR * tol * tol
-    factor = pivoted_cholesky(oracle, chol_tol, max_rank)
+    factor = pivoted_cholesky(oracle, CHOL_TOL_FACTOR * tol * tol)
     basis = reduced_eigs(factor, _grid_mass(grid), block=1, tol=tol * tol)
     info = {"chol_rank": factor.rank, "chol_residual": factor.trace_residual}
     return ScalarFieldKL(grid=grid, mean=coefficient_mean(points),

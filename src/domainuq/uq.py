@@ -1,8 +1,10 @@
 """Mean and variance estimators over the random parameters, quadrature
 rules against the uniform density, and error and slope evaluation.
 
-Monte Carlo estimation uses the Welford recurrence per fixed-size sample
-block and a fixed binary tree merge over block index.  Quadrature
+`mc_estimate` is the one Monte Carlo fold, for plain samples and coupled
+pairs alike: each item brings one list of fields per quantity, folded
+by the Welford recurrence per fixed-size block of items, and the blocks
+are merged by a fixed binary tree over block index.  Quadrature
 estimation accumulates first and second weighted moments in rule order.
 
 Samples and coupled pairs are solved in fixed blocks of `SOLVE_BLOCK`
@@ -23,7 +25,7 @@ import os
 from concurrent.futures import BrokenExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -121,46 +123,6 @@ def tree_merge(accumulators: list[RunningMoments]) -> RunningMoments:
     return accs[0]
 
 
-def sample_blocks(n_samples: int, block_size: int = MC_BLOCK_SIZE):
-    """Fixed partition of sample indices into accumulation blocks."""
-    return [(s, min(s + block_size, n_samples))
-            for s in range(0, n_samples, block_size)]
-
-
-def block_accumulators(streams, n_items: int,
-                       label: str) -> list[list[RunningMoments]]:
-    """Welford accumulators of per-item vectors, per quantity and block.
-
-    `streams` yields, for each of `n_items` items in order, one sequence
-    of vectors per quantity (the same number of quantities every time).
-    Each block of `sample_blocks(n_items)` folds its items into fresh
-    accumulators, vector by vector in the order given.  Returns, for each
-    quantity, its accumulators in block order, ready for `tree_merge`.
-
-    Raises MeshMismatch, naming the item as `label i`, for a vector whose
-    length differs from that of its quantity's first vector.
-    """
-    sizes = None
-    blocks = []
-    for lo, hi in sample_blocks(n_items):
-        accs = None
-        for i in range(lo, hi):
-            vectors = next(streams)
-            if sizes is None:
-                sizes = [len(v[0]) for v in vectors]
-            if accs is None:
-                accs = [RunningMoments(size) for size in sizes]
-            for acc, size, values in zip(accs, sizes, vectors):
-                for x in values:
-                    if len(x) != size:
-                        raise MeshMismatch(
-                            f"{label} {i}: field of {len(x)} values, "
-                            f"{label} 0 gave {size}")
-                    acc.update(x)
-        blocks.append(accs)
-    return [list(per_quantity) for per_quantity in zip(*blocks)]
-
-
 #: (fn, items) of the running `map_blocks`, inherited by forked workers.
 _TASK = None
 
@@ -253,32 +215,48 @@ def solve_blocks(fn, n_items: int, label: str, threads: int = 1,
 
 
 def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
-                threads: int = 1):
-    """Plain Monte Carlo mean and variance over i.i.d. draws of (y, z).
+                threads: int = 1, label: str = "sample"):
+    """Monte Carlo mean and variance over i.i.d. draws of (y, z).
 
     `solver(samples)` takes a list of up to `SOLVE_BLOCK` consecutive
-    samples (see `solve_blocks`) and returns, per sample, a list of
-    NodalFields: several quantities computed from one sample.  The result
-    is a list of Statistics in the same order, each from its own
-    accumulators.
+    samples (see `solve_blocks`) and returns, per sample, one list of
+    NodalFields per quantity, the same number of quantities every time (a
+    plain sample brings one field per quantity, an antithetic pair two).
+    Each block of `MC_BLOCK_SIZE` consecutive samples folds its fields
+    into fresh Welford accumulators, field by field in the order given,
+    and `tree_merge` merges the blocks.  The result is a list of
+    Statistics, one per quantity.
 
     Sample i is generated from the stream (seed, i), so the estimate is a
     pure function of (seed, n_samples) regardless of the thread count.
-    Solver errors abort with the failing sample index.
+    Solver errors abort naming the failing sample as `label i`, and so
+    does a MeshMismatch for a field whose length differs from that of its
+    quantity's first field.  ValueError unless every quantity folds at
+    least two fields.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     n_y, n_z = dims
+    blocks = []
     with closing(solve_blocks(
             lambda indices: solver([draw_sample(n_y, n_z, seed, i)
                                     for i in indices]),
-            n_samples, "sample", threads)) as outputs:
-        first = next(outputs)
-        blocks = block_accumulators(([(f.values,) for f in out]
-                                     for out in chain([first], outputs)),
-                                    n_samples, "sample")
-    return [tree_merge(accs).freeze(f.level)
-            for accs, f in zip(blocks, first)]
+            n_samples, label, threads)) as outputs:
+        for i, quantities in enumerate(outputs):
+            if i == 0:
+                first = [fields[0] for fields in quantities]
+            if i % MC_BLOCK_SIZE == 0:
+                blocks.append([RunningMoments(f.n) for f in first])
+            for acc, f0, fields in zip(blocks[-1], first, quantities):
+                for f in fields:
+                    if f.n != f0.n:
+                        raise MeshMismatch(f"{label} {i}: field of {f.n} "
+                                           f"values, {label} 0 gave {f0.n}")
+                    acc.update(f.values)
+    merged = [tree_merge(accs) for accs in zip(*blocks)]
+    if any(acc.count < 2 for acc in merged):
+        raise ValueError("every quantity needs at least two fields")
+    return [acc.freeze(f.level) for acc, f in zip(merged, first)]
 
 
 def quadrature_estimate(solver, rule: "QuadratureRule",

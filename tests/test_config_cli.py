@@ -223,9 +223,15 @@ class TestExitCodes:
         assert main(["convergence", "--config", cfg,
                      "--out", str(tmp_path / "empty")]) == 2
 
-    def test_bad_config_file(self, tmp_path):
-        cfg = write_config(tmp_path / "c.cfg", "nonsense = 1\n")
-        assert main(["mc", "--config", cfg]) == 2
+    @pytest.mark.parametrize("content, expected", [
+        (b"nonsense = 1\n", "unknown key"),
+        (b"\xff\xfe mesh_level = 2\n", "cannot read config")],
+        ids=["unknown-key", "not-utf-8"])
+    def test_bad_config_file(self, tmp_path, capsys, content, expected):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(content)
+        assert main(["mc", "--config", str(path)]) == 2
+        assert expected in capsys.readouterr().err
 
     def test_numerical_failure(self, tiny_run, tmp_path):
         cfg_text = TINY.replace("eps_list = 0.5, 1", "eps_list = 0.5, 50")
@@ -287,15 +293,20 @@ class TestExitCodes:
             assert f"{key}=0.01" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "mc.csv"))
 
-    def test_manifest_without_tolerances(self, tiny_run, tmp_path, capsys):
+    @pytest.mark.parametrize("prefix, expected", [
+        (b"", "not recorded"), (b"\xff\xfe", "cannot read KL manifest")],
+        ids=["no-tolerances", "not-utf-8"])
+    def test_manifest_without_tolerances(self, tiny_run, tmp_path, capsys,
+                                         prefix, expected):
         cfg, out = artifacts_copy(tiny_run, tmp_path / "a")
         path = os.path.join(out, "kl_manifest.txt")
         lines = open(path).read().splitlines()
-        with open(path, "w") as f:
-            f.write("\n".join(l for l in lines
-                              if not l.startswith("kl_tol_")) + "\n")
+        with open(path, "wb") as f:
+            f.write(prefix + ("\n".join(l for l in lines
+                                        if not l.startswith("kl_tol_"))
+                              + "\n").encode())
         assert main(["mc", "--config", cfg, "--out", out]) == 2
-        assert "not recorded" in capsys.readouterr().err
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["vector_field.txt", "coefficient.txt"])
     def test_truncated_artifact(self, tiny_run, tmp_path, capsys, name):
@@ -402,8 +413,10 @@ def decimal_artifact(path) -> str:
 
 
 class TestSyntheticMode:
-    def test_convergence_slopes_exactly_two(self, tmp_path):
-        cfg = write_config(tmp_path / "c.cfg", TINY)
+    @pytest.mark.parametrize("n_mc", [32, 2], ids=["16-pairs", "one-pair"])
+    def test_convergence_slopes_exactly_two(self, tmp_path, n_mc):
+        cfg = write_config(tmp_path / "c.cfg",
+                           TINY.replace("n_mc = 32", f"n_mc = {n_mc}"))
         out = tmp_path / "syn"
         assert main(["convergence", "--config", cfg, "--out", str(out),
                      "--synthetic"]) == 0
@@ -527,14 +540,17 @@ class TestWorkPerSample:
         monkeypatch.setattr(perturb, "solve_dirichlet", counting)
         return calls
 
+    @pytest.mark.parametrize("n_mc", [32, 2], ids=["16-pairs", "one-pair"])
     def test_convergence_one_solve_call_per_pair_and_node(
-            self, tiny_run, tmp_path, monkeypatch):
+            self, tiny_run, tmp_path, monkeypatch, n_mc):
         from domainuq.uq import smolyak_rule
-        cfg, out = artifacts_copy(tiny_run, tmp_path / "c")
+        _, out = artifacts_copy(tiny_run, tmp_path / "c")
+        text = TINY.replace("n_mc = 32", f"n_mc = {n_mc}")
+        cfg = write_config(tmp_path / "c.cfg", text)
         calls = self.count_solves(monkeypatch)
         assert main(["convergence", "--config", cfg, "--out", out]) == 0
         n_z = load_vector_field(os.path.join(out, "vector_field.txt")).n_modes
-        config = parse_config(TINY)
+        config = parse_config(text)
         nodes = len(smolyak_rule(n_z, config.quad_level).nodes)
         assert len(calls) == (-(-(config.n_mc // 2) // SOLVE_BLOCK)
                               + -(-nodes // QUADRATURE_BLOCK))

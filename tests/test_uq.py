@@ -15,7 +15,7 @@ from domainuq.fem import NodalField, _h1_gram, h1_norm, l2_norm, w11_norm
 from domainuq.perturb import solve_block
 from domainuq.uq import (RunningMoments, Statistics, map_blocks,
                          mc_estimate, norm_by_name, quadrature_estimate,
-                         sample_blocks, slope_fit, QUADRATURE_BLOCK,
+                         slope_fit, QUADRATURE_BLOCK,
                          SOLVE_BLOCK, smolyak_rule, statistics_to_text,
                          tree_merge)
 
@@ -69,9 +69,9 @@ class TestRunningMoments:
         for x in xs:
             single.update(x)
         blocks = []
-        for lo, hi in sample_blocks(101, block_size=7):
+        for lo in range(0, 101, 7):
             acc = RunningMoments(3)
-            for x in xs[lo:hi]:
+            for x in xs[lo:lo + 7]:
                 acc.update(x)
             blocks.append(acc)
         merged = tree_merge(blocks)
@@ -114,20 +114,21 @@ class TestRunningMoments:
 class TestMCEstimate:
     def test_constant_solver(self):
         c = np.array([3.0, -1.0])
-        (stats,) = mc_estimate(each(lambda s: [NodalField(c, 0)]), (2, 2),
+        (stats,) = mc_estimate(each(lambda s: [[NodalField(c, 0)]]), (2, 2),
                                50, seed=0)
         assert np.array_equal(stats.mean.values, c)
         assert np.array_equal(stats.variance().values, np.zeros(2))
 
     def test_uniform_moments(self):
-        (stats,) = mc_estimate(each(lambda s: [NodalField(s.y[:1], 0)]),
+        (stats,) = mc_estimate(each(lambda s: [[NodalField(s.y[:1], 0)]]),
                                (1, 1), 10 ** 5, seed=0)
         assert abs(stats.mean.values[0]) <= 3.0 / np.sqrt(10 ** 5)
         assert abs(stats.variance().values[0] - 1.0) <= 0.05
 
     def test_thread_count_invariance(self):
         def solver(s):
-            return [NodalField(np.array([s.y[0] * s.z[1], s.z[0] ** 2]), 0)]
+            return [[NodalField(np.array([s.y[0] * s.z[1], s.z[0] ** 2]),
+                                0)]]
 
         (a,) = mc_estimate(each(solver), (2, 2), 333, seed=5, threads=1)
         (b,) = mc_estimate(each(solver), (2, 2), 333, seed=5, threads=4)
@@ -141,10 +142,10 @@ class TestMCEstimate:
         def second(s):
             return NodalField(np.array([s.y[1] - s.z[0]]), 0)
 
-        both = mc_estimate(each(lambda s: [first(s), second(s)]), (2, 2),
+        both = mc_estimate(each(lambda s: [[first(s)], [second(s)]]), (2, 2),
                            99, seed=4, threads=3)
         for stats, solver in zip(both, (first, second)):
-            (alone,) = mc_estimate(each(lambda s: [solver(s)]), (2, 2), 99,
+            (alone,) = mc_estimate(each(lambda s: [[solver(s)]]), (2, 2), 99,
                                    seed=4)
             assert stats.weight == alone.weight
             assert np.array_equal(stats.mean.values, alone.mean.values)
@@ -155,7 +156,7 @@ class TestMCEstimate:
         def solver(s):
             if s.z[0] > 0:
                 raise dq.SolverDiverged("boom")
-            return [NodalField(np.zeros(1), 0)]
+            return [[NodalField(np.zeros(1), 0)]]
 
         with pytest.raises(dq.SolverDiverged, match=r"sample \d+"):
             mc_estimate(each(solver), (1, 1), 64, seed=0)
@@ -168,16 +169,26 @@ class TestMCEstimate:
 
         def solver(s):
             n = length if np.array_equal(s.z, odd.z) else 2
-            return [NodalField(np.zeros(n), 0)]
+            return [[NodalField(np.zeros(n), 0)]]
 
         with pytest.raises(MeshMismatch, match=f"^sample 3: field of {length}"
                                                " values, sample 0 gave 2$"):
             mc_estimate(each(solver), (1, 1), 8, seed=0)
 
     def test_requires_two_samples(self):
-        with pytest.raises(ValueError):
-            mc_estimate(each(lambda s: [NodalField(np.zeros(1), 0)]),
-                        (1, 1), 1, 0)
+        """Every quantity needs two folded fields: one sample is enough
+        when it brings two, as an antithetic pair does."""
+        for n_samples in (0, 1):
+            with pytest.raises(ValueError):
+                mc_estimate(each(lambda s: [[NodalField(np.zeros(1), 0)]]),
+                            (1, 1), n_samples, 0)
+        (stats,) = mc_estimate(
+            each(lambda s: [[NodalField(s.y, 0), NodalField(-s.y, 0)]]),
+            (1, 1), 1, 0)
+        y = dq.draw_sample(1, 1, 0, 0).y
+        assert stats.weight == 2
+        assert np.array_equal(stats.mean.values, np.zeros(1))
+        assert np.array_equal(stats.variance().values, 2.0 * y * y)
 
     @settings(max_examples=25, deadline=None)
     @given(n_samples=st.integers(2, 200), threads=st.integers(1, 4))
@@ -185,8 +196,8 @@ class TestMCEstimate:
     @example(n_samples=200, threads=4)
     def test_bit_identical_for_any_thread_count(self, n_samples, threads):
         def solver(s):
-            return [NodalField(np.array([s.y[0] * s.z[1], s.z[0] ** 2,
-                                         np.exp(s.y[1])]), 0)]
+            return [[NodalField(np.array([s.y[0] * s.z[1], s.z[0] ** 2,
+                                          np.exp(s.y[1])]), 0)]]
 
         (serial,) = mc_estimate(each(solver), (2, 2), n_samples, seed=3)
         (spread,) = mc_estimate(each(solver), (2, 2), n_samples, seed=3,
@@ -201,7 +212,7 @@ class TestMCEstimate:
 
         def block_solver(samples):
             blocks.append(samples)
-            return [[NodalField(np.array([s.y[0] * s.z[1]]), 0)]
+            return [[[NodalField(np.array([s.y[0] * s.z[1]]), 0)]]
                     for s in samples]
 
         (stats,) = mc_estimate(block_solver, (2, 2), 45, seed=8)
@@ -221,7 +232,7 @@ class TestMCEstimate:
             if np.array_equal(samples[0].z,
                               dq.draw_sample(1, 1, 0, SOLVE_BLOCK).z):
                 raise dq.SolverDiverged("stuck in column 5", index=2)
-            return [[NodalField(np.zeros(1), 0)] for _ in samples]
+            return [[[NodalField(np.zeros(1), 0)]] for _ in samples]
 
         assert SOLVE_BLOCK == 4
         with pytest.raises(dq.SolverDiverged,
@@ -241,7 +252,7 @@ class TestMCEstimate:
         def solver(s):
             if np.array_equal(s.y, bad.y) and np.array_equal(s.z, bad.z):
                 raise dq.NonPositiveCoefficient("negative")
-            return [NodalField(np.zeros(1), 0)]
+            return [[NodalField(np.zeros(1), 0)]]
 
         with pytest.raises(dq.NonPositiveCoefficient, match="sample 37: "):
             mc_estimate(each(solver), (1, 1), 100, seed=0, threads=3)
@@ -254,8 +265,8 @@ class TestMCEstimate:
 
         def solver(s):
             # a longer field after the first, so folding fails in the parent
-            return [NodalField(np.zeros(1 if np.array_equal(s.y, first.y)
-                                        else 2), 0)]
+            return [[NodalField(np.zeros(1 if np.array_equal(s.y, first.y)
+                                         else 2), 0)]]
 
         with pytest.raises(MeshMismatch) as info:
             mc_estimate(each(solver), (1, 1), 64, seed=0, threads=2)
