@@ -329,12 +329,10 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
     both signs in ascending order: a column's rounding depends on its
     position in the lockstep block.  Returns per-eps (statsD, statsE,
     stats0): statistics of the coupled difference, of u_eps, and of u0,
-    over 2 * n_pairs samples, plus the statistics of the derivative solve
+    over the n_mc samples, plus the statistics of the derivative solve
     when `with_delta` is set.
     """
-    n_pairs = cfg.n_mc // 2
-    if n_pairs < 1:
-        raise ConfigError("n_mc must be at least 2 for the paired sweep")
+    _check_pairs(cfg)
     signs = (1.0, -1.0)
     amplitudes = [0.0] + sorted(sign * eps for sign in signs
                                 for eps in cfg.eps_list)
@@ -364,15 +362,24 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
             out.append(quantities)
         return out
 
-    stats = mc_estimate(solver, dims, n_pairs, cfg.seed, threads,
+    stats = mc_estimate(solver, dims, cfg.n_mc // 2, cfg.seed, threads,
                         "sample pair")
     per_eps = [tuple(stats[3 * ei:3 * ei + 3])
                for ei in range(len(cfg.eps_list))]
     return per_eps, (stats[-1] if with_delta else None)
 
 
+def _check_pairs(cfg: ExperimentConfig) -> None:
+    """ConfigError unless n_mc is an even count of at least 2, the samples
+    of whole antithetic pairs."""
+    if cfg.n_mc < 2 or cfg.n_mc % 2:
+        raise ConfigError(f"n_mc = {cfg.n_mc}: the antithetic sweep of "
+                          "convergence needs an even count of at least 2")
+
+
 def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
                     second_order_variance: bool = False) -> None:
+    _check_pairs(cfg)  # before the baseline is solved and written
     mesh = build_disc_mesh(cfg.mesh_level)
     model = _model(cfg, mesh, synthetic)
     rule = smolyak_rule(model.dims[1], cfg.quad_level)
@@ -389,7 +396,7 @@ def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
     rows = []
     mean_points = []
     var_points = []
-    n = 2 * (cfg.n_mc // 2)
+    n = cfg.n_mc
     for eps, (statsD, statsE, stats0) in zip(cfg.eps_list, per_eps):
         err_mean = norm_by_name(mesh, statsD.mean, cfg.norm_mean)
         var_diff = (statsE.variance() - stats0.variance()).values

@@ -6,9 +6,11 @@ evaluating covariance entries on the fly, so the full matrix is never
 stored.  The generalized eigenproblem of the mass-weighted covariance is
 then reduced to a dense symmetric problem of the factor's rank.  The
 truncation rule is applied to the eigenvalues of that small problem, and
-only the modes it keeps are lifted back to the n nodal values, so the KL
-build holds at most the factor, one factor-sized product and two copies
-of the kept modes at once.
+only the modes it keeps are lifted back to the n nodal values, one mass
+block of rows at a time.  So the KL build holds at most two factor-sized
+arrays at once: the factorization's column buffer, at most
+`INITIAL_BUFFER_COLUMNS` wider than the rank, with the final factor, and
+then the factor with either `M_hat L` or the kept modes.
 """
 
 from __future__ import annotations
@@ -17,13 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .errors import EigFailed, NotPSD
 
 #: Pivot diagonals below -NEG_TOL_FACTOR * trace(C) mean C is not PSD.
 NEG_TOL_FACTOR = 1e-12
 
-#: Width of the first column buffer of `pivoted_cholesky`; it doubles on demand.
+#: Width of the first column buffer of `pivoted_cholesky`, and of each step
+#: by which a full buffer grows.
 INITIAL_BUFFER_COLUMNS = 16
 
 
@@ -58,9 +62,12 @@ def pivoted_cholesky(oracle, tol: float,
     residual trace drops to tol * trace(C) or the rank cap is reached.
     Ties in the pivot search are broken by the lowest index.  Storage is
     O(n * rank); the oracle is queried one column per step.  The column
-    buffer starts `INITIAL_BUFFER_COLUMNS` wide and doubles whenever it
-    is full, never past `max_rank`, so `max_rank` (default n) only caps
-    the rank and does not set how much memory is allocated.
+    buffer starts `INITIAL_BUFFER_COLUMNS` wide and grows by that many
+    columns whenever it is full, never past `max_rank`, so `max_rank`
+    (default n) only caps the rank and does not set how much memory is
+    allocated.  The last buffer is at most one step wider than the rank,
+    and the factor is copied out of it, so the peak is about two factor
+    sizes.  The buffer's width does not change the factor's bits.
 
     Raises
     ------
@@ -93,7 +100,7 @@ def pivoted_cholesky(oracle, tol: float,
         if di <= 0.0:
             break
         if k == cols.shape[1]:
-            grown = np.zeros((n, min(2 * k, max_rank)))
+            grown = np.zeros((n, min(k + INITIAL_BUFFER_COLUMNS, max_rank)))
             grown[:, :k] = cols
             cols = grown
         c = np.asarray(oracle.column(i), dtype=float).copy()
@@ -174,21 +181,26 @@ def reduced_eigs(factor: LowRankFactor, mass: csr_matrix, block: int,
     v_i^T M_hat v_j = mu_i delta_ij.  With `tol`, only the leading pairs
     that `kept_count` keeps are lifted; without it, all `rank` are.
 
-    Besides the (n, rank) factor L, the arrays live at once are M_hat L
-    until L^T M_hat L is formed (it is freed before the lift), then the
-    (n, m) lift of the m kept eigenvectors and its contiguous (m, n)
-    transpose, which becomes `modes`.
+    Besides the (n, rank) factor L, the arrays live at once are M_hat L,
+    whose mass blocks scipy's `csr_matvecs` (the kernel of `mass @ X`)
+    writes in place, until L^T M_hat L is formed (it is freed before the
+    lift); then the (m, n) `modes` of the m kept eigenvectors, lifted one
+    mass block of rows at a time, with the (n / block, m) lift of one
+    block.  Both are bit for bit what `mass @ L[sl]` and the whole lift
+    `(L @ V[:, :m]).T` give.
     """
     L = factor.columns
     n_total, rank = L.shape
     n_mass = mass.shape[0]
-    if n_total != block * n_mass:
-        raise ValueError(
-            f"factor rows {n_total} != block {block} x mass dimension {n_mass}")
-    ML = np.empty_like(L)
-    for b in range(block):
-        sl = slice(b * n_mass, (b + 1) * n_mass)
-        ML[sl] = mass @ L[sl]
+    # csr_matvecs does not check sizes
+    if mass.shape != (n_mass, n_mass) or n_total != block * n_mass:
+        raise ValueError(f"a factor of {n_total} rows needs {block} blocks "
+                         f"of a square mass matrix, not {mass.shape}")
+    blocks = [slice(b * n_mass, (b + 1) * n_mass) for b in range(block)]
+    ML = np.zeros((n_total, rank))
+    for sl in blocks:
+        csr_matvecs(n_mass, n_mass, rank, mass.indptr, mass.indices,
+                    mass.data, L[sl].ravel(), ML[sl].ravel())
     S = L.T @ ML
     del ML
     S = 0.5 * (S + S.T)
@@ -199,6 +211,8 @@ def reduced_eigs(factor: LowRankFactor, mass: csr_matrix, block: int,
     w = np.maximum(w[::-1], 0.0)
     V = V[:, ::-1]
     keep = rank if tol is None else kept_count(w, tol)
-    modes = np.ascontiguousarray((L @ V[:, :keep]).T)
+    modes = np.empty((keep, n_total))
+    for sl in blocks:
+        modes[:, sl] = (L[sl] @ V[:, :keep]).T
     return KLBasis(mu=w[:keep].copy(), modes=modes)
 

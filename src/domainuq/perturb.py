@@ -136,14 +136,16 @@ def solve_sample(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
     0), delta_u is the derivative solve."""
     amplitudes = [0.0] if eps == 0.0 else [0.0, eps]
     diag: dict = {}
+    deformed: list = []
     u, delta = solve_block(mesh, vf, sf, [sample.z], [sample.y], amplitudes,
-                           with_delta=True, diag_out=diag)
+                           with_delta=True, diag_out=diag,
+                           deformed_out=deformed)
     # (diagnostics, column) of each solve
     columns = {"u0": (diag, 0), "delta_u": (diag["delta"], 0),
                "u_eps": (diag, len(amplitudes) - 1)}
     return SampleSolve(
         u_eps=u[0][-1], u0=u[0][0], delta_u=delta[0], sample=sample, eps=eps,
-        deformed=displace(mesh, eval_displacement(vf, sample.z)),
+        deformed=deformed[0],
         iterations={k: d["column_iterations"][j]
                     for k, (d, j) in columns.items()},
         residuals={k: d["column_residuals"][j]
@@ -152,7 +154,8 @@ def solve_sample(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
 
 def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
                 ys=None, amplitudes=(0.0,), with_delta: bool = False,
-                diag_out: dict | None = None):
+                diag_out: dict | None = None,
+                deformed_out: list | None = None):
     """Solves on a block of domain realizations in one lockstep call.
 
     Realization i is the domain of the parameters `zs[i]` with the
@@ -164,7 +167,8 @@ def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
     of `solve_dirichlet` (which fills `diag_out`).  With `with_delta`,
     whose `amplitudes` must list 0, the derivative solves at `ys[i]` with
     u0 on the right follow in a second call, which fills
-    `diag_out["delta"]`.
+    `diag_out["delta"]`.  `deformed_out`, if given, receives the deformed
+    mesh of each realization in order.
 
     Returns (u, delta): u[i][j] is the NodalField of realization i at
     amplitude `amplitudes[j]`, and delta[i] the derivative solve of
@@ -182,16 +186,19 @@ def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
         raise ValueError("derivative solves need ys and a zero amplitude")
     data = np.empty((r * k, len(ref.slots)))
     loads = np.empty((r * k, len(ref.interior)))
-    # (deformed mesh, a_r edge values) of each, for derivative loads
-    rough = [] if with_delta else None
+    # (deformed mesh, a_r edge values) of each, for derivative loads and
+    # `deformed_out`
+    kept = [] if with_delta or deformed_out is not None else None
     for i, z in enumerate(zs):
         try:
             _fill_realization(mesh, vf, sf, z, None if ys is None else ys[i],
                               amplitudes, data[i * k:(i + 1) * k],
-                              loads[i * k:(i + 1) * k], rough)
+                              loads[i * k:(i + 1) * k], kept)
         except DomainUQError as e:
             e.index = i
             raise
+    if deformed_out is not None:
+        deformed_out.extend(deformed for deformed, _ in kept)
     try:
         fields = solve_dirichlet(data, loads, mesh, diag_out=diag_out)
     except DomainUQError as e:
@@ -202,7 +209,7 @@ def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
     if not with_delta:
         return u, None
     j0 = amplitudes.index(0.0)
-    for i, (deformed, a_r) in enumerate(rough):
+    for i, (deformed, a_r) in enumerate(kept):
         loads[i] = perturbation_load_from_qvalues(
             deformed, a_r[edges(deformed).of_element], u[i][j0].values)
     # the zero-amplitude rows hold the smooth operator K_s exactly
@@ -211,20 +218,22 @@ def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
                               diag_out=delta_diag)
 
 
-def _fill_realization(mesh, vf, sf, z, y, amplitudes, data, loads, rough):
+def _fill_realization(mesh, vf, sf, z, y, amplitudes, data, loads, kept):
     """Build one domain realization and write the interior data of
     `K_s + c * K_r` for each amplitude c into the rows of `data` and its
     interior load into those of `loads`.  Appends (deformed mesh, rough
-    edge values) to the list `rough`, if given; keeps nothing else."""
+    edge values, None without `y`) to the list `kept`, if given; keeps
+    nothing else."""
     dp = DeformedProblem(mesh, vf, sf, z)
     loads[:] = dp.b
     if y is None:
+        a_r = None
         dp.matrix_data(None, None, amplitudes, out=data)
-        return
-    a_r = dp.rough_qvalues(y)
-    dp.matrix_data(a_r, dp.rough_stiffness(a_r), amplitudes, out=data)
-    if rough is not None:
-        rough.append((dp.deformed, a_r))
+    else:
+        a_r = dp.rough_qvalues(y)
+        dp.matrix_data(a_r, dp.rough_stiffness(a_r), amplitudes, out=data)
+    if kept is not None:
+        kept.append((dp.deformed, a_r))
 
 
 def remainders(mesh: Mesh, u, delta: NodalField, amplitudes) -> list[float]:

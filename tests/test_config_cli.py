@@ -233,6 +233,21 @@ class TestExitCodes:
         assert main(["mc", "--config", str(path)]) == 2
         assert expected in capsys.readouterr().err
 
+    def test_convergence_with_odd_n_mc(self, tiny_run, tmp_path, capsys):
+        """The antithetic sweep needs whole pairs; mc takes any count."""
+        _, out = artifacts_copy(tiny_run, tmp_path / "odd")
+        cfg = write_config(tmp_path / "odd.cfg",
+                           TINY.replace("n_mc = 32", "n_mc = 3"))
+        for flags in ([], ["--synthetic"]):
+            assert main(["convergence", *flags, "--config", cfg,
+                         "--out", out]) == 2
+            assert "n_mc = 3" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["coefficient.txt",
+                                           "kl_manifest.txt",
+                                           "vector_field.txt"]
+        assert main(["mc", "--config", cfg, "--out", out]) == 0
+        assert "\n0.5,3," in open(os.path.join(out, "mc.csv")).read()
+
     def test_numerical_failure(self, tiny_run, tmp_path):
         cfg_text = TINY.replace("eps_list = 0.5, 1", "eps_list = 0.5, 50")
         cfg = write_config(tmp_path / "big.cfg", cfg_text)
@@ -508,6 +523,22 @@ class TestWorkPerSample:
         monkeypatch.setattr(perturb, "DeformedProblem", Counting)
         assert main(["mc", "--config", cfg, "--out", out]) == 0
         assert len(builds) == parse_config(TINY).n_mc
+
+    def test_solve_one_deforms_the_mesh_once(self, tiny_run, tmp_path,
+                                            monkeypatch):
+        from domainuq import perturb
+        cfg, out = artifacts_copy(tiny_run, tmp_path / "one")
+        calls = []
+        original = perturb.displace
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(perturb, "displace", counting)
+        assert main(["solve-one", "--config", cfg, "--out", out,
+                     "--y", "0", "--z", "0", "--eps", "0.5"]) == 0
+        assert len(calls) == 1
 
     def test_convergence_evaluates_rough_part_once_per_pair(
             self, tiny_run, tmp_path, monkeypatch):
