@@ -28,7 +28,7 @@ from .mesh import build_disc_mesh, save_mesh
 from .perturb import remainders, solve_block, solve_sample
 from .textio import fmt
 from .uq import (l2_norm, mc_estimate, norm_by_name, quadrature_estimate,
-                 save_statistics, slope_fit, smolyak_rule)
+                 save_statistics, slope_fit, smolyak_rule, solve_blocks)
 
 VECTOR_FIELD_FILE = "vector_field.txt"
 SCALAR_FIELD_FILE = "coefficient.txt"
@@ -296,16 +296,22 @@ def _slope_text(slope: float | None) -> str:
     return "undefined" if slope is None else fmt(slope)
 
 
-def cmd_taylor(cfg: ExperimentConfig, synthetic: bool) -> None:
+def cmd_taylor(cfg: ExperimentConfig, synthetic: bool, threads: int) -> None:
     mesh = build_disc_mesh(cfg.mesh_level)
     model = _model(cfg, mesh, synthetic)
     eps_grid = [0.0] + list(cfg.eps_list)
+
+    def solver(indices):
+        """The remainders of each sample at every eps of the grid."""
+        samples = [draw_sample(*model.dims, cfg.seed, s) for s in indices]
+        u, delta = model.pairs(samples, eps_grid, with_delta=True)
+        return [remainders(mesh, fields, d, eps_grid)
+                for fields, d in zip(u, delta)]
+
     rows = []
     slopes = []
-    for s in range(cfg.n_taylor):
-        sample = draw_sample(*model.dims, cfg.seed, s)
-        u, delta = model.pairs([sample], eps_grid, with_delta=True)
-        rems = remainders(mesh, u[0], delta[0], eps_grid)
+    for s, rems in enumerate(solve_blocks(solver, cfg.n_taylor, "sample",
+                                          threads)):
         for eps, rem in zip(eps_grid, rems):
             rows.append(f"{s},{fmt(eps)},{fmt(rem)}")
         positive = [(e, r) for e, r in zip(eps_grid, rems) if e > 0.0]
@@ -330,9 +336,8 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
     position in the lockstep block.  Returns per-eps (statsD, statsE,
     stats0): statistics of the coupled difference, of u_eps, and of u0,
     over the n_mc samples, plus the statistics of the derivative solve
-    when `with_delta` is set.
+    when `with_delta` is set.  `n_mc` must be even (see `cmd_convergence`).
     """
-    _check_pairs(cfg)
     signs = (1.0, -1.0)
     amplitudes = [0.0] + sorted(sign * eps for sign in signs
                                 for eps in cfg.eps_list)
@@ -369,17 +374,11 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
     return per_eps, (stats[-1] if with_delta else None)
 
 
-def _check_pairs(cfg: ExperimentConfig) -> None:
-    """ConfigError unless n_mc is an even count of at least 2, the samples
-    of whole antithetic pairs."""
-    if cfg.n_mc < 2 or cfg.n_mc % 2:
-        raise ConfigError(f"n_mc = {cfg.n_mc}: the antithetic sweep of "
-                          "convergence needs an even count of at least 2")
-
-
 def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
                     second_order_variance: bool = False) -> None:
-    _check_pairs(cfg)  # before the baseline is solved and written
+    if cfg.n_mc < 2 or cfg.n_mc % 2:  # before the baseline is solved
+        raise ConfigError(f"n_mc = {cfg.n_mc}: the antithetic sweep of "
+                          "convergence needs an even count of at least 2")
     mesh = build_disc_mesh(cfg.mesh_level)
     model = _model(cfg, mesh, synthetic)
     rule = smolyak_rule(model.dims[1], cfg.quad_level)
@@ -438,17 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name in ("build-kl", "solve-one", "mc", "taylor", "convergence"):
+        p = sub.add_parser(name)
         p.add_argument("--config", help="path to key=value config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes, forked where the platform "
-                            "allows (results do not depend on the count)")
-
-    for name in ("build-kl", "solve-one", "mc", "taylor", "convergence"):
-        p = sub.add_parser(name)
-        add_common(p)
+        if name in ("mc", "taylor", "convergence"):
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker processes for the sample loop, "
+                                "forked where the platform allows (results "
+                                "do not depend on the count)")
         if name in ("taylor", "convergence"):
             p.add_argument("--synthetic", action="store_true",
                            help="replace solves by the closed-form model")
@@ -469,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> None:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
+    if "threads" in args and args.threads < 1:
         raise ConfigError("--threads must be at least 1")
     cfg = load_config(args.config) if args.config else validate_config(
         ExperimentConfig())
@@ -487,7 +485,7 @@ def run(argv=None) -> None:
     elif args.command == "mc":
         cmd_mc(cfg, args.threads)
     elif args.command == "taylor":
-        cmd_taylor(cfg, args.synthetic)
+        cmd_taylor(cfg, args.synthetic, args.threads)
     elif args.command == "convergence":
         cmd_convergence(cfg, args.synthetic, args.threads,
                         args.second_order_variance)

@@ -36,38 +36,34 @@ class LowRankFactor:
     """Pivoted Cholesky factor L with its pivot order and residual trace.
 
     `columns` holds exactly `rank` columns, so the factor takes n * rank
-    floats whatever rank cap it was built with.  `residual_history[k]` is
-    the remaining trace after k columns, starting at trace(C); it is
-    non-negative and non-increasing.  `hit_max_rank` flags that the rank
-    cap stopped the factorization before the trace tolerance was met.
+    floats whatever buffer it was built in.  `residual_history[k]` is the
+    remaining trace after k columns, starting at trace(C); it is
+    non-negative and non-increasing.
     """
 
     columns: np.ndarray        # (n, rank), column k produced at step k
     pivots: np.ndarray         # (rank,)
     trace_residual: float
     residual_history: np.ndarray
-    hit_max_rank: bool
 
     @property
     def rank(self) -> int:
         return self.columns.shape[1]
 
 
-def pivoted_cholesky(oracle, tol: float,
-                     max_rank: int | None = None) -> LowRankFactor:
+def pivoted_cholesky(oracle, tol: float) -> LowRankFactor:
     """Greedy low-rank factorization C ~= L L^T of a PSD covariance.
 
     `oracle` gives access to the symmetric C without storing it: its
     size `n`, its `diagonal()` and its `column(j)`.  Stops once the
-    residual trace drops to tol * trace(C) or the rank cap is reached.
+    residual trace drops to tol * trace(C) or no positive pivot is left.
     Ties in the pivot search are broken by the lowest index.  Storage is
     O(n * rank); the oracle is queried one column per step.  The column
     buffer starts `INITIAL_BUFFER_COLUMNS` wide and grows by that many
-    columns whenever it is full, never past `max_rank`, so `max_rank`
-    (default n) only caps the rank and does not set how much memory is
-    allocated.  The last buffer is at most one step wider than the rank,
-    and the factor is copied out of it, so the peak is about two factor
-    sizes.  The buffer's width does not change the factor's bits.
+    columns whenever it is full, never past n.  The last buffer is at
+    most one step wider than the rank, and the factor is copied out of
+    it, so the peak is about two factor sizes.  The buffer's width does
+    not change the factor's bits.
 
     Raises
     ------
@@ -77,22 +73,19 @@ def pivoted_cholesky(oracle, tol: float,
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     n = oracle.n
-    if max_rank is None:
-        max_rank = n
-    max_rank = min(max_rank, n)
 
     d = np.asarray(oracle.diagonal(), dtype=float).copy()
     trace0 = float(d.sum())
     target = tol * trace0
     neg_tol = -NEG_TOL_FACTOR * max(trace0, 1.0)
 
-    cols = np.zeros((n, min(INITIAL_BUFFER_COLUMNS, max_rank)))
+    cols = np.zeros((n, min(INITIAL_BUFFER_COLUMNS, n)))
     pivots: list[int] = []
     residual = max(trace0, 0.0)
     history = [residual]
 
     k = 0
-    while residual > target and k < max_rank:
+    while residual > target:
         i = int(np.argmax(d))
         di = float(d[i])
         if di < neg_tol:
@@ -100,7 +93,7 @@ def pivoted_cholesky(oracle, tol: float,
         if di <= 0.0:
             break
         if k == cols.shape[1]:
-            grown = np.zeros((n, min(k + INITIAL_BUFFER_COLUMNS, max_rank)))
+            grown = np.zeros((n, min(k + INITIAL_BUFFER_COLUMNS, n)))
             grown[:, :k] = cols
             cols = grown
         c = np.asarray(oracle.column(i), dtype=float).copy()
@@ -128,7 +121,6 @@ def pivoted_cholesky(oracle, tol: float,
         pivots=np.array(pivots, dtype=np.int64),
         trace_residual=residual,
         residual_history=np.array(history),
-        hit_max_rank=residual > target,
     )
 
 

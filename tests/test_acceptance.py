@@ -65,7 +65,7 @@ def test_criterion_2_pivoted_cholesky_eigs():
     n = 200
     x = np.linspace(0.0, 1.0, n)
     C = np.exp(-(x[:, None] - x[None, :]) ** 2)
-    factor = pivoted_cholesky(DenseOracle(C), 1e-6, n)
+    factor = pivoted_cholesky(DenseOracle(C), 1e-6)
     w = np.linalg.eigvalsh(C)
     dense_count = int(np.sum(w > 1e-6 * np.trace(C)))
 
@@ -230,10 +230,11 @@ def test_criterion_8_determinism(tmp_path):
     def run_all(out, threads):
         env = dict(os.environ)
         base = [sys.executable, "-m", "domainuq.cli"]
-        common = ["--config", str(cfg_path), "--out", str(out),
-                  "--threads", str(threads)]
+        common = ["--config", str(cfg_path), "--out", str(out)]
+        sample_loop = ["--threads", str(threads)]
         cmds = [
-            ["build-kl"], ["convergence"], ["mc"], ["taylor"],
+            ["build-kl"], ["convergence", *sample_loop], ["mc", *sample_loop],
+            ["taylor", *sample_loop],
             ["solve-one", "--y", "0", "--z", "0", "--eps", "0.5"],
         ]
         for cmd in cmds:

@@ -248,11 +248,12 @@ class TestExitCodes:
         assert main(["mc", "--config", cfg, "--out", out]) == 0
         assert "\n0.5,3," in open(os.path.join(out, "mc.csv")).read()
 
-    def test_numerical_failure(self, tiny_run, tmp_path):
+    def test_numerical_failure(self, tiny_run, tmp_path, capsys):
         cfg_text = TINY.replace("eps_list = 0.5, 1", "eps_list = 0.5, 50")
         cfg = write_config(tmp_path / "big.cfg", cfg_text)
         _, out = tiny_run
         assert main(["taylor", "--config", cfg, "--out", out]) == 3
+        assert "sample 0: " in capsys.readouterr().err
 
     def test_mc_stats_name_clash(self, tiny_run, tmp_path, capsys):
         _, out = artifacts_copy(tiny_run, tmp_path / "clash")
@@ -471,6 +472,25 @@ class TestSyntheticMode:
                               "# slope_mean undefined"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--synthetic"]],
+                         ids=["fe", "synthetic"])
+def test_taylor_same_bytes_for_any_thread_count(tiny_run, tmp_path,
+                                                monkeypatch, flags):
+    """Nine samples make three solve blocks, spread over two workers."""
+    from domainuq import uq
+    monkeypatch.setattr(uq, "_cpu_count", lambda: 2)  # one-CPU hosts
+    cfg = write_config(tmp_path / "t.cfg",
+                       TINY.replace("n_taylor = 2", "n_taylor = 9"))
+    outputs = []
+    for threads in ("1", "2"):
+        _, out = artifacts_copy(tiny_run, tmp_path / f"t{threads}")
+        assert main(["taylor", *flags, "--config", cfg, "--out", out,
+                     "--threads", threads]) == 0
+        outputs.append(open(os.path.join(out, "taylor.csv"), "rb").read())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"# slope sample=") == 9
+
+
 @pytest.mark.parametrize("command", [
     ["build-kl"], ["mc"],
     ["solve-one", "--y", "0", "--z", "0", "--eps", "0.5"],
@@ -481,6 +501,18 @@ def test_synthetic_rejected_where_it_does_nothing(command, tmp_path):
         main(command + ["--config", cfg, "--out", str(tmp_path / "o"),
                         "--synthetic"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["build-kl"], ["solve-one", "--y", "0", "--z", "0", "--eps", "0.5"],
+], ids=["build-kl", "solve-one"])
+def test_threads_rejected_where_there_is_no_sample_loop(command, tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", TINY)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--config", cfg, "--out", str(tmp_path / "o"),
+                        "--threads", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 class TestSecondOrderVariance:
@@ -592,6 +624,17 @@ class TestWorkPerSample:
         calls = self.count_solves(monkeypatch)
         assert main(["mc", "--config", cfg, "--out", out]) == 0
         assert len(calls) == -(-parse_config(TINY).n_mc // SOLVE_BLOCK)
+
+    def test_taylor_two_solve_calls_per_block(self, tiny_run, tmp_path,
+                                              monkeypatch):
+        """Every amplitude of a block's samples in one lockstep call, and
+        their derivative solves in a second."""
+        _, out = artifacts_copy(tiny_run, tmp_path / "t")
+        cfg = write_config(tmp_path / "t.cfg",
+                           TINY.replace("n_taylor = 2", "n_taylor = 5"))
+        calls = self.count_solves(monkeypatch)
+        assert main(["taylor", "--config", cfg, "--out", out]) == 0
+        assert len(calls) == 2 * -(-5 // SOLVE_BLOCK)
 
 
 def test_paired_sweep_error_names_the_failing_pair():
@@ -712,9 +755,10 @@ def test_one_thread_never_loads_the_process_pool(tiny_run, tmp_path):
     script = (
         "import sys\n"
         "from domainuq.cli import main\n"
-        f"for command in ('build-kl', 'convergence', 'mc'):\n"
-        f"    assert main([command, '--config', {cfg!r}, '--out', {out!r},\n"
-        f"                 '--threads', '1']) == 0\n"
+        f"common = ['--config', {cfg!r}, '--out', {out!r}]\n"
+        "assert main(['build-kl', *common]) == 0\n"
+        "for command in ('convergence', 'mc', 'taylor'):\n"
+        "    assert main([command, *common, '--threads', '1']) == 0\n"
         "print([m for m in ('multiprocessing', 'concurrent.futures.process')\n"
         "       if m in sys.modules])\n")
     proc = subprocess.run([sys.executable, "-c", script],

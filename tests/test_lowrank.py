@@ -53,13 +53,6 @@ class TestPivotedCholesky:
         assert (hist >= 0.0).all()
         assert (np.diff(hist) <= 0.0).all()
         assert factor.trace_residual <= 1e-10 * np.trace(C)
-        assert not factor.hit_max_rank
-
-    def test_max_rank_flag(self):
-        C = gaussian_kernel_matrix(30)
-        factor = pivoted_cholesky(DenseOracle(C), 1e-12, max_rank=2)
-        assert factor.rank == 2
-        assert factor.hit_max_rank
 
     def test_diagonal_reconstruction_at_pivots(self):
         C = gaussian_kernel_matrix(25) + np.diag(np.linspace(0, 0.5, 25))
@@ -87,7 +80,7 @@ class TestPivotedCholesky:
         n = 40
         C = gaussian_kernel_matrix(n) + np.diag(np.linspace(0.1, 0.5, n))
         width = lowrank.INITIAL_BUFFER_COLUMNS
-        assert width < 20 < 2 * width < n  # 20 falls inside the second step
+        assert 2 * width < n < 3 * width  # grows twice, the second time to n
         factor = pivoted_cholesky(DenseOracle(C), 1e-12)
         assert factor.rank == n
         assert factor.columns.shape == (n, factor.rank)
@@ -96,20 +89,12 @@ class TestPivotedCholesky:
         assert np.allclose((L @ L.T)[np.ix_(piv, piv)], C[np.ix_(piv, piv)],
                            rtol=1e-12, atol=1e-14)
 
-        # a cap inside a growth step stops exactly at the cap
-        capped = pivoted_cholesky(DenseOracle(C), 1e-12, max_rank=20)
-        assert capped.rank == 20
-        assert capped.columns.shape == (n, 20)
-        assert capped.hit_max_rank
-        assert np.array_equal(capped.pivots, piv[:20])
-
         # the grown buffer holds the bits one preallocated buffer holds:
         # the buffer width (BLAS's leading dimension) moves no rounding
         monkeypatch.setattr(lowrank, "INITIAL_BUFFER_COLUMNS", n)
         wide = pivoted_cholesky(DenseOracle(C), 1e-12)
         assert np.array_equal(wide.pivots, piv)
         assert np.array_equal(wide.columns, L)
-        assert np.array_equal(capped.columns, L[:, :20])
 
     def test_not_psd_raises(self):
         C = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
@@ -143,8 +128,7 @@ class TestReducedEigs:
         from domainuq.lowrank import LowRankFactor
         factor = LowRankFactor(columns=L, pivots=np.arange(3),
                                trace_residual=0.0,
-                               residual_history=np.zeros(4),
-                               hit_max_rank=False)
+                               residual_history=np.zeros(4))
         basis = reduced_eigs(factor, M, block=1)
         # dense oracle: M C M v = mu M v with C = L L^T
         from scipy.linalg import eigh
