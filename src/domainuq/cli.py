@@ -11,6 +11,7 @@ created included), 3 numerical failure or a worker process that died.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -28,11 +29,21 @@ from .mesh import build_disc_mesh, save_mesh
 from .perturb import remainders, solve_block, solve_sample
 from .textio import fmt
 from .uq import (l2_norm, mc_estimate, norm_by_name, quadrature_estimate,
-                 save_statistics, slope_fit, smolyak_rule, solve_blocks)
+                 save_statistics, slope_fit, smolyak_node_bound, smolyak_rule,
+                 solve_blocks)
 
 VECTOR_FIELD_FILE = "vector_field.txt"
 SCALAR_FIELD_FILE = "coefficient.txt"
 MANIFEST_FILE = "kl_manifest.txt"
+
+#: Most quadrature nodes, counted by `smolyak_node_bound`, that
+#: `convergence` builds a rule for.  Level 2 over 48 domain modes (4,753)
+#: fits; level 3 (156,849) would take seconds and hundreds of MB to build
+#: before any solve.
+MAX_QUAD_NODES = 10_000
+
+#: glibc `mallopt` parameter numbers, from malloc.h.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 
 
 def _header_lines(cfg: ExperimentConfig) -> list[str]:
@@ -381,6 +392,12 @@ def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
                           "convergence needs an even count of at least 2")
     mesh = build_disc_mesh(cfg.mesh_level)
     model = _model(cfg, mesh, synthetic)
+    nodes = smolyak_node_bound(model.dims[1], cfg.quad_level)
+    if nodes > MAX_QUAD_NODES:
+        raise ConfigError(
+            f"quad_level = {cfg.quad_level} over {model.dims[1]} domain "
+            f"modes gives a rule of up to {nodes} nodes, more than "
+            f"{MAX_QUAD_NODES}; lower quad_level")
     rule = smolyak_rule(model.dims[1], cfg.quad_level)
     baseline = quadrature_estimate(model.u0, rule, threads=threads)
     base_path = os.path.join(cfg.out_dir, "baseline_stats.txt")
@@ -480,7 +497,9 @@ def run(argv=None) -> None:
 
     if args.command == "build-kl":
         cmd_build_kl(cfg)
-    elif args.command == "solve-one":
+        return
+    pin_malloc_thresholds()
+    if args.command == "solve-one":
         cmd_solve_one(cfg, args.y, args.z, args.eps)
     elif args.command == "mc":
         cmd_mc(cfg, args.threads)
@@ -489,6 +508,35 @@ def run(argv=None) -> None:
     elif args.command == "convergence":
         cmd_convergence(cfg, args.synthetic, args.threads,
                         args.second_order_variance)
+
+
+def pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 32 MB and its trim threshold at
+    64 MB; a no-op on other C libraries.
+
+    Blocks below the mmap threshold come from the heap, and free space at
+    the heap's top goes back to the system only above the trim
+    threshold.  Left alone, glibc starts with a 128 KB mmap threshold and
+    raises both to the size of each mmap-ed block freed.  Until some
+    large block is freed, every solver temporary of 128 KB or more is a
+    fresh `mmap` whose pages fault in on first touch, so run time then
+    depends on which blocks happened to be freed first.  Pinned, such
+    temporaries reuse heap pages.  Forked workers inherit the setting.
+
+    Only the solve commands pin them: `build-kl`'s factorization frees
+    blocks of several MB, which go back to the system when they are
+    mmap-ed but stay resident on the heap (pinned, a level-6 build
+    peaked 1.1 MB higher).
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        glibc = None
+    if not glibc:
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
 
 
 def main(argv=None) -> int:

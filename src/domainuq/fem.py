@@ -4,18 +4,15 @@ All coefficient-dependent integrals use the same 3-point edge-midpoint rule
 (exact for quadratic integrands).  Using one rule everywhere keeps the
 assembly exactly linear in the coefficient, which the perturbation solves
 rely on.  Stiffness and mass matrices are stored in CSR format with the
-sparsity pattern of their mesh topology, built once per topology and shared
-by every displaced copy of the mesh.  The element geometry comes from
-`mesh.geometry`, computed once per placement of the nodes; an element
-stiffness is its cached gradient products `grad(phi_i) . grad(phi_j)`
-scaled by the mean coefficient times the area, so every stiffness matrix
-of a domain realization reuses the same products.  Stiffness matrices and
-loads are assembled straight into the interior CSR data and interior load
-vectors that the solver consumes: the topology's `ReferenceSolver` maps
-every element entry to its interior slot (entries on the Dirichlet
-boundary go to one dummy slot), so a domain realization builds no matrix
-and gathers nothing.  The mass matrix and the H1 gram matrix of the norms
-are summed into full CSR matrices.
+sparsity pattern of their mesh topology (the diagonal and both directions
+of every edge), built once per topology and shared by every displaced copy
+of the mesh.  No element matrix is formed: a matrix is summed as its term
+vector, per-element corner terms into the diagonal and per-element edge
+terms into the edges of `mesh.edges`, one `np.bincount` each.  The solver
+consumes interior CSR data, one gather from the term vector through the
+topology's `ReferenceSolver`, and interior loads summed straight into the
+interior layout, so a domain realization builds no matrix.  The mass
+matrix and the H1 gram matrix of the norms are full CSR matrices.
 
 Dirichlet problems are solved by conjugate gradients preconditioned with a
 geometric multigrid V-cycle for the unit-coefficient Laplacian on the
@@ -43,7 +40,8 @@ from scipy.sparse import coo_matrix, csr_matrix, diags
 from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import MeshMismatch, NonFiniteValue, SolverDiverged
-from .mesh import Geometry, Mesh, compute_geometry, geometry, signed_areas
+from .mesh import (Edges, Geometry, Mesh, compute_geometry, edges, geometry,
+                   signed_areas)
 from .textio import fmt
 
 #: Relative residual target of the conjugate gradient solver.
@@ -88,45 +86,73 @@ class NodalField:
 
 @dataclass(frozen=True)
 class _Pattern:
-    """CSR structure of the element matrices of one topology.
+    """CSR structure of the P1 matrices of one topology: the diagonal and
+    both directions of every edge, rows holding sorted column indices.
 
-    `slots[k]` is the position in the CSR data of the k-th entry of the
-    flattened (m, 3, 3) element matrices, so summing element matrices is
-    one `np.bincount`.  Rows hold sorted column indices.
+    A matrix is summed as its term vector, the n diagonal entries followed
+    by one value per edge of `mesh.edges`, and `terms[p]` is the position
+    in that vector of CSR entry p, so a full matrix is one gather.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    slots: np.ndarray
+    terms: np.ndarray
 
     @classmethod
-    def build(cls, triangles: np.ndarray, n: int) -> "_Pattern":
-        rows = np.repeat(triangles, 3, axis=1).reshape(-1)
-        cols = np.tile(triangles, (1, 3)).reshape(-1)
-        keys = rows * n + cols
-        unique = np.unique(keys)
-        counts = np.bincount(unique // n, minlength=n)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        return cls(indptr=indptr, indices=(unique % n).astype(np.int32),
-                   slots=np.searchsorted(unique, keys))
+    def build(cls, listed: Edges, n: int) -> "_Pattern":
+        # Row r holds the edges whose higher end is r (ascending lower
+        # end), its diagonal, then the edges whose lower end is r
+        # (ascending higher end: their order in `listed`).  Placing each
+        # entry by counting, without sorting all of them, keeps the
+        # temporaries to a few edge-sized arrays.
+        lo, hi = listed.ends
+        edge = np.arange(len(lo))
+        below = np.bincount(hi, minlength=n)
+        above = np.bincount(lo, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(below + above + 1, out=indptr[1:])
+        diagonal = indptr[:-1] + below
+        upper = edge + (diagonal + 1 - (np.cumsum(above) - above))[lo]
+        by_hi = np.argsort(hi, kind="stable")
+        lower = np.empty_like(upper)
+        lower[by_hi] = edge + (indptr[:-1] - (np.cumsum(below) - below))[
+            hi[by_hi]]
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        terms = np.empty(indptr[-1], dtype=np.intp)
+        indices[diagonal] = terms[diagonal] = np.arange(n)
+        indices[upper], indices[lower] = hi, lo
+        terms[upper] = terms[lower] = n + edge
+        return cls(indptr=indptr, indices=indices, terms=terms)
 
 
 def _pattern(mesh: Mesh) -> _Pattern:
     return mesh.topology.cached(
-        "pattern", lambda: _Pattern.build(mesh.triangles, mesh.n_nodes))
+        "pattern", lambda: _Pattern.build(edges(mesh), mesh.n_nodes))
 
 
-def _scatter(mesh: Mesh, local: np.ndarray) -> csr_matrix:
-    """Sum (m, 3, 3) element matrices into a global CSR matrix.
+def _sum_terms(mesh: Mesh, corner: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """The term vector of a matrix from (m, 3) element terms: corner term
+    k of an element goes to the diagonal entry of its vertex k, edge term
+    k to both entries of the edge opposite vertex k.
 
-    Duplicates are summed in element order, and every matrix assembled on
-    a topology has the same `indptr` and `indices`.
+    Each diagonal entry sums its corner terms in element order, and each
+    edge its at most two terms, so every entry has the bits of the sum of
+    full 3x3 element matrices in element order.
     """
+    return np.concatenate([
+        np.bincount(mesh.triangles.reshape(-1), weights=corner.reshape(-1),
+                    minlength=mesh.n_nodes),
+        np.bincount(edges(mesh).of_element.reshape(-1),
+                    weights=edge.reshape(-1))])
+
+
+def _matrix(mesh: Mesh, terms: np.ndarray) -> csr_matrix:
+    """The full CSR matrix of a term vector; every matrix assembled on a
+    topology has the same `indptr` and `indices`."""
     pattern = _pattern(mesh)
     n = mesh.n_nodes
-    data = np.bincount(pattern.slots, weights=local.reshape(-1),
-                       minlength=len(pattern.indices))
-    return csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+    return csr_matrix((terms[pattern.terms], pattern.indices, pattern.indptr),
+                      shape=(n, n))
 
 
 def _element_mean(values_q: np.ndarray) -> np.ndarray:
@@ -136,8 +162,18 @@ def _element_mean(values_q: np.ndarray) -> np.ndarray:
     return (values_q[:, 0] + values_q[:, 1] + values_q[:, 2]) / 3.0
 
 
-def _local_stiffness(g: Geometry, cbar) -> np.ndarray:
-    return (cbar * g.areas)[:, None, None] * g.grad_products
+def _stiffness_terms(mesh: Mesh, g: Geometry, weights) -> np.ndarray:
+    """The term vector of the stiffness whose element e has the weight
+    `w = weights[e]` (its mean coefficient times its area): for each
+    corner k, the corner term `w * (gx_k^2 + gy_k^2)` and the edge term
+    `w * (gx_i gx_j + gy_i gy_j)` of the corners i, j opposite k."""
+    gx, gy = g.grad_components
+    corner = np.empty((len(weights), 3))
+    edge = np.empty_like(corner)
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(weights, gx[k] * gx[k] + gy[k] * gy[k], out=corner[:, k])
+        np.multiply(weights, gx[i] * gx[j] + gy[i] * gy[j], out=edge[:, k])
+    return _sum_terms(mesh, corner, edge)
 
 
 def stiffness_from_qvalues(mesh: Mesh, coeff_q: np.ndarray) -> np.ndarray:
@@ -145,20 +181,25 @@ def stiffness_from_qvalues(mesh: Mesh, coeff_q: np.ndarray) -> np.ndarray:
     `ReferenceSolver`, of the stiffness of the coefficient with the values
     `coeff_q` at the (m, 3) quadrature points, summed without building the
     matrix."""
-    local = _local_stiffness(geometry(mesh), _element_mean(coeff_q))
-    return reference_solver(mesh).interior_matrix_data(local)
+    g = geometry(mesh)
+    terms = _stiffness_terms(mesh, g, _element_mean(coeff_q) * g.areas)
+    return terms[reference_solver(mesh).slots]
+
+
+def _mass_terms(mesh: Mesh) -> np.ndarray:
+    areas = signed_areas(mesh)
+    return _sum_terms(mesh, np.repeat(areas * (2.0 / 12.0), 3),
+                      np.repeat(areas * (1.0 / 12.0), 3))
 
 
 def assemble_mass(mesh: Mesh) -> csr_matrix:
-    """Exact P1 mass matrix, M_ij = int phi_i phi_j dX.
+    """Exact P1 mass matrix, M_ij = int phi_i phi_j dX: corner terms
+    `area * 2/12` and edge terms `area * 1/12`.
 
     Only the areas are needed, so a mesh without a `geometry` does not get
     one: the KL build then keeps no per-element arrays while it factorizes.
     """
-    areas = signed_areas(mesh)
-    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = areas[:, None, None] * base
-    return _scatter(mesh, local)
+    return _matrix(mesh, _mass_terms(mesh))
 
 
 def perturbation_load_from_qvalues(mesh: Mesh, aq: np.ndarray,
@@ -201,15 +242,14 @@ class ReferenceSolver:
     the sparsity pattern of that topology.  Built once per topology, this
     object holds
 
-    * `slots`, `indptr`, `indices`: the positions in such a matrix's CSR
-      data of its interior-interior entries, and the CSR structure they
-      form, so eliminating the Dirichlet boundary is one gather;
-    * `element_slots` and `element_nodes`, int32: the interior slot of
-      every entry of the flattened (m, 3, 3) element matrices and the
-      interior index of every corner of the flattened (m, 3) element
-      vectors, with one dummy slot past the end for those on the
-      boundary, so assembling straight into the interior layout is one
-      `np.bincount` (in element order, as `_scatter` sums);
+    * `slots`, `indptr`, `indices`: the positions in a matrix's term
+      vector (its diagonal, then its edge sums) of its interior-interior
+      entries, and the CSR structure they form, so eliminating the
+      Dirichlet boundary is one gather;
+    * `element_nodes`, int32: the interior index of every corner of the
+      flattened (m, 3) element vectors, with one dummy index past the end
+      for those on the boundary, so assembling a load straight into the
+      interior layout is one `np.bincount`;
     * through `matvec`, the product of a block of interior matrices, one
       per row of their CSR data, each on the shared `indptr` and `indices`,
       so a block of any width adds no index arrays;
@@ -243,19 +283,16 @@ class ReferenceSolver:
         relabel = np.cumsum(is_interior) - 1
         m = len(self.interior)
         counts = np.bincount(relabel[rows[keep]], minlength=m)
-        self.slots = np.flatnonzero(keep)
+        self.slots = pattern.terms[keep]
         self.indices = relabel[pattern.indices[keep]].astype(np.int32)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        slot = np.full(len(pattern.indices), len(self.slots), dtype=np.int32)
-        slot[self.slots] = np.arange(len(self.slots))
-        self.element_slots = slot[pattern.slots]
         self.element_nodes = np.where(is_interior, relabel, m).astype(
             np.int32)[mesh.triangles].reshape(-1)
 
         reference = compute_geometry(mesh.topology.reference_nodes,
                                      mesh.triangles)
-        A = self.interior_matrix(self.interior_matrix_data(
-            _local_stiffness(reference, 1.0)))
+        A = self.interior_matrix(_stiffness_terms(
+            mesh, reference, reference.areas)[self.slots])
         steps = max(0, min(len(mesh.refinements), mesh.level - COARSE_LEVEL))
         self._levels = []
         fine_interior, n_fine = self.interior, n
@@ -276,11 +313,6 @@ class ReferenceSolver:
         """The interior matrix with interior CSR data `data`."""
         m = len(self.interior)
         return csr_matrix((data, self.indices, self.indptr), shape=(m, m))
-
-    def interior_matrix_data(self, local: np.ndarray) -> np.ndarray:
-        """Interior CSR data of the sum of (m, 3, 3) element matrices."""
-        return np.bincount(self.element_slots, weights=local.reshape(-1),
-                           minlength=len(self.slots) + 1)[:-1]
 
     def interior_vector(self, local: np.ndarray) -> np.ndarray:
         """Interior entries of the sum of (m, 3) element vectors."""
@@ -456,8 +488,9 @@ def solve_dirichlet(K: np.ndarray, b: np.ndarray, mesh: Mesh,
 def _h1_gram(mesh: Mesh) -> csr_matrix:
     gram = mesh._cache.get("h1_gram")
     if gram is None:
-        gram = (_scatter(mesh, _local_stiffness(geometry(mesh), 1.0))
-                + _mass(mesh))
+        g = geometry(mesh)
+        gram = _matrix(mesh, _stiffness_terms(mesh, g, g.areas)
+                       + _mass_terms(mesh))
         mesh._cache["h1_gram"] = gram
     return gram
 

@@ -140,10 +140,6 @@ def build_vector_field_kl(mesh: Mesh, tol: float) -> VectorFieldKL:
     of the trace.
     """
     oracle = VectorFieldCovariance(mesh.nodes)
-    # The mass matrix comes first: the sparsity pattern it caches on the
-    # mesh topology then cannot pin heap memory that the factorization's
-    # large temporaries free (1.2 MB instead of 6 MB of extra peak RSS at
-    # mesh level 6).
     mass = assemble_mass(mesh)
     factor = pivoted_cholesky(oracle, CHOL_TOL_FACTOR * tol * tol)
     basis = reduced_eigs(factor, mass, block=2, tol=tol * tol)
@@ -359,28 +355,45 @@ def _save(path, header: str, mean: np.ndarray, basis: KLBasis) -> None:
 def _load(path, kind: str, n_tokens: int, width):
     """The header tokens, the mean and the KL basis of an artifact that
     `_save` wrote.  `width(header)` is the number of values of the mean and
-    of each mode; ValueError unless every line has its form and length."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    header = lines[0].split() if lines else []
-    if len(header) != n_tokens or header[0] != kind or header[-1] != ENCODING:
-        raise ValueError(f"header {lines[0][:80] if lines else ''!r} is not "
-                         f"that of a {kind} artifact in the {ENCODING} "
-                         "encoding")
-    n = width(header)
-    counts = lines[2].split() if len(lines) > 3 else []
-    if len(counts) != 3 or counts[0] != "klbasis":
-        raise ValueError("no klbasis line and eigenvalue row after the mean")
-    m = int(counts[1])
-    if int(counts[2]) != n:
-        raise ValueError(f"the KL modes have {counts[2]} values, expected {n}")
-    if len(lines) != 4 + m:
-        raise ValueError(f"{len(lines) - 4} mode rows, expected {m}")
-    modes = np.empty((m, n))
-    for k in range(m):
-        modes[k] = parse_hex_row(lines[4 + k], n)
-    return header, parse_hex_row(lines[1], n), KLBasis(
-        parse_hex_row(lines[3], m), modes)
+    of each mode; ValueError unless every line has its form and length
+    (UnicodeDecodeError, a ValueError, for bytes that are not UTF-8).
+
+    The header, the mean, the counts and the eigenvalues are read line by
+    line, and the modes one row at a time into the preallocated (m, n)
+    array, so the text of at most one row is held at once.
+    """
+    with open(path, encoding="utf-8") as f:
+        first = f.readline()
+        header = first.split()
+        if (len(header) != n_tokens or header[0] != kind
+                or header[-1] != ENCODING):
+            shown = first.rstrip("\n")[:80]
+            raise ValueError(f"header {shown!r} is not that of a {kind} "
+                             f"artifact in the {ENCODING} encoding")
+        n = width(header)
+        mean_row = f.readline()
+        counts = f.readline().split()
+        mu_row = f.readline()
+        if len(counts) != 3 or counts[0] != "klbasis" or not mu_row:
+            raise ValueError(
+                "no klbasis line and eigenvalue row after the mean")
+        m = int(counts[1])
+        if int(counts[2]) != n:
+            raise ValueError(
+                f"the KL modes have {counts[2]} values, expected {n}")
+        mean = parse_hex_row(mean_row.rstrip("\n"), n)
+        # `mu` has one value per mode, so a damaged count cannot allocate
+        # more modes than the file has room for
+        mu = parse_hex_row(mu_row.rstrip("\n"), m)
+        modes = np.empty((m, n))
+        rows = 0
+        for line in f:
+            if rows < m:
+                modes[rows] = parse_hex_row(line.rstrip("\n"), n)
+            rows += 1
+    if rows != m:
+        raise ValueError(f"{rows} mode rows, expected {m}")
+    return header, mean, KLBasis(mu, modes)
 
 
 def save_vector_field(vf: VectorFieldKL, path) -> None:

@@ -17,8 +17,8 @@ shared by its two triangles, so `edge_midpoints` computes each point once
 and an element's three points are a gather through `Edges.of_element`.
 `refine` bisects the same edge list, so a coarse mesh's edges are the new
 nodes of the mesh refined from it.
-What else depends on the node positions (areas, basis gradients and
-gradient products) is computed in one pass per placement of the nodes:
+What else depends on the node positions (areas and basis gradients) is
+computed in one pass per placement of the nodes:
 `displace` computes it while checking the moved mesh for inverted
 elements, and the moved mesh keeps it.
 """
@@ -133,16 +133,14 @@ class Geometry:
     ----------
     areas : (m,) signed triangle areas
     grad_components : (2, 3, m): component d of the gradient of the P1
-        basis function i on every element, as the gradients are computed
-    grad_products : (m, 3, 3) dot products grad(phi_i) . grad(phi_j), the
-        unit-coefficient element stiffness divided by the area
+        basis function i on every element, as the gradients are computed;
+        a stiffness matrix is assembled from their dot products
     grads : (m, 3, 2) the same gradients per element, laid out on first
         use (assembling a stiffness matrix does not need them)
     """
 
     areas: np.ndarray
     grad_components: np.ndarray
-    grad_products: np.ndarray
 
     @cached_property
     def grads(self) -> np.ndarray:
@@ -167,13 +165,27 @@ class Edges:
 
     @classmethod
     def build(cls, triangles: np.ndarray, n: int) -> "Edges":
-        # quadrature point q lies on the edge (j, k) opposite vertex q
-        a, b = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
-        keys = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
-        unique, inverse = np.unique(keys.reshape(-1), return_inverse=True)
+        # Quadrature point q lies on the edge (j, k) opposite vertex q.
+        # The key lower * n + higher of every element edge is formed in
+        # place and sorted once, with fewer temporaries than `np.unique`
+        # with an inverse holds.
+        keys = triangles[:, [1, 2, 0]].astype(np.int64, copy=False).ravel()
+        other = triangles[:, [2, 0, 1]].ravel()
+        higher = np.maximum(keys, other)
+        np.minimum(keys, other, out=keys)
+        keys *= n
+        keys += higher
+        del other, higher
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.empty(len(keys), dtype=bool)  # the first of each key
+        starts[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+        unique = keys[starts]
+        of_element = np.empty(len(keys), dtype=np.int32)
+        of_element[order] = np.cumsum(starts, dtype=np.int32) - 1
         ends = np.stack([unique // n, unique % n]).astype(np.int32)
-        return cls(ends=ends,
-                   of_element=inverse.reshape(-1, 3).astype(np.int32))
+        return cls(ends=ends, of_element=of_element.reshape(-1, 3))
 
 
 def edges(mesh: Mesh) -> Edges:
@@ -222,8 +234,8 @@ def signed_areas(mesh: Mesh) -> np.ndarray:
 
 def compute_geometry(nodes: np.ndarray, triangles: np.ndarray,
                      min_area: float | None = None) -> Geometry:
-    """Areas, basis gradients and gradient products of the triangles at
-    the given node positions, in one pass.
+    """Areas and basis gradients of the triangles at the given node
+    positions, in one pass.
 
     With `min_area`, raises DegenerateDeformation before any division if
     a signed area is not above it (a NaN area is not).
@@ -243,12 +255,7 @@ def compute_geometry(nodes: np.ndarray, triangles: np.ndarray,
         np.subtract(ys[j], ys[k], out=g[0, i])
         np.subtract(xs[k], xs[j], out=g[1, i])
     g /= det
-    gx, gy = g
-    products = (gx[:, None, :] * gx[None, :, :]
-                + gy[:, None, :] * gy[None, :, :])
-    return Geometry(areas=areas, grad_components=g,
-                    grad_products=np.ascontiguousarray(
-                        products.transpose(2, 0, 1)))
+    return Geometry(areas=areas, grad_components=g)
 
 
 def geometry(mesh: Mesh) -> Geometry:

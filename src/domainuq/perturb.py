@@ -59,11 +59,11 @@ class SampleSolve:
 class DeformedProblem:
     """Shared state of all solves on one domain realization V(D_ref, z).
 
-    Builds the deformed mesh, whose geometry (areas, gradients and
-    gradient products) is computed once by `displace`, computes the
-    midpoints of its edges (the quadrature points, each listed once) and
-    locates them on the coefficient grid once (a `Stencil` that the
-    smooth part and every rough part reuse).  Coefficient values are kept
+    Builds the deformed mesh, whose geometry (areas and gradients) is
+    computed once by `displace`, computes the midpoints of its edges (the
+    quadrature points, each listed once) and locates them on the
+    coefficient grid once (a `Stencil` that the smooth part and every
+    rough part reuse).  Coefficient values are kept
     per edge; an element's three values are a gather through
     `Edges.of_element`.
 

@@ -319,6 +319,17 @@ def _index_set(dim: int, level: int) -> list[tuple[int, ...]]:
     return out
 
 
+def smolyak_node_bound(dim: int, level: int) -> int:
+    """The nodes of `smolyak_rule(dim, level)` before equal nodes merge,
+    counted without building it: the sum of prod(alpha_j + 1) over the
+    multi-indices with a nonzero combination coefficient, those with
+    level - dim < |alpha| <= level.  The multi-indices with |alpha| = s
+    contribute C(s + 2 dim - 1, 2 dim - 1), the x^s coefficient of
+    (sum_k (k + 1) x^k)^dim = (1 - x)^(-2 dim)."""
+    return sum(comb(s + 2 * dim - 1, 2 * dim - 1)
+               for s in range(max(0, level - dim + 1), level + 1))
+
+
 def smolyak_rule(dim: int, level: int) -> QuadratureRule:
     """Sparse combination of 1D Gauss-Legendre rules.
 

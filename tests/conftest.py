@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 import domainuq as dq
 import domainuq.fem as fem
@@ -155,13 +156,46 @@ def at_quadrature(mesh, fn):
     return np.broadcast_to(values, (len(qpoints),)).reshape(-1, 3)
 
 
+def reference_pattern(mesh):
+    """(indptr, indices, slots) of the CSR structure of the full 3x3
+    element matrices: `slots[k]` is the position in the CSR data of entry
+    k of the flattened (m, 3, 3) element matrices."""
+    t, n = mesh.triangles, mesh.n_nodes
+    rows = np.repeat(t, 3, axis=1).reshape(-1)
+    cols = np.tile(t, (1, 3)).reshape(-1)
+    keys = rows * n + cols
+    unique = np.unique(keys)
+    counts = np.bincount(unique // n, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    return (indptr, (unique % n).astype(np.int32),
+            np.searchsorted(unique, keys))
+
+
+def reference_scatter(mesh, local):
+    """Sum (m, 3, 3) element matrices into a full CSR matrix, duplicates
+    in element order: the sums the term assembly must reproduce bit for
+    bit."""
+    indptr, indices, slots = reference_pattern(mesh)
+    n = mesh.n_nodes
+    data = np.bincount(slots, weights=local.reshape(-1),
+                       minlength=len(indices))
+    return csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def reference_stiffness(mesh, coeff):
     """Full CSR stiffness matrix of a coefficient given as a function of
     the points or as its (m, 3) values at the quadrature points."""
     areas, _, _, products = reference_geometry(mesh)
     aq = at_quadrature(mesh, coeff) if callable(coeff) else coeff
-    return fem._scatter(
+    return reference_scatter(
         mesh, (aq.mean(axis=1) * areas)[:, None, None] * products)
+
+
+def reference_mass(mesh):
+    """Full CSR P1 mass matrix from 3x3 element matrices."""
+    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    return reference_scatter(
+        mesh, reference_geometry(mesh)[0][:, None, None] * base)
 
 
 def nodal_sum(mesh, local):
@@ -190,12 +224,15 @@ def reference_perturbation_load(mesh, aq, u0):
 def interior_gather(mesh, K):
     """Interior CSR data of a full matrix in the layout of the topology's
     `ReferenceSolver`; MeshMismatch unless `K` has the topology's pattern."""
-    pattern = fem._pattern(mesh)
-    if K.shape != (mesh.n_nodes,) * 2 or not (
-            np.array_equal(K.indptr, pattern.indptr)
-            and np.array_equal(K.indices, pattern.indices)):
+    indptr, indices, _ = reference_pattern(mesh)
+    n = mesh.n_nodes
+    if K.shape != (n, n) or not (np.array_equal(K.indptr, indptr)
+                                 and np.array_equal(K.indices, indices)):
         raise MeshMismatch("matrix pattern differs from the topology's")
-    return K.data[fem.reference_solver(mesh).slots]
+    inside = np.ones(n, dtype=bool)
+    inside[mesh.boundary] = False
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    return K.data[inside[rows] & inside[indices]]
 
 
 def matrix_solve(K, b, mesh, diag_out=None):

@@ -248,6 +248,29 @@ class TestExitCodes:
         assert main(["mc", "--config", cfg, "--out", out]) == 0
         assert "\n0.5,3," in open(os.path.join(out, "mc.csv")).read()
 
+    def test_quadrature_rule_over_budget(self, tiny_run, tmp_path, capsys,
+                                         monkeypatch):
+        """A rule above `MAX_QUAD_NODES` is refused with its node count
+        before it is built or anything is solved."""
+        import domainuq.cli as cli
+
+        def unbuilt(*args):
+            raise AssertionError("smolyak_rule called")
+
+        monkeypatch.setattr(cli, "smolyak_rule", unbuilt)
+        _, out = artifacts_copy(tiny_run, tmp_path / "q")
+        n_z = load_vector_field(os.path.join(out, "vector_field.txt")).n_modes
+        cfg = write_config(tmp_path / "q.cfg",
+                           TINY.replace("quad_level = 1", "quad_level = 3"))
+        count = cli.smolyak_node_bound(n_z, 3)
+        assert count > cli.MAX_QUAD_NODES
+        assert main(["convergence", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{count} nodes" in err
+        assert sorted(os.listdir(out)) == ["coefficient.txt",
+                                           "kl_manifest.txt",
+                                           "vector_field.txt"]
+
     def test_numerical_failure(self, tiny_run, tmp_path, capsys):
         cfg_text = TINY.replace("eps_list = 0.5, 1", "eps_list = 0.5, 50")
         cfg = write_config(tmp_path / "big.cfg", cfg_text)
@@ -352,25 +375,34 @@ class TestExitCodes:
             assert not os.path.exists(os.path.join(out, "mc.csv"))
 
     @pytest.mark.parametrize("name", ["vector_field.txt", "coefficient.txt"])
-    @pytest.mark.parametrize("damage", ["decimal", "row_one_value_short",
-                                        "non_hex_digit", "half_the_lines"])
+    @pytest.mark.parametrize("damage", [
+        "decimal", "row_one_value_short", "non_hex_digit", "half_the_lines",
+        "one_extra_mode_row", "trailing_blank_line",
+        "non_utf8_byte_in_a_mode_row"])
     def test_damaged_artifact(self, tiny_run, tmp_path, capsys, damage, name):
         cfg, out = artifacts_copy(tiny_run, tmp_path / "a")
         path = os.path.join(out, name)
         if damage == "decimal":
-            text = decimal_artifact(path)
+            data = decimal_artifact(path).encode()
         else:
-            lines = open(path).read().splitlines()
+            with open(path, "rb") as f:
+                lines = f.read().splitlines()
             row = 4  # the first mode
             if damage == "row_one_value_short":
                 lines[row] = lines[row][:-16]
             elif damage == "non_hex_digit":
-                lines[row] = lines[row][:5] + "x" + lines[row][6:]
+                lines[row] = lines[row][:5] + b"x" + lines[row][6:]
+            elif damage == "non_utf8_byte_in_a_mode_row":
+                lines[row] = lines[row][:5] + b"\xff" + lines[row][6:]
+            elif damage == "one_extra_mode_row":
+                lines.append(lines[row])
+            elif damage == "trailing_blank_line":
+                lines.append(b"")
             else:
                 lines = lines[:len(lines) // 2]
-            text = "\n".join(lines) + "\n"
-        with open(path, "w") as f:
-            f.write(text)
+            data = b"\n".join(lines) + b"\n"
+        with open(path, "wb") as f:
+            f.write(data)
         assert main(["mc", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and name in err and "build-kl" in err
@@ -765,3 +797,45 @@ def test_one_thread_never_loads_the_process_pool(tiny_run, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_malloc_thresholds_are_pinned_only_on_glibc(monkeypatch):
+    from domainuq import cli
+
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+    monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+    cli.pin_malloc_thresholds()
+    assert calls == [(cli.M_TRIM_THRESHOLD, 64 << 20),
+                     (cli.M_MMAP_THRESHOLD, 32 << 20)]
+
+    def not_glibc(name):
+        raise ValueError("unrecognized configuration name")
+
+    calls.clear()
+    monkeypatch.setattr(cli.os, "confstr", not_glibc)
+    cli.pin_malloc_thresholds()
+    assert calls == []
+
+
+@pytest.mark.parametrize("command, pinned", [
+    ("build-kl", 0), ("solve-one", 1), ("mc", 1), ("taylor", 1),
+    ("convergence", 1)])
+def test_solve_commands_pin_the_malloc_thresholds(command, pinned,
+                                                  monkeypatch, tmp_path):
+    from domainuq import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "pin_malloc_thresholds",
+                        lambda: calls.append(command))
+    name = "cmd_" + command.replace("-", "_")
+    monkeypatch.setattr(cli, name, lambda *args: None)
+    extra = ["--y", "0", "--z", "0", "--eps", "0.5"] * (command == "solve-one")
+    assert main([command, "--out", str(tmp_path), *extra]) == 0
+    assert calls == [command] * pinned

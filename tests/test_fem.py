@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import domainuq as dq
+import domainuq.fem as fem
 from conftest import (at_quadrature, interior_gather, matrix_solve,
                       nodal_sum, reference_geometry, reference_load,
-                      reference_perturbation_load, reference_stiffness,
-                      smoothly_displaced)
+                      reference_mass, reference_pattern,
+                      reference_perturbation_load, reference_scatter,
+                      reference_stiffness, smoothly_displaced)
 from domainuq.errors import MeshMismatch, NonFiniteValue, SolverDiverged
-from domainuq.fem import (NodalField, _h1_gram, _prolongation, _scatter,
+from domainuq.fem import (NodalField, _h1_gram, _prolongation,
                           assemble_mass, field_to_text,
                           h1_norm, l2_norm, perturbation_load_from_qvalues,
                           reference_solver, solve_dirichlet,
@@ -93,7 +95,7 @@ class TestAssembly:
         coeff_q = np.random.default_rng(level).uniform(
             0.5, 2.0, size=(moved.n_triangles, 3))
         areas, _, _, products = reference_geometry(moved)
-        expected = _scatter(
+        expected = reference_scatter(
             moved, (coeff_q.mean(axis=1) * areas)[:, None, None] * products)
         data = stiffness_from_qvalues(moved, coeff_q)
         assert np.array_equal(data, interior_gather(moved, expected))
@@ -114,7 +116,7 @@ class TestAssembly:
         assert np.array_equal(
             perturbation_load_from_qvalues(moved, coeff_q, u0),
             reference_perturbation_load(moved, coeff_q, u0)[ref.interior])
-        assert ref.element_slots.dtype == ref.element_nodes.dtype == np.int32
+        assert ref.element_nodes.dtype == np.int32
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-4.0, 4.0), b=st.floats(-4.0, 4.0),
@@ -172,11 +174,42 @@ class TestAssembly:
     def test_h1_gram_bit_equal_to_reference(self, level):
         mesh = build_disc_mesh(level)
         expected = (reference_stiffness(mesh, lambda p: 1.0)
-                    + assemble_mass(mesh))
+                    + reference_mass(mesh))
         gram = _h1_gram(mesh)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(gram, name),
                                   getattr(expected, name))
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_edge_and_corner_terms_bit_equal_to_element_matrices(
+            self, level, monkeypatch):
+        """The pattern built from the edges, the mass, the H1 gram and the
+        V-cycle's interior reference operator equal the sums of full 3x3
+        element matrices in element order, bit for bit."""
+        moved = smoothly_displaced(level, seed=30 + level)
+        indptr, indices, _ = reference_pattern(moved)
+        pattern = fem._pattern(moved)
+        assert np.array_equal(pattern.indptr, indptr)
+        assert np.array_equal(pattern.indices, indices)
+        areas, _, _, products = reference_geometry(moved)
+        mass = reference_mass(moved)
+        unit = reference_scatter(moved, areas[:, None, None] * products)
+        for got, want in ((assemble_mass(moved), mass),
+                          (_h1_gram(moved), unit + mass)):
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name))
+        reference = build_disc_mesh(level)
+        areas, _, _, products = reference_geometry(reference)
+        want = interior_gather(reference, reference_scatter(
+            reference, areas[:, None, None] * products))
+        built = []
+        interior_matrix = fem.ReferenceSolver.interior_matrix
+        monkeypatch.setattr(fem.ReferenceSolver, "interior_matrix",
+                            lambda self, data: built.append(data)
+                            or interior_matrix(self, data))
+        fem.ReferenceSolver(moved)
+        assert len(built) == 1 and np.array_equal(built[0], want)
 
 
 class TestPerturbationLoad:

@@ -303,6 +303,28 @@ class TestDumps:
         save_scalar_field(back, second)
         assert second.read_bytes() == first.read_bytes()
 
+    def test_vector_field_load_holds_one_row_of_text(self, vf5, tmp_path):
+        """Loading reads the modes row by row: its peak is the modes array
+        plus a few rows of text, not the whole file and its lines (about
+        74 rows of text at level 5)."""
+        path = tmp_path / "vf.txt"
+        save_vector_field(vf5, path)
+        row_text = 16 * vf5.basis.n
+        assert vf5.n_modes > 20
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        try:
+            back = load_vector_field(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert same_bits(back.basis.modes, vf5.basis.modes)
+        assert peak - base <= back.basis.modes.nbytes + 8 * row_text
+
     # Bit patterns: -0.0, the smallest and largest subnormals, -max, +max,
     # a quiet and a signalling NaN with payloads, a negative NaN, -inf.
     @example([0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF,

@@ -10,7 +10,7 @@ import domainuq.fem as fem
 import domainuq.mesh as mesh_module
 from conftest import (interior_gather, matrix_solve, reference_geometry,
                       reference_load, reference_realization,
-                      taylor_remainders)
+                      reference_scatter, taylor_remainders)
 from domainuq.fields import HoldAllGrid
 from domainuq.fem import NodalField, h1_norm
 from domainuq.fields import (SQRT3, VectorFieldKL, eval_displacement,
@@ -338,7 +338,7 @@ def stiffness_from_element_tensors(mesh, tensors):
     areas, grads, _, _ = reference_geometry(mesh)
     local = areas[:, None, None] * np.einsum(
         "mid,mde,mje->mij", grads, tensors, grads)
-    return fem._scatter(mesh, local)
+    return reference_scatter(mesh, local)
 
 
 def solve_transported(mesh, vf, sf, sample, eps):
@@ -456,7 +456,7 @@ class TestPerRealizationWork:
         a_r_q = dp.rough_qvalues(s.y)
         areas, _, _, products = reference_geometry(dp.deformed)
         per_element = a_r_q[mesh_module.edges(mesh3).of_element]
-        expected = interior_gather(mesh3, fem._scatter(
+        expected = interior_gather(mesh3, reference_scatter(
             dp.deformed,
             (per_element.mean(axis=1) * areas)[:, None, None] * products))
         passes = counting(monkeypatch, mesh_module, "compute_geometry")

@@ -16,8 +16,8 @@ from domainuq.perturb import solve_block
 from domainuq.uq import (RunningMoments, Statistics, map_blocks,
                          mc_estimate, norm_by_name, quadrature_estimate,
                          slope_fit, QUADRATURE_BLOCK,
-                         SOLVE_BLOCK, smolyak_rule, statistics_to_text,
-                         tree_merge)
+                         SOLVE_BLOCK, _index_set, smolyak_node_bound,
+                         smolyak_rule, statistics_to_text, tree_merge)
 
 
 def statistics_from_text(text):
@@ -505,6 +505,21 @@ class TestSmolyak:
         rule = smolyak_rule(7, 0)
         assert np.array_equal(rule.nodes, np.zeros((1, 7)))
         assert np.array_equal(rule.weights, [1.0])
+
+    def test_node_bound_counts_the_combined_rules(self):
+        """The closed-form count is the sum of the tensor rule sizes over
+        the multi-indices with a nonzero coefficient, and bounds the
+        merged node count."""
+        assert [smolyak_node_bound(48, level) for level in (1, 2, 3)] == [
+            97, 4753, 156849]
+        assert len(smolyak_rule(48, 2).nodes) == 4705
+        for dim in range(1, 6):
+            for level in range(5):
+                direct = sum(int(np.prod(np.add(alpha, 1)))
+                             for alpha in _index_set(dim, level)
+                             if level - sum(alpha) < dim)
+                assert smolyak_node_bound(dim, level) == direct
+                assert len(smolyak_rule(dim, level).nodes) <= direct
 
     def test_mixed_moment_exactness(self):
         rule = smolyak_rule(2, 3)
