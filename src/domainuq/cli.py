@@ -345,9 +345,9 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
     `uq.mc_estimate`) with 0, then the signed amplitudes sign * eps of
     both signs in ascending order: a column's rounding depends on its
     position in the lockstep block.  Returns per-eps (statsD, statsE,
-    stats0): statistics of the coupled difference, of u_eps, and of u0,
-    over the n_mc samples, plus the statistics of the derivative solve
-    when `with_delta` is set.  `n_mc` must be even (see `cmd_convergence`).
+    stats0): statistics of the coupled difference, of u_eps and of u0
+    (one for all eps) over the n_mc samples, plus those of the derivative
+    solve if `with_delta` is set.  `n_mc` must be even (see `cmd_convergence`).
     """
     signs = (1.0, -1.0)
     amplitudes = [0.0] + sorted(sign * eps for sign in signs
@@ -357,8 +357,8 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
                for eps in cfg.eps_list]
 
     def solver(samples):
-        """Per pair the fields of each quantity: for each eps those of
-        u_eps - u0, u_eps and u0, one per sign, then those of the
+        """Per pair the fields of each quantity: u0 twice, then for each
+        eps those of u_eps - u0 and u_eps, one per sign, then those of the
         derivative solve.  Raises MeshMismatch unless every field of a
         pair has as many values as its u0."""
         u, delta = factory(samples, amplitudes, with_delta)
@@ -369,10 +369,10 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
                 if f.n != u0.n:
                     raise MeshMismatch(f"field of {f.n} values, its u0 has "
                                        f"{u0.n}", index=i)
-            quantities = []
+            quantities = [[u0, u0]]
             for cols in columns:
                 ue = [fields[j] for j in cols]
-                quantities += [[f - u0 for f in ue], ue, [u0, u0]]
+                quantities += [[f - u0 for f in ue], ue]
             if with_delta:
                 quantities.append([delta[i] * sign for sign in signs])
             out.append(quantities)
@@ -380,7 +380,7 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
 
     stats = mc_estimate(solver, dims, cfg.n_mc // 2, cfg.seed, threads,
                         "sample pair")
-    per_eps = [tuple(stats[3 * ei:3 * ei + 3])
+    per_eps = [(*stats[2 * ei + 1:2 * ei + 3], stats[0])
                for ei in range(len(cfg.eps_list))]
     return per_eps, (stats[-1] if with_delta else None)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -31,20 +31,13 @@ class ExperimentConfig:
     out_dir: str = "out"
 
 
-_PARSERS = {
-    "mesh_level": int,
-    "kl_tol_v": float,
-    "kl_tol_a": float,
-    "grid_cells": int,
-    "eps_list": lambda s: tuple(float(v) for v in s.split(",") if v.strip()),
-    "n_mc": int,
-    "n_taylor": int,
-    "seed": int,
-    "quad_level": int,
-    "norm_mean": str,
-    "norm_var": str,
-    "out_dir": str,
-}
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+#: The parser of each key, picked by the type of its default.
+_PARSERS = {f.name: _floats if isinstance(f.default, tuple)
+            else type(f.default) for f in fields(ExperimentConfig)}
 
 _NORMS = ("h1", "w11", "l2")
 
@@ -117,19 +110,16 @@ def override_config(cfg: ExperimentConfig, seed: int | None = None,
 def canonical_text(cfg: ExperimentConfig) -> str:
     """Canonical serialization of the effective settings (out_dir excluded,
     since it does not influence any numbers)."""
-    items = [
-        f"mesh_level={cfg.mesh_level}",
-        f"kl_tol_v={cfg.kl_tol_v!r}",
-        f"kl_tol_a={cfg.kl_tol_a!r}",
-        f"grid_cells={cfg.grid_cells}",
-        "eps_list=" + ",".join(repr(e) for e in cfg.eps_list),
-        f"n_mc={cfg.n_mc}",
-        f"n_taylor={cfg.n_taylor}",
-        f"seed={cfg.seed}",
-        f"quad_level={cfg.quad_level}",
-        f"norm_mean={cfg.norm_mean}",
-        f"norm_var={cfg.norm_var}",
-    ]
+    items = []
+    for f in fields(cfg):
+        if f.name == "out_dir":
+            continue
+        value = getattr(cfg, f.name)
+        if isinstance(f.default, tuple):
+            value = ",".join(repr(e) for e in value)
+        elif isinstance(f.default, float):
+            value = repr(value)
+        items.append(f"{f.name}={value}")
     return "\n".join(items) + "\n"
 
 

@@ -486,21 +486,11 @@ def solve_dirichlet(K: np.ndarray, b: np.ndarray, mesh: Mesh,
 
 
 def _h1_gram(mesh: Mesh) -> csr_matrix:
-    gram = mesh._cache.get("h1_gram")
-    if gram is None:
+    def build():
         g = geometry(mesh)
-        gram = _matrix(mesh, _stiffness_terms(mesh, g, g.areas)
+        return _matrix(mesh, _stiffness_terms(mesh, g, g.areas)
                        + _mass_terms(mesh))
-        mesh._cache["h1_gram"] = gram
-    return gram
-
-
-def _mass(mesh: Mesh) -> csr_matrix:
-    m = mesh._cache.get("mass")
-    if m is None:
-        m = assemble_mass(mesh)
-        mesh._cache["mass"] = m
-    return m
+    return mesh.cached("h1_gram", build)
 
 
 def _check_field(mesh: Mesh, v: NodalField) -> None:
@@ -519,7 +509,8 @@ def h1_norm(mesh: Mesh, v: NodalField) -> float:
 def l2_norm(mesh: Mesh, v: NodalField) -> float:
     _check_field(mesh, v)
     x = v.values
-    return float(np.sqrt(max(x @ (_mass(mesh) @ x), 0.0)))
+    mass = mesh.cached("mass", lambda: assemble_mass(mesh))
+    return float(np.sqrt(max(x @ (mass @ x), 0.0)))
 
 
 def w11_norm(mesh: Mesh, v: NodalField) -> float:

@@ -116,6 +116,12 @@ class Mesh:
         if self.topology is None:
             self.topology = Topology(self.nodes)
 
+    def cached(self, key: str, build):
+        """As `Topology.cached`, for this placement of the nodes: no lock."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
@@ -261,11 +267,8 @@ def compute_geometry(nodes: np.ndarray, triangles: np.ndarray,
 def geometry(mesh: Mesh) -> Geometry:
     """The Geometry of the mesh's nodes, computed on first use and kept on
     the mesh; `displace` computes it for the mesh it returns."""
-    cached = mesh._cache.get("geometry")
-    if cached is None:
-        cached = mesh._cache["geometry"] = compute_geometry(mesh.nodes,
-                                                            mesh.triangles)
-    return cached
+    return mesh.cached("geometry",
+                       lambda: compute_geometry(mesh.nodes, mesh.triangles))
 
 
 def build_disc_mesh(level: int) -> Mesh:
@@ -360,8 +363,8 @@ def displace(mesh: Mesh, displacement: np.ndarray) -> Mesh:
         refinements=mesh.refinements,
         topology=mesh.topology,
     )
-    moved._cache["geometry"] = compute_geometry(moved.nodes, moved.triangles,
-                                                min_area=DEGENERACY_EPS)
+    moved.cached("geometry", lambda: compute_geometry(
+        moved.nodes, moved.triangles, min_area=DEGENERACY_EPS))
     return moved
 
 

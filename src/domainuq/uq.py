@@ -3,20 +3,22 @@ rules against the uniform density, and error and slope evaluation.
 
 `mc_estimate` is the one Monte Carlo fold, for plain samples and coupled
 pairs alike: each item brings one list of fields per quantity, folded
-by the Welford recurrence per fixed-size block of items, and the blocks
-are merged by a fixed binary tree over block index.  Quadrature
-estimation accumulates first and second weighted moments in rule order.
+by the Welford recurrence into one accumulator, a row per quantity, per
+fixed-size block of items.  The blocks are merged as they arrive by a
+fixed binary tree over block index, so memory is flat in the number of
+items.  Quadrature estimation accumulates first and second weighted
+moments in rule order.
 
 Samples and coupled pairs are solved in fixed blocks of `SOLVE_BLOCK`
 consecutive items, and quadrature nodes, one column each, in blocks of
 `QUADRATURE_BLOCK` (`solve_blocks`), so that a finite element solver can
 run a whole block in one lockstep solve; which block an item lands in
 depends only on its index.  `map_blocks` is the one place where work
-leaves the calling process.  With more than one worker it
-forks a pool of worker processes, each of which solves one block per item
-and sends the solved fields back; the calling process folds them per
-item, in index order, into the same accumulators, so results are bit
-identical for any worker count.
+leaves the calling process.  With more than one worker it forks a pool
+of worker processes, each of which solves one block per item and sends
+the solved fields back; the calling process folds them per item, in
+index order, into the same accumulators, so results are bit identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -78,9 +80,9 @@ class Statistics:
 
 
 class RunningMoments:
-    """Welford accumulator over equally weighted vector samples."""
+    """Welford accumulator over equally weighted vectors or row stacks."""
 
-    def __init__(self, size: int):
+    def __init__(self, size: int | tuple[int, int]):
         self.count = 0
         self.mean = np.zeros(size)
         self.m2 = np.zeros(size)
@@ -110,17 +112,19 @@ class RunningMoments:
                           weighted=False)
 
 
-def tree_merge(accumulators: list[RunningMoments]) -> RunningMoments:
-    """Merge block accumulators pairwise by block index until one remains."""
-    accs = list(accumulators)
-    while len(accs) > 1:
-        merged = []
-        for i in range(0, len(accs), 2):
-            if i + 1 < len(accs):
-                accs[i].merge(accs[i + 1])
-            merged.append(accs[i])
-        accs = merged
-    return accs[0]
+def tree_merge(accumulators) -> RunningMoments:
+    """Merge block accumulators pairwise by block index, as they arrive:
+    the n-th merges the top two entries once per factor 2 of n, the rest
+    merge from the right, and at most log2(blocks) + 1 are alive."""
+    stack = []
+    for n, acc in enumerate(accumulators, 1):
+        stack.append(acc)
+        while n % 2 == 0:
+            stack[-2].merge(stack.pop())
+            n //= 2
+    while len(stack) > 1:
+        stack[-2].merge(stack.pop())
+    return stack[0]
 
 
 #: (fn, items) of the running `map_blocks`, inherited by forked workers.
@@ -222,41 +226,52 @@ def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
     samples (see `solve_blocks`) and returns, per sample, one list of
     NodalFields per quantity, the same number of quantities every time (a
     plain sample brings one field per quantity, an antithetic pair two).
-    Each block of `MC_BLOCK_SIZE` consecutive samples folds its fields
-    into fresh Welford accumulators, field by field in the order given,
-    and `tree_merge` merges the blocks.  The result is a list of
-    Statistics, one per quantity.
+    Each quantity of a sample brings as many fields, all of one length.
+    Each block of `MC_BLOCK_SIZE` consecutive samples folds into one
+    Welford accumulator with a row per quantity, field k of a sample as
+    the stack of every quantity's field k, in the order given, and
+    `tree_merge` merges the blocks as they arrive.  The result is a list
+    of Statistics, one per quantity.
 
     Sample i is generated from the stream (seed, i), so the estimate is a
     pure function of (seed, n_samples) regardless of the thread count.
     Solver errors abort naming the failing sample as `label i`, and so
-    does a MeshMismatch for a field whose length differs from that of its
-    quantity's first field.  ValueError unless every quantity folds at
-    least two fields.
+    does a MeshMismatch for a field whose length differs from sample 0's
+    first field.  ValueError if a sample's quantities bring different
+    numbers of fields, or unless every quantity folds two or more.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     n_y, n_z = dims
-    blocks = []
-    with closing(solve_blocks(
-            lambda indices: solver([draw_sample(n_y, n_z, seed, i)
-                                    for i in indices]),
-            n_samples, label, threads)) as outputs:
+    f0 = None
+
+    def blocks(outputs):
+        nonlocal f0
         for i, quantities in enumerate(outputs):
             if i == 0:
-                first = [fields[0] for fields in quantities]
+                f0 = quantities[0][0]
             if i % MC_BLOCK_SIZE == 0:
-                blocks.append([RunningMoments(f.n) for f in first])
-            for acc, f0, fields in zip(blocks[-1], first, quantities):
+                if i:
+                    yield acc
+                acc = RunningMoments((len(quantities), f0.n))
+            for fields in zip(*quantities, strict=True):
                 for f in fields:
                     if f.n != f0.n:
                         raise MeshMismatch(f"{label} {i}: field of {f.n} "
                                            f"values, {label} 0 gave {f0.n}")
-                    acc.update(f.values)
-    merged = [tree_merge(accs) for accs in zip(*blocks)]
-    if any(acc.count < 2 for acc in merged):
+                acc.update(np.stack([f.values for f in fields]))
+        yield acc
+
+    with closing(solve_blocks(
+            lambda indices: solver([draw_sample(n_y, n_z, seed, i)
+                                    for i in indices]),
+            n_samples, label, threads)) as outputs:
+        merged = tree_merge(blocks(outputs))
+    if merged.count < 2:
         raise ValueError("every quantity needs at least two fields")
-    return [acc.freeze(f.level) for acc, f in zip(merged, first)]
+    return [Statistics(float(merged.count), NodalField(mean, f0.level),
+                       NodalField(m2, f0.level), weighted=False)
+            for mean, m2 in zip(merged.mean, merged.m2)]
 
 
 def quadrature_estimate(solver, rule: "QuadratureRule",

@@ -69,6 +69,21 @@ class TestConfigParsing:
         c = parse_config("seed = 2\nmesh_level = 2\n")
         assert config_hash(a) != config_hash(c)
 
+    def test_hash_is_pinned(self):
+        """The `# config_hash=` header of the defaults, and of a config
+        with every key moved off its default, keeps its value; numpy ints
+        hash as Python ints, and out_dir is not hashed."""
+        assert config_hash(ExperimentConfig()) == "ba18a99b9251038f"
+        moved = parse_config(
+            "mesh_level = 3\nkl_tol_v = 0.05\nkl_tol_a = 0.02\n"
+            "grid_cells = 64\neps_list = 0.125, 0.5\nn_mc = 100\n"
+            "n_taylor = 3\nseed = 7\nquad_level = 2\nnorm_mean = l2\n"
+            "norm_var = h1\nout_dir = elsewhere\n")
+        assert config_hash(moved) == "7d252b4357d3a406"
+        assert config_hash(replace(moved, mesh_level=np.int64(3),
+                                   seed=np.int32(7), out_dir="out")) \
+            == "7d252b4357d3a406"
+
 
 def write_config(path, text):
     path.write_text(text)

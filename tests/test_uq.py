@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,21 @@ def statistics_from_text(text):
     sc = var if weighted else var * (weight - 1.0)
     return Statistics(weight=weight, mean=NodalField(mean, level),
                       second_central=NodalField(sc, level), weighted=weighted)
+
+
+def pairwise_rounds(accumulators):
+    """The reference block merge: rounds that merge neighbours (0, 1),
+    (2, 3), ... by block index, an odd last one passing through, until
+    one accumulator remains."""
+    accs = list(accumulators)
+    while len(accs) > 1:
+        merged = []
+        for i in range(0, len(accs), 2):
+            if i + 1 < len(accs):
+                accs[i].merge(accs[i + 1])
+            merged.append(accs[i])
+        accs = merged
+    return accs[0]
 
 
 def each(fn):
@@ -79,6 +95,47 @@ class TestRunningMoments:
         assert np.allclose(merged.mean, single.mean, rtol=1e-12)
         assert np.allclose(merged.m2, single.m2, rtol=1e-12)
 
+    def test_tree_merge_is_bit_equal_to_pairwise_rounds(self):
+        """Merging blocks as they arrive gives the bits of the pairwise
+        rounds over the whole list, for a list and a generator alike."""
+        rng = np.random.default_rng(2)
+
+        def copies(blocks):
+            out = []
+            for b in blocks:
+                acc = RunningMoments(4)
+                acc.count = b.count
+                acc.mean, acc.m2 = b.mean.copy(), b.m2.copy()
+                out.append(acc)
+            return out
+
+        for n_blocks in range(1, 140):
+            blocks = []
+            for _ in range(n_blocks):
+                acc = RunningMoments(4)
+                for x in rng.standard_normal((rng.integers(1, 33), 4)) * 3 + 1:
+                    acc.update(x)
+                blocks.append(acc)
+            expected = pairwise_rounds(copies(blocks))
+            for merged in (tree_merge(copies(blocks)),
+                           tree_merge(b for b in copies(blocks))):
+                assert merged.count == expected.count
+                assert np.array_equal(merged.mean, expected.mean)
+                assert np.array_equal(merged.m2, expected.m2)
+
+    def test_rows_accumulate_on_their_own(self):
+        """A (rows, n) accumulator holds in each row the bits of a vector
+        accumulator fed that row alone."""
+        xs = np.random.default_rng(3).standard_normal((50, 3, 7)) * 5 - 2
+        stacked = RunningMoments((3, 7))
+        for x in xs:
+            stacked.update(x)
+        for r in range(3):
+            alone = RunningMoments(7)
+            for x in xs[:, r]:
+                alone.update(x)
+            assert np.array_equal(stacked.mean[r], alone.mean)
+            assert np.array_equal(stacked.m2[r], alone.m2)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -140,7 +197,7 @@ class TestMCEstimate:
             return NodalField(np.array([s.y[0] * s.z[1], s.z[0] ** 2]), 0)
 
         def second(s):
-            return NodalField(np.array([s.y[1] - s.z[0]]), 0)
+            return NodalField(np.array([s.y[1] - s.z[0], s.y[0] + s.z[0]]), 0)
 
         both = mc_estimate(each(lambda s: [[first(s)], [second(s)]]), (2, 2),
                            99, seed=4, threads=3)
@@ -161,19 +218,48 @@ class TestMCEstimate:
         with pytest.raises(dq.SolverDiverged, match=r"sample \d+"):
             mc_estimate(each(solver), (1, 1), 64, seed=0)
 
-    @pytest.mark.parametrize("length", [1, 3])
-    def test_field_of_another_length_names_the_sample(self, length):
-        """Sample 3 returns a field shorter (numpy would broadcast it into
-        wrong moments) or longer than sample 0's two values."""
+    @pytest.mark.parametrize("length, quantity", [(1, 0), (3, 0), (3, 1)],
+                             ids=["1", "3", "3-second-quantity"])
+    def test_field_of_another_length_names_the_sample(self, length, quantity):
+        """Sample 3 returns, for its first or second quantity, a field
+        shorter (numpy would broadcast it into wrong moments) or longer
+        than sample 0's two values."""
         odd = dq.draw_sample(1, 1, 0, 3)
 
         def solver(s):
             n = length if np.array_equal(s.z, odd.z) else 2
-            return [[NodalField(np.zeros(n), 0)]]
+            fields = [[NodalField(np.zeros(2), 0)] for _ in range(2)]
+            fields[quantity] = [NodalField(np.zeros(n), 0)]
+            return fields
 
         with pytest.raises(MeshMismatch, match=f"^sample 3: field of {length}"
                                                " values, sample 0 gave 2$"):
             mc_estimate(each(solver), (1, 1), 8, seed=0)
+
+    def test_quantities_with_different_field_counts_are_refused(self):
+        with pytest.raises(ValueError):
+            mc_estimate(each(lambda s: [[NodalField(s.y, 0)] * 2,
+                                        [NodalField(s.y, 0)]]), (1, 1), 4, 0)
+
+    def test_peak_memory_is_flat_in_the_sample_count(self):
+        """From 64 to 4,096 samples (2 to 128 blocks) the peak grows by
+        less than ten accumulators of the 10,000-value quantity."""
+        size = 10_000
+
+        def solver(s):
+            return [[NodalField(np.full(size, s.y[0]), 0),
+                     NodalField(np.full(size, -s.y[0]), 0)]]
+
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                mc_estimate(each(solver), (1, 1), n_samples, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        accumulator = 2 * size * 8  # mean and m2
+        assert peak(4096) - peak(64) < 10 * accumulator
 
     def test_requires_two_samples(self):
         """Every quantity needs two folded fields: one sample is enough
