@@ -45,6 +45,15 @@ MAX_QUAD_NODES = 10_000
 #: glibc `mallopt` parameter numbers, from malloc.h.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 
+#: Where Linux lists the files mapped into this process.
+PROC_MAPS = "/proc/self/maps"
+
+#: OpenBLAS's `set_num_threads`, as numpy's copy (64-bit integers), scipy's
+#: copy and a plain OpenBLAS export it.
+OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads")
+
 
 def _header_lines(cfg: ExperimentConfig) -> list[str]:
     return [
@@ -495,6 +504,7 @@ def run(argv=None) -> None:
         raise ConfigError(f"cannot create output directory {cfg.out_dir!r}: "
                           f"{e}") from e
 
+    pin_blas_threads()
     if args.command == "build-kl":
         cmd_build_kl(cfg)
         return
@@ -537,6 +547,39 @@ def pin_malloc_thresholds() -> None:
     mallopt = ctypes.CDLL(None).mallopt
     mallopt(M_TRIM_THRESHOLD, 64 << 20)
     mallopt(M_MMAP_THRESHOLD, 32 << 20)
+
+
+def pin_blas_threads() -> None:
+    """Set every OpenBLAS mapped into the process to one thread, through
+    its `set_num_threads` (`OPENBLAS_SET_THREADS`); a no-op where none is
+    mapped or `PROC_MAPS` cannot be read.
+
+    Output bytes depend on the BLAS thread count: the KL artifacts and the
+    solve outputs differ between one and two OpenBLAS threads.  One thread
+    in every process makes `--threads 1` and `2` write the same bytes, and
+    keeps forked workers, which inherit the setting, from oversubscribing
+    the cores.  Only the command line pins; a library caller keeps their
+    own BLAS settings.
+    """
+    try:
+        with open(PROC_MAPS, encoding="utf-8", errors="surrogateescape") as f:
+            paths = {fields[5].rstrip("\n") for fields in
+                     (line.split(maxsplit=5) for line in f)
+                     if len(fields) == 6
+                     and "openblas" in os.path.basename(fields[5]).lower()}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in OPENBLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,10 @@ terms into the edges of `mesh.edges`, one `np.bincount` each.  The solver
 consumes interior CSR data, one gather from the term vector through the
 topology's `ReferenceSolver`, and interior loads summed straight into the
 interior layout, so a domain realization builds no matrix.  The mass
-matrix and the H1 gram matrix of the norms are full CSR matrices.
+matrix and the H1 gram matrix of the norms are full CSR matrices.  scipy
+is imported on first use, by the code that builds or applies its sparse
+matrices (the norms, `assemble_mass` and the `ReferenceSolver`), so the KL
+build, which takes the mass as plain `CSRArrays`, never loads it.
 
 Dirichlet problems are solved by conjugate gradients preconditioned with a
 geometric multigrid V-cycle for the unit-coefficient Laplacian on the
@@ -34,15 +37,17 @@ no structure grows with the block's width.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, diags
-from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import MeshMismatch, NonFiniteValue, SolverDiverged
 from .mesh import (Edges, Geometry, Mesh, compute_geometry, edges, geometry,
                    signed_areas)
 from .textio import fmt
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 #: Relative residual target of the conjugate gradient solver.
 CG_RTOL = 1e-10
@@ -72,9 +77,6 @@ class NodalField:
     def n(self) -> int:
         return len(self.values)
 
-    def __add__(self, other: "NodalField") -> "NodalField":
-        return NodalField(self.values + other.values, self.level)
-
     def __sub__(self, other: "NodalField") -> "NodalField":
         return NodalField(self.values - other.values, self.level)
 
@@ -82,6 +84,22 @@ class NodalField:
         return NodalField(self.values * scalar, self.level)
 
     __rmul__ = __mul__
+
+
+class CSRArrays(NamedTuple):
+    """The arrays of a CSR matrix, without scipy: row r holds the entries
+    `indptr[r]:indptr[r + 1]` of `data` and their columns in `indices`."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    def tocsr(self) -> csr_matrix:
+        """The scipy matrix on these arrays, which it shares."""
+        from scipy.sparse import csr_matrix
+        return csr_matrix((self.data, self.indices, self.indptr),
+                          shape=self.shape)
 
 
 @dataclass(frozen=True)
@@ -146,13 +164,13 @@ def _sum_terms(mesh: Mesh, corner: np.ndarray, edge: np.ndarray) -> np.ndarray:
                     weights=edge.reshape(-1))])
 
 
-def _matrix(mesh: Mesh, terms: np.ndarray) -> csr_matrix:
-    """The full CSR matrix of a term vector; every matrix assembled on a
+def _matrix(mesh: Mesh, terms: np.ndarray) -> CSRArrays:
+    """The full CSR arrays of a term vector; every matrix assembled on a
     topology has the same `indptr` and `indices`."""
     pattern = _pattern(mesh)
     n = mesh.n_nodes
-    return csr_matrix((terms[pattern.terms], pattern.indices, pattern.indptr),
-                      shape=(n, n))
+    return CSRArrays(terms[pattern.terms], pattern.indices, pattern.indptr,
+                     (n, n))
 
 
 def _element_mean(values_q: np.ndarray) -> np.ndarray:
@@ -192,14 +210,19 @@ def _mass_terms(mesh: Mesh) -> np.ndarray:
                       np.repeat(areas * (1.0 / 12.0), 3))
 
 
-def assemble_mass(mesh: Mesh) -> csr_matrix:
-    """Exact P1 mass matrix, M_ij = int phi_i phi_j dX: corner terms
-    `area * 2/12` and edge terms `area * 1/12`.
+def mass_arrays(mesh: Mesh) -> CSRArrays:
+    """Exact P1 mass matrix, M_ij = int phi_i phi_j dX, as CSR arrays:
+    corner terms `area * 2/12` and edge terms `area * 1/12`.
 
     Only the areas are needed, so a mesh without a `geometry` does not get
     one: the KL build then keeps no per-element arrays while it factorizes.
     """
     return _matrix(mesh, _mass_terms(mesh))
+
+
+def assemble_mass(mesh: Mesh) -> csr_matrix:
+    """The P1 mass matrix of `mass_arrays` as a scipy CSR matrix."""
+    return mass_arrays(mesh).tocsr()
 
 
 def perturbation_load_from_qvalues(mesh: Mesh, aq: np.ndarray,
@@ -221,6 +244,7 @@ def _prolongation(edges: np.ndarray, n_coarse: int, fine_interior: np.ndarray,
     A parent node keeps its value; a midpoint takes the mean of its edge
     endpoints, where boundary endpoints carry the Dirichlet zero.
     """
+    from scipy.sparse import coo_matrix
     column = np.full(n_coarse, -1)
     column[coarse_interior] = np.arange(len(coarse_interior))
     n_parents = len(coarse_interior)  # fine_interior lists them first
@@ -271,6 +295,9 @@ class ReferenceSolver:
     """
 
     def __init__(self, mesh: Mesh):
+        from scipy.sparse import diags
+        from scipy.sparse._sparsetools import csr_matvec
+        self._csr_matvec = csr_matvec
         pattern = _pattern(mesh)
         n = mesh.n_nodes
         self.level = mesh.level
@@ -312,7 +339,7 @@ class ReferenceSolver:
     def interior_matrix(self, data: np.ndarray) -> csr_matrix:
         """The interior matrix with interior CSR data `data`."""
         m = len(self.interior)
-        return csr_matrix((data, self.indices, self.indptr), shape=(m, m))
+        return CSRArrays(data, self.indices, self.indptr, (m, m)).tocsr()
 
     def interior_vector(self, local: np.ndarray) -> np.ndarray:
         """Interior entries of the sum of (m, 3) element vectors."""
@@ -334,6 +361,7 @@ class ReferenceSolver:
                 f"topology has {len(self.indices)} interior entries and "
                 f"{m} interior nodes")
         out = np.zeros((len(x), m))
+        csr_matvec = self._csr_matvec
         for i, j in enumerate(rows):
             csr_matvec(m, m, self.indptr, self.indices, data[j], x[i], out[i])
         return out
@@ -489,7 +517,7 @@ def _h1_gram(mesh: Mesh) -> csr_matrix:
     def build():
         g = geometry(mesh)
         return _matrix(mesh, _stiffness_terms(mesh, g, g.areas)
-                       + _mass_terms(mesh))
+                       + _mass_terms(mesh)).tocsr()
     return mesh.cached("h1_gram", build)
 
 

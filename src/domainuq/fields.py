@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclasses_field
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, kron
 
 from .errors import OutOfHoldAll
-from .fem import assemble_mass
+from .fem import CSRArrays, mass_arrays
 from .lowrank import KLBasis, pivoted_cholesky, reduced_eigs
 from .mesh import Mesh
 from .textio import hex_row, parse_hex_row
@@ -140,7 +139,7 @@ def build_vector_field_kl(mesh: Mesh, tol: float) -> VectorFieldKL:
     of the trace.
     """
     oracle = VectorFieldCovariance(mesh.nodes)
-    mass = assemble_mass(mesh)
+    mass = mass_arrays(mesh)
     factor = pivoted_cholesky(oracle, CHOL_TOL_FACTOR * tol * tol)
     basis = reduced_eigs(factor, mass, block=2, tol=tol * tol)
     info = {"chol_rank": factor.rank, "chol_residual": factor.trace_residual}
@@ -240,16 +239,42 @@ class Stencil:
         return len(self.tx)
 
 
-def _grid_mass(grid: HoldAllGrid) -> csr_matrix:
-    """Consistent bilinear mass matrix of the grid, a Kronecker product of
-    1D piecewise linear mass matrices."""
+def _grid_mass(grid: HoldAllGrid) -> CSRArrays:
+    """Consistent bilinear mass matrix of the grid, the Kronecker product
+    M = m1 (x) m1 of the 1D piecewise linear mass matrix m1 = tridiag(1, 4,
+    1) * h / 6 (2 at both ends of the diagonal), as CSR arrays.
+
+    Vertex (a, b), row a and column b of the grid, is row a * (cells + 1)
+    + b, whose entry for vertex (a + da, b + db) is m1[a, a + da] *
+    m1[b, b + db].  Each row holds its columns ascending, and each
+    entry and each rounding are those of scipy's `kron(m1, m1).tocsr()`.
+    The nine offsets (da, db) are filled in ascending column order, one at
+    a time, through a per-row fill counter, so no nine-wide array is kept.
+    """
     n1 = grid.cells + 1
-    h = grid.spacing
+    scale = grid.spacing / 6.0
     main = np.full(n1, 4.0)
     main[0] = main[-1] = 2.0
-    m1 = diags([np.full(n1 - 1, 1.0), main, np.full(n1 - 1, 1.0)],
-               [-1, 0, 1]) * (h / 6.0)
-    return kron(m1, m1).tocsr()
+    # m1's diagonal for offset -1, 0 and 1, rounded as `diags(...) * scale`
+    band = {-1: np.full(n1 - 1, 1.0) * scale, 0: main * scale,
+            1: np.full(n1 - 1, 1.0) * scale}
+    per_axis = np.full(n1, 3)
+    per_axis[0] = per_axis[-1] = 2
+    indptr = np.zeros(n1 * n1 + 1, dtype=np.int32)
+    np.cumsum(np.outer(per_axis, per_axis).ravel(), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    vertex = np.arange(n1 * n1, dtype=np.int32).reshape(n1, n1)
+    fill = indptr[:-1].reshape(n1, n1).copy()  # next free slot of each row
+    for da in (-1, 0, 1):
+        rows_a = slice(max(0, -da), n1 - max(0, da))
+        for db in (-1, 0, 1):
+            rows_b = slice(max(0, -db), n1 - max(0, db))
+            slot = fill[rows_a, rows_b]
+            indices[slot] = vertex[rows_a, rows_b] + (da * n1 + db)
+            data[slot] = np.outer(band[da], band[db])
+            slot += 1
+    return CSRArrays(data, indices, indptr, (n1 * n1, n1 * n1))
 
 
 @dataclass

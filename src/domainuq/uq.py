@@ -16,9 +16,10 @@ run a whole block in one lockstep solve; which block an item lands in
 depends only on its index.  `map_blocks` is the one place where work
 leaves the calling process.  With more than one worker it forks a pool
 of worker processes, each of which solves one block per item and sends
-the solved fields back; the calling process folds them per item, in
-index order, into the same accumulators, so results are bit identical
-for any worker count.
+the solved fields back.  The calling process folds each block into its
+accumulator as the block arrives, and blocks arrive in block order
+whatever the worker count, so results are bit identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -104,12 +105,6 @@ class RunningMoments:
         self.mean = self.mean + delta * (other.count / n)
         self.m2 = self.m2 + other.m2 + delta * delta * (self.count * other.count / n)
         self.count = n
-
-    def freeze(self, level: int) -> Statistics:
-        return Statistics(weight=float(self.count),
-                          mean=NodalField(self.mean.copy(), level),
-                          second_central=NodalField(self.m2.copy(), level),
-                          weighted=False)
 
 
 def tree_merge(accumulators) -> RunningMoments:

@@ -10,6 +10,7 @@ from domainuq.fields import (HoldAllGrid, ScalarFieldKL, eval_displacement,
 from domainuq.lowrank import KLBasis
 from domainuq.mesh import build_disc_mesh, displace
 from domainuq.perturb import remainders, solve_block
+from domainuq.uq import Statistics
 
 #: One line per acceptance criterion, echoed after the run.
 ACCEPTANCE_LINES: list[str] = []
@@ -82,6 +83,14 @@ def unit_triangle():
         boundary=np.array([], dtype=np.int64),
         patch_id=np.array([0]),
     )
+
+
+def freeze(acc, level):
+    """The Statistics of a vector `uq.RunningMoments` on a mesh level."""
+    return Statistics(weight=float(acc.count),
+                      mean=dq.NodalField(acc.mean.copy(), level),
+                      second_central=dq.NodalField(acc.m2.copy(), level),
+                      weighted=False)
 
 
 class DenseOracle:

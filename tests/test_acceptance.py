@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import conftest
-from conftest import DenseOracle, taylor_remainders
+from conftest import DenseOracle, freeze, taylor_remainders
 import numpy as np
 import pytest
 from scipy.sparse import diags
@@ -139,8 +139,8 @@ def test_criterion_5_statistics_convergence():
     mean_points, var_points = [], []
     for ei, eps in enumerate(eps_list):
         err_mean = h1_norm(mesh, NodalField(accD[ei].mean, mesh.level))
-        vdiff = (accE[ei].freeze(mesh.level).variance()
-                 - acc0[ei].freeze(mesh.level).variance())
+        vdiff = (freeze(accE[ei], mesh.level).variance()
+                 - freeze(acc0[ei], mesh.level).variance())
         err_var = w11_norm(mesh, vdiff)
         mean_points.append((eps, err_mean))
         var_points.append((eps, err_var))

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -854,3 +855,117 @@ def test_solve_commands_pin_the_malloc_thresholds(command, pinned,
     extra = ["--y", "0", "--z", "0", "--eps", "0.5"] * (command == "solve-one")
     assert main([command, "--out", str(tmp_path), *extra]) == 0
     assert calls == [command] * pinned
+
+
+def test_build_kl_never_loads_scipy(tiny_run, tmp_path):
+    """The KL build is numpy-only: neither importing the command line nor
+    a whole `build-kl` loads a scipy module."""
+    cfg, _ = tiny_run
+    script = (
+        "import sys\n"
+        "from domainuq.cli import main\n"
+        "imported = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        f"assert main(['build-kl', '--config', {cfg!r}, '--out', "
+        f"{str(tmp_path / 'kl')!r}]) == 0\n"
+        "print(imported, [m for m in sys.modules\n"
+        "                 if m.split('.')[0] == 'scipy'])\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] []"
+
+
+def test_blas_is_pinned_through_each_mapped_openblas(monkeypatch, tmp_path):
+    from domainuq import cli
+
+    calls = []
+
+    class Setter:
+        def __init__(self, path):
+            self.path = path
+
+        def __call__(self, threads):
+            assert self.argtypes == [cli.ctypes.c_int]
+            calls.append((self.path, threads))
+
+    symbols = {"/numpy.libs/libscipy_openblas64_-1.so":
+               "scipy_openblas_set_num_threads64_",
+               "/scipy.libs/libscipy_openblas-2.so":
+               "scipy_openblas_set_num_threads",
+               "/usr/lib/libopenblas.so.0": "openblas_set_num_threads",
+               "/usr/lib/libopenblas_nosymbols.so": None}
+
+    def fake_cdll(path):
+        lib = type("Lib", (), {})()
+        if symbols[path]:
+            setattr(lib, symbols[path], Setter(path))
+        return lib
+
+    maps = tmp_path / "maps"
+    maps.write_text(
+        "7f00-7f01 r--p 00000000 08:01 11 /usr/lib/libc.so.6\n"
+        "7f01-7f02 rw-p 00000000 00:00 0\n"
+        + "".join(f"7f02-7f03 r-xp 00000000 08:01 12 {path}\n"
+                  for path in [*symbols, *symbols]))
+    monkeypatch.setattr(cli, "PROC_MAPS", str(maps))
+    monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll)
+    cli.pin_blas_threads()
+    assert sorted(calls) == sorted((path, 1) for path, name in symbols.items()
+                                   if name)
+
+    calls.clear()
+    monkeypatch.setattr(cli, "PROC_MAPS", str(tmp_path / "absent"))
+    cli.pin_blas_threads()
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", [
+    "build-kl", "solve-one", "mc", "taylor", "convergence"])
+def test_every_command_pins_blas(command, monkeypatch, tmp_path):
+    from domainuq import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "pin_blas_threads",
+                        lambda: calls.append(command))
+    monkeypatch.setattr(cli, "pin_malloc_thresholds", lambda: None)
+    name = "cmd_" + command.replace("-", "_")
+    monkeypatch.setattr(cli, name, lambda *args: None)
+    extra = ["--y", "0", "--z", "0", "--eps", "0.5"] * (command == "solve-one")
+    assert main([command, "--out", str(tmp_path), *extra]) == 0
+    assert calls == [command]
+
+
+def test_commands_leave_every_openblas_on_one_thread(tiny_run, tmp_path):
+    """From an environment that does not pin BLAS, `build-kl` and
+    `convergence` leave each OpenBLAS mapped into the process on one
+    thread."""
+    cfg, _ = tiny_run
+    out = str(tmp_path / "out")
+    script = (
+        "import ctypes\n"
+        "from domainuq.cli import main\n"
+        f"common = ['--config', {cfg!r}, '--out', {out!r}]\n"
+        "assert main(['build-kl', *common]) == 0\n"
+        "assert main(['convergence', *common]) == 0\n"
+        "with open('/proc/self/maps') as f:\n"
+        "    paths = {line.split(maxsplit=5)[5].strip() for line in f\n"
+        "             if 'openblas' in line}\n"
+        "counts = []\n"
+        "for path in sorted(paths):\n"
+        "    lib = ctypes.CDLL(path)\n"
+        "    for name in ('scipy_openblas_get_num_threads64_',\n"
+        "                 'scipy_openblas_get_num_threads',\n"
+        "                 'openblas_get_num_threads'):\n"
+        "        if hasattr(lib, name):\n"
+        "            counts.append(getattr(lib, name)())\n"
+        "            break\n"
+        "print(counts)\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    if not counts:
+        pytest.skip("no OpenBLAS is mapped (numpy uses another BLAS)")
+    assert counts == [1] * len(counts)

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import diags, kron
 
 import domainuq as dq
 from domainuq.errors import OutOfHoldAll
 from domainuq.fields import (CoefficientCovariance, HoldAllGrid, SQRT3,
-                             VectorFieldCovariance, coefficient_mean,
+                             VectorFieldCovariance, _grid_mass,
+                             coefficient_mean,
                              eval_displacement, eval_mean, eval_rough, g_hat,
                              load_scalar_field, load_vector_field, rng_stream,
                              sample_uniform, save_scalar_field,
@@ -220,6 +222,23 @@ class TestScalarFieldKL:
         mean = eval_mean(sf64, pts)
         assert np.abs(avg - mean).max() <= 2 * np.finfo(float).eps * np.abs(
             mean).max()
+
+
+@pytest.mark.parametrize("cells", [16, 17, 64, 256])
+def test_grid_mass_arrays_bit_equal_to_scipy_kron(cells):
+    """`_grid_mass` builds with numpy the arrays scipy gives for the
+    Kronecker product of the 1D mass matrices."""
+    grid = HoldAllGrid(cells)
+    n1 = cells + 1
+    main = np.full(n1, 4.0)
+    main[0] = main[-1] = 2.0
+    m1 = diags([np.full(n1 - 1, 1.0), main, np.full(n1 - 1, 1.0)],
+               [-1, 0, 1]) * (grid.spacing / 6.0)
+    expected = kron(m1, m1).tocsr()
+    mass = _grid_mass(grid)
+    assert mass.shape == expected.shape == (grid.n_vertices,) * 2
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(mass, name), getattr(expected, name))
 
 
 def test_desk_grid_coefficient_kl_memory_scales_with_rank():

@@ -3,16 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, diags, identity
+from scipy.sparse._sparsetools import csr_matvecs
 
 from conftest import DenseOracle
 from domainuq import lowrank
 from domainuq.errors import NotPSD
-from domainuq.fem import assemble_mass
+from domainuq.fem import mass_arrays
 from domainuq.fields import (CHOL_TOL_FACTOR, CoefficientCovariance,
                              HoldAllGrid, ScalarFieldKL, VectorFieldCovariance,
                              _grid_mass, load_scalar_field, save_scalar_field)
-from domainuq.lowrank import (KLBasis, kept_count, pivoted_cholesky,
-                              reduced_eigs)
+from domainuq.lowrank import (KLBasis, kept_count, mass_product,
+                              pivoted_cholesky, reduced_eigs)
+from domainuq.mesh import build_disc_mesh
 
 #: Trace-level truncation target of a KL build at the default tolerance 1e-2.
 KL_TOL = 1e-2 ** 2
@@ -191,20 +193,23 @@ class TestTruncate:
 
 
 def vector_field_problem(mesh):
-    """Factor and mass matrix of the vector-field KL build on `mesh`."""
-    mass = assemble_mass(mesh)
+    """Factor and mass arrays of the vector-field KL build on `mesh`."""
+    mass = mass_arrays(mesh)
     factor = pivoted_cholesky(VectorFieldCovariance(mesh.nodes),
                               CHOL_TOL_FACTOR * KL_TOL)
     return factor, mass
 
 
 def whole_lift(factor, mass, block, keep):
-    """Reference kept modes: `mass @ L[sl]` products into temporaries,
-    the eigensolve of `reduced_eigs`, then one lift of all n rows and its
-    contiguous transpose."""
+    """Reference kept modes: `mass @ L[sl]` products into temporaries, with
+    scipy's matrix on the CSR arrays `mass`, the eigensolve of
+    `reduced_eigs`, then one lift of all n rows and its contiguous
+    transpose."""
     L = factor.columns
     n = mass.shape[0]
-    ML = np.vstack([mass @ L[b * n:(b + 1) * n] for b in range(block)])
+    matrix = csr_matrix((mass.data, mass.indices, mass.indptr),
+                        shape=mass.shape)
+    ML = np.vstack([matrix @ L[b * n:(b + 1) * n] for b in range(block)])
     S = L.T @ ML
     w, V = np.linalg.eigh(0.5 * (S + S.T))
     return np.ascontiguousarray((L @ V[:, ::-1][:, :keep]).T)
@@ -274,6 +279,55 @@ class TestKeptLift:
             lambda: pivoted_cholesky(oracle, CHOL_TOL_FACTOR * KL_TOL))
         assert factor.rank > 4 * lowrank.INITIAL_BUFFER_COLUMNS
         assert peak <= 2.25 * factor.columns.nbytes
+
+
+def scipy_product(mass, X):
+    """Reference `mass @ X`: scipy's kernel `csr_matvecs` into zeros."""
+    out = np.zeros((mass.shape[0], X.shape[1]))
+    csr_matvecs(mass.shape[0], mass.shape[1], X.shape[1], mass.indptr,
+                mass.indices, mass.data, np.ascontiguousarray(X).ravel(),
+                out.ravel())
+    return out
+
+
+class TestMassProduct:
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    def test_vector_mass_blocks_bit_equal_to_scipy(self, level):
+        mass = mass_arrays(build_disc_mesh(level))
+        n = mass.shape[0]
+        L = np.random.default_rng(level).standard_normal((2 * n, 9))
+        out = np.zeros_like(L)
+        for sl in (slice(0, n), slice(n, 2 * n)):
+            mass_product(mass, L[sl], out[sl])
+        assert np.array_equal(out, np.vstack([scipy_product(mass, L[:n]),
+                                              scipy_product(mass, L[n:])]))
+
+    @pytest.mark.parametrize("cells", [16, 64, 256])
+    def test_grid_mass_bit_equal_to_scipy(self, cells):
+        mass = _grid_mass(HoldAllGrid(cells))
+        X = np.random.default_rng(cells).standard_normal((mass.shape[0], 5))
+        out = np.zeros_like(X)
+        mass_product(mass, X, out)
+        assert np.array_equal(out, scipy_product(mass, X))
+
+    def test_rank_zero_block(self):
+        mass = _grid_mass(HoldAllGrid(16))
+        X = np.zeros((mass.shape[0], 0))
+        out = np.zeros_like(X)
+        mass_product(mass, X, out)
+        assert np.array_equal(out, scipy_product(mass, X))
+
+    def test_matrix_with_an_empty_row(self):
+        rng = np.random.default_rng(4)
+        dense = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.2)
+        dense[7] = 0.0
+        mass = csr_matrix(dense)
+        assert mass.indptr[7] == mass.indptr[8]
+        X = rng.standard_normal((40, 3))
+        out = np.zeros_like(X)
+        mass_product(mass, X, out)
+        assert np.array_equal(out, scipy_product(mass, X))
+        assert not out[7].any()
 
 
 def test_klbasis_roundtrip_bit_exact(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import freeze
 import domainuq as dq
 from domainuq.errors import MeshMismatch, NonPositiveData
 from domainuq.fem import NodalField, _h1_gram, h1_norm, l2_norm, w11_norm
@@ -720,7 +721,7 @@ def test_statistics_roundtrip(mesh3):
     acc = RunningMoments(mesh3.n_nodes)
     for _ in range(10):
         acc.update(rng.random(mesh3.n_nodes))
-    stats = acc.freeze(mesh3.level)
+    stats = freeze(acc, mesh3.level)
     text = statistics_to_text(stats)
     back = statistics_from_text(text)
     assert back.weight == stats.weight
