@@ -1,8 +1,10 @@
 """Config-driven command line front end.
 
-Subcommands: build-kl, solve-one, mc, taylor, convergence.  Every output
-file carries the config hash, seed, and RNG algorithm; identical configs
-reproduce identical bytes for any `--threads` value.
+Subcommands: build-kl, solve-one, mc, taylor, convergence.  The CSV
+files, the KL manifest and the solve-one diagnostics start with a header
+of the schema, version, config hash, seed and RNG algorithm; the other
+outputs have none.  Identical configs reproduce identical bytes for any
+`--threads` value.
 
 Exit codes: 0 success, 2 configuration error (an `--out` that cannot be
 created included), 3 numerical failure or a worker process that died.
