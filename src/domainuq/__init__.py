@@ -14,8 +14,7 @@ from .errors import (ConfigError, DegenerateDeformation, DomainUQError,
                      NonPositiveCoefficient, NonPositiveData, NotPSD,
                      OutOfHoldAll, SolverDiverged, WorkerDied)
 from .mesh import Mesh, build_disc_mesh, displace, refine
-from .fem import (NodalField, assemble_mass, h1_norm, l2_norm,
-                  solve_dirichlet, w11_norm)
+from .fem import assemble_mass, h1_norm, l2_norm, solve_dirichlet, w11_norm
 from .lowrank import KLBasis, LowRankFactor, pivoted_cholesky, reduced_eigs
 from .fields import (HoldAllGrid, Sample, ScalarFieldKL, VectorFieldKL,
                      build_coefficient_kl, build_vector_field_kl, draw_sample,

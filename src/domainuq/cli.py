@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .config import (ExperimentConfig, config_hash, load_config,
                      override_config, validate_config)
-from .errors import ConfigError, DomainUQError, MeshMismatch, WorkerDied
-from .fem import NodalField, reference_solver, save_field
+from .errors import ConfigError, DomainUQError, WorkerDied
+from .fem import reference_solver, save_field
 from .fields import (RNG_ALGORITHM, Sample, build_coefficient_kl,
                      build_vector_field_kl, draw_sample, load_scalar_field,
                      load_vector_field, save_scalar_field, save_vector_field)
@@ -217,14 +217,14 @@ def cmd_mc(cfg: ExperimentConfig, threads: int) -> None:
 
     def solver(samples):
         u, _ = model.pairs(samples, cfg.eps_list)
-        return [[[f] for f in fields] for fields in u]
+        return u[:, None]  # one draw of one quantity per eps
 
     per_eps = mc_estimate(solver, model.dims, cfg.n_mc, cfg.seed,
                           threads=threads)
     rows = []
     for eps, stats in zip(cfg.eps_list, per_eps):
         path = os.path.join(cfg.out_dir, f"mc_stats_eps{eps:g}.txt")
-        save_statistics(stats, path)
+        save_statistics(stats, mesh.level, path)
         print(f"wrote {path}")
         mean_n = norm_by_name(mesh, stats.mean, cfg.norm_mean)
         var_n = norm_by_name(mesh, stats.variance(), cfg.norm_var)
@@ -244,9 +244,9 @@ class FEModel:
         self.dims = (sf.n_modes, vf.n_modes)
         reference_solver(mesh)  # built once here, inherited by forked workers
 
-    def u0(self, zs) -> list[NodalField]:
+    def u0(self, zs) -> np.ndarray:
         u, _ = solve_block(self.mesh, self.vf, self.sf, zs)
-        return [fields[0] for fields in u]
+        return u[:, 0]
 
     def pairs(self, samples, amplitudes, with_delta=False):
         return solve_block(self.mesh, self.vf, self.sf,
@@ -266,7 +266,6 @@ class SyntheticModel:
     N_Z = 6
 
     def __init__(self, mesh):
-        self.level = mesh.level
         self.dims = (self.N_Y, self.N_Z)
         r2 = np.sum(mesh.nodes ** 2, axis=1)
         self.base = 0.25 * (1.0 - r2)
@@ -276,29 +275,30 @@ class SyntheticModel:
     def u0_values(self, z) -> np.ndarray:
         return self.base * (1.0 + 0.2 * float(np.mean(z)) / np.sqrt(3.0))
 
-    def u0(self, zs) -> list[NodalField]:
-        return [NodalField(self.u0_values(z), self.level) for z in zs]
+    def u0(self, zs) -> np.ndarray:
+        return np.array([self.u0_values(z) for z in zs])
 
     def pairs(self, samples, amplitudes, with_delta=False):
-        u, deltas = [], []
-        for sample in samples:
+        u = np.empty((len(samples), len(amplitudes), len(self.base)))
+        deltas = np.empty((len(samples), len(self.base)))
+        for i, sample in enumerate(samples):
             u0 = self.u0_values(sample.z)
-            delta = self.base * float(self.coeffs @ sample.y)
-            u.append([NodalField(u0 + c * delta + c * c * self.q, self.level)
-                      for c in amplitudes])
-            deltas.append(NodalField(delta, self.level))
+            deltas[i] = self.base * float(self.coeffs @ sample.y)
+            for j, c in enumerate(amplitudes):
+                u[i, j] = u0 + c * deltas[i] + c * c * self.q
         return u, (deltas if with_delta else None)
 
 
 def _model(cfg: ExperimentConfig, mesh, synthetic: bool):
     """The closed-form model, or finite element solves on the artifacts.
 
-    Both offer `dims` (n_y, n_z) and two block solvers: `u0(zs)`, one
-    NodalField per domain parameter vector, and `pairs(samples, amplitudes,
-    with_delta)`, the (u, delta) of `perturb.solve_block`: per sample one
-    NodalField per amplitude in the order given (u0 at amplitude 0, and
-    u_eps at the parameters sign * y at amplitude sign * eps), and per
-    sample the derivative solve (`delta` is None without `with_delta`).
+    Both offer `dims` (n_y, n_z) and two block solvers: `u0(zs)`, an
+    (r, n) array with a row of node values per domain parameter vector,
+    and `pairs(samples, amplitudes, with_delta)`, the (u, delta) of
+    `perturb.solve_block`: the (r, k, n) array u with per sample a row
+    per amplitude in the order given (u0 at amplitude 0, and u_eps at the
+    parameters sign * y at amplitude sign * eps), and the (r, n) array of
+    derivative solves (None without `with_delta`).
     """
     if synthetic:
         return SyntheticModel(mesh)
@@ -367,26 +367,22 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
     columns = [[amplitudes.index(sign * eps) for sign in signs]
                for eps in cfg.eps_list]
 
+    n_quantities = 1 + 2 * len(columns) + int(with_delta)
+
     def solver(samples):
-        """Per pair the fields of each quantity: u0 twice, then for each
-        eps those of u_eps - u0 and u_eps, one per sign, then those of the
-        derivative solve.  Raises MeshMismatch unless every field of a
-        pair has as many values as its u0."""
+        """Per pair the rows of each quantity, one per sign: u0 twice,
+        then for each eps those of u_eps - u0 and u_eps, then +delta_u
+        and -delta_u."""
         u, delta = factory(samples, amplitudes, with_delta)
-        out = []
-        for i, fields in enumerate(u):
-            u0 = fields[0]
-            for f in [*fields, delta[i]] if with_delta else fields:
-                if f.n != u0.n:
-                    raise MeshMismatch(f"field of {f.n} values, its u0 has "
-                                       f"{u0.n}", index=i)
-            quantities = [[u0, u0]]
-            for cols in columns:
-                ue = [fields[j] for j in cols]
-                quantities += [[f - u0 for f in ue], ue]
-            if with_delta:
-                quantities.append([delta[i] * sign for sign in signs])
-            out.append(quantities)
+        out = np.empty((len(u), len(signs), n_quantities, u.shape[-1]))
+        u0 = u[:, None, 0]
+        out[:, :, 0] = u0
+        for e, cols in enumerate(columns):
+            np.subtract(u[:, cols], u0, out=out[:, :, 1 + 2 * e])
+            out[:, :, 2 + 2 * e] = u[:, cols]
+        if with_delta:
+            for d, sign in enumerate(signs):
+                out[:, d, -1] = delta * sign
         return out
 
     stats = mc_estimate(solver, dims, cfg.n_mc // 2, cfg.seed, threads,
@@ -412,13 +408,12 @@ def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
     rule = smolyak_rule(model.dims[1], cfg.quad_level)
     baseline = quadrature_estimate(model.u0, rule, threads=threads)
     base_path = os.path.join(cfg.out_dir, "baseline_stats.txt")
-    save_statistics(baseline, base_path)
+    save_statistics(baseline, mesh.level, base_path)
     print(f"wrote {base_path}")
 
     per_eps, stats_delta = _paired_sweep(cfg, model.dims, model.pairs,
                                          threads, second_order_variance)
-    correction = (stats_delta.variance().values
-                  if second_order_variance else None)
+    correction = stats_delta.variance() if second_order_variance else None
 
     rows = []
     mean_points = []
@@ -426,13 +421,11 @@ def cmd_convergence(cfg: ExperimentConfig, synthetic: bool, threads: int,
     n = cfg.n_mc
     for eps, (statsD, statsE, stats0) in zip(cfg.eps_list, per_eps):
         err_mean = norm_by_name(mesh, statsD.mean, cfg.norm_mean)
-        var_diff = (statsE.variance() - stats0.variance()).values
+        var_diff = statsE.variance() - stats0.variance()
         if correction is not None:
             var_diff = var_diff - eps * eps * correction
-        err_var = norm_by_name(mesh, NodalField(var_diff, mesh.level),
-                               cfg.norm_var)
-        se = NodalField(np.sqrt(statsD.variance().values / n), mesh.level)
-        stderr = l2_norm(mesh, se)
+        err_var = norm_by_name(mesh, var_diff, cfg.norm_var)
+        stderr = l2_norm(mesh, np.sqrt(statsD.variance() / n))
         rows.append(f"{fmt(eps)},{fmt(err_mean)},{fmt(err_var)},"
                     f"{fmt(stderr)},{n}")
         mean_points.append((eps, err_mean))

@@ -32,6 +32,10 @@ unconverged column's matrix as its own CSR product on the topology's
 shared index arrays, and the V-cycle as one multi-vector product to all of
 them, so the preconditioner's per-call overhead is paid once per block and
 no structure grows with the block's width.
+
+A solution is a plain float array of node values: `solve_dirichlet`
+returns one row per column, and the norms and the field writer take one
+such row.
 """
 
 from __future__ import annotations
@@ -61,29 +65,6 @@ COARSE_LEVEL = 3
 
 #: Damping of the Jacobi sweeps of the V-cycle.
 SMOOTHING_WEIGHT = 2.0 / 3.0
-
-
-@dataclass
-class NodalField:
-    """One scalar value per mesh node, tagged with its mesh level."""
-
-    values: np.ndarray
-    level: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def __sub__(self, other: "NodalField") -> "NodalField":
-        return NodalField(self.values - other.values, self.level)
-
-    def __mul__(self, scalar: float) -> "NodalField":
-        return NodalField(self.values * scalar, self.level)
-
-    __rmul__ = __mul__
 
 
 class CSRArrays(NamedTuple):
@@ -300,7 +281,6 @@ class ReferenceSolver:
         self._csr_matvec = csr_matvec
         pattern = _pattern(mesh)
         n = mesh.n_nodes
-        self.level = mesh.level
         self.n_nodes = n
         is_interior = np.ones(n, dtype=bool)
         is_interior[mesh.boundary] = False
@@ -393,7 +373,7 @@ def _first_non_finite(block: np.ndarray):
 
 
 def solve_dirichlet(K: np.ndarray, b: np.ndarray, mesh: Mesh,
-                    diag_out: dict | None = None) -> list[NodalField]:
+                    diag_out: dict | None = None) -> np.ndarray:
     """Solve a block of Dirichlet problems A_j u_j = b_j, with u_j = 0 on
     the boundary nodes of `mesh`, for every column j at once.
 
@@ -420,7 +400,8 @@ def solve_dirichlet(K: np.ndarray, b: np.ndarray, mesh: Mesh,
     norm), and `column_iterations` and `column_residuals` (one count and
     one final residual norm per column).
 
-    Returns a list of NodalFields, one per column.
+    Returns the (k, n) array of solutions, row j the node values of
+    column j.
 
     Raises
     ------
@@ -510,7 +491,7 @@ def solve_dirichlet(K: np.ndarray, b: np.ndarray, mesh: Mesh,
                         residual=float(final_residual.max(initial=0.0)),
                         column_iterations=column_iterations.tolist(),
                         column_residuals=final_residual.tolist())
-    return [NodalField(values, ref.level) for values in u]
+    return u
 
 
 def _h1_gram(mesh: Mesh) -> csr_matrix:
@@ -521,33 +502,33 @@ def _h1_gram(mesh: Mesh) -> csr_matrix:
     return mesh.cached("h1_gram", build)
 
 
-def _check_field(mesh: Mesh, v: NodalField) -> None:
-    if v.n != mesh.n_nodes:
+def _field(mesh: Mesh, v) -> np.ndarray:
+    """The node values `v` as floats; MeshMismatch unless they are one
+    value per node of `mesh`."""
+    x = np.asarray(v, dtype=float)
+    if x.shape != (mesh.n_nodes,):
         raise MeshMismatch(
-            f"field has {v.n} values, mesh has {mesh.n_nodes} nodes")
+            f"field of shape {x.shape}, mesh has {mesh.n_nodes} nodes")
+    return x
 
 
-def h1_norm(mesh: Mesh, v: NodalField) -> float:
+def h1_norm(mesh: Mesh, v) -> float:
     """Full H1 norm, sqrt(v^T (K_1 + M) v)."""
-    _check_field(mesh, v)
-    x = v.values
+    x = _field(mesh, v)
     return float(np.sqrt(max(x @ (_h1_gram(mesh) @ x), 0.0)))
 
 
-def l2_norm(mesh: Mesh, v: NodalField) -> float:
-    _check_field(mesh, v)
-    x = v.values
+def l2_norm(mesh: Mesh, v) -> float:
+    x = _field(mesh, v)
     mass = mesh.cached("mass", lambda: assemble_mass(mesh))
     return float(np.sqrt(max(x @ (mass @ x), 0.0)))
 
 
-def w11_norm(mesh: Mesh, v: NodalField) -> float:
+def w11_norm(mesh: Mesh, v) -> float:
     """W^{1,1} norm, sum_T int_T (|v| + |grad v|_2) dx by element quadrature."""
-    _check_field(mesh, v)
+    vt = _field(mesh, v)[mesh.triangles]
     g = geometry(mesh)
     areas, grads = g.areas, g.grads
-    t = mesh.triangles
-    vt = v.values[t]
     vmid = 0.5 * (vt.sum(axis=1)[:, None] - vt)  # values at edge midpoints
     grad_v = np.einsum("mi,mid->md", vt, grads)
     per_element = areas * (np.abs(vmid).mean(axis=1)
@@ -555,13 +536,12 @@ def w11_norm(mesh: Mesh, v: NodalField) -> float:
     return float(per_element.sum())
 
 
-def field_to_text(v: NodalField) -> str:
-    lines = [f"field {v.n}"]
-    lines.extend(fmt(x) for x in v.values)
+def field_to_text(v: np.ndarray) -> str:
+    lines = [f"field {len(v)}"]
+    lines.extend(fmt(x) for x in v)
     return "\n".join(lines) + "\n"
 
 
-def save_field(v: NodalField, path) -> None:
+def save_field(v: np.ndarray, path) -> None:
     with open(path, "w") as f:
         f.write(field_to_text(v))
-

@@ -20,8 +20,11 @@ of realizations one after another, writes of each the interior data of
 `K_s + c * K_r` for every amplitude c (u0 is c = 0) and its interior load
 into buffers of the block, and hands the whole block to one lockstep call
 of `solve_dirichlet`.  Its derivative solves, one per realization, go
-through a second call.  Monte Carlo samples, coupled pairs, quadrature
-nodes and the three solves of `solve_sample` all go this way.  Every
+through a second call.  The solutions come back as plain float arrays of
+node values: an (r, k, n) block for r realizations at k amplitudes, and
+an (r, n) block of derivative solves.  Monte Carlo samples, coupled
+pairs, quadrature nodes and the three solves of `solve_sample` all go
+this way.  Every
 solve passes the reference mesh to `solve_dirichlet`, whose multigrid
 preconditioner and interior layout are built once for the topology that
 all deformed meshes share.
@@ -33,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (NodalField, h1_norm, perturbation_load_from_qvalues,
-                  reference_solver, solve_dirichlet, stiffness_from_qvalues)
+from .fem import (h1_norm, perturbation_load_from_qvalues, reference_solver,
+                  solve_dirichlet, stiffness_from_qvalues)
 from .errors import DomainUQError, NonPositiveCoefficient
 from .fields import (Sample, ScalarFieldKL, VectorFieldKL, eval_displacement,
                      eval_mean, eval_rough)
@@ -43,12 +46,12 @@ from .mesh import Mesh, displace, edge_midpoints, edges, geometry
 
 @dataclass
 class SampleSolve:
-    """The three pulled-back solution fields of one sample, its deformed
-    mesh, and the iterations and residuals of each solve."""
+    """The node values of the three pulled-back solutions of one sample,
+    its deformed mesh, and the iterations and residuals of each solve."""
 
-    u_eps: NodalField
-    u0: NodalField
-    delta_u: NodalField
+    u_eps: np.ndarray
+    u0: np.ndarray
+    delta_u: np.ndarray
     sample: Sample
     eps: float
     deformed: Mesh
@@ -144,7 +147,7 @@ def solve_sample(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL,
     columns = {"u0": (diag, 0), "delta_u": (diag["delta"], 0),
                "u_eps": (diag, len(amplitudes) - 1)}
     return SampleSolve(
-        u_eps=u[0][-1], u0=u[0][0], delta_u=delta[0], sample=sample, eps=eps,
+        u_eps=u[0, -1], u0=u[0, 0], delta_u=delta[0], sample=sample, eps=eps,
         deformed=deformed[0],
         iterations={k: d["column_iterations"][j]
                     for k, (d, j) in columns.items()},
@@ -170,9 +173,10 @@ def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
     `diag_out["delta"]`.  `deformed_out`, if given, receives the deformed
     mesh of each realization in order.
 
-    Returns (u, delta): u[i][j] is the NodalField of realization i at
-    amplitude `amplitudes[j]`, and delta[i] the derivative solve of
-    realization i, or None without `with_delta`.
+    Returns (u, delta): the (r, k, n) array u, where u[i, j] holds the
+    node values of realization i at amplitude `amplitudes[j]`, and the
+    (r, n) array delta of the derivative solves, or None without
+    `with_delta`.
 
     A DomainUQError concerning one realization (a degenerate deformation,
     a quadrature point outside the hold-all box, a coefficient that is not
@@ -200,18 +204,18 @@ def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
     if deformed_out is not None:
         deformed_out.extend(deformed for deformed, _ in kept)
     try:
-        fields = solve_dirichlet(data, loads, mesh, diag_out=diag_out)
+        u = solve_dirichlet(data, loads, mesh, diag_out=diag_out)
     except DomainUQError as e:
         if e.index is not None:
             e.index //= k
         raise
-    u = [fields[i * k:(i + 1) * k] for i in range(r)]
+    u = u.reshape(r, k, mesh.n_nodes)
     if not with_delta:
         return u, None
     j0 = amplitudes.index(0.0)
     for i, (deformed, a_r) in enumerate(kept):
         loads[i] = perturbation_load_from_qvalues(
-            deformed, a_r[edges(deformed).of_element], u[i][j0].values)
+            deformed, a_r[edges(deformed).of_element], u[i, j0])
     # the zero-amplitude rows hold the smooth operator K_s exactly
     delta_diag = None if diag_out is None else diag_out.setdefault("delta", {})
     return u, solve_dirichlet(data[j0::k], loads[:r], mesh,
@@ -236,13 +240,13 @@ def _fill_realization(mesh, vf, sf, z, y, amplitudes, data, loads, kept):
         kept.append((dp.deformed, a_r))
 
 
-def remainders(mesh: Mesh, u, delta: NodalField, amplitudes) -> list[float]:
+def remainders(mesh: Mesh, u: np.ndarray, delta: np.ndarray,
+               amplitudes) -> list[float]:
     """H1 norms (on the reference disc) of u_eps - u0 - eps * delta_u for
     each amplitude eps, from one realization of a `solve_block` call:
-    `u` holds its fields at `amplitudes`, which must list 0 (u0), and
-    `delta` its derivative solve."""
-    u0 = u[amplitudes.index(0.0)].values
-    return [h1_norm(mesh, NodalField(f.values - u0 - eps * delta.values,
-                                     mesh.level))
+    the rows of `u` are its solutions at `amplitudes`, which must list 0
+    (u0), and `delta` is its derivative solve."""
+    u0 = u[amplitudes.index(0.0)]
+    return [h1_norm(mesh, f - u0 - eps * delta)
             for f, eps in zip(u, amplitudes)]
 

@@ -1,13 +1,15 @@
 """Mean and variance estimators over the random parameters, quadrature
 rules against the uniform density, and error and slope evaluation.
 
-`mc_estimate` is the one Monte Carlo fold, for plain samples and coupled
-pairs alike: each item brings one list of fields per quantity, folded
-by the Welford recurrence into one accumulator, a row per quantity, per
-fixed-size block of items.  The blocks are merged as they arrive by a
-fixed binary tree over block index, so memory is flat in the number of
-items.  Quadrature estimation accumulates first and second weighted
-moments in rule order.
+Fields are plain float arrays of node values.  `mc_estimate` is the one
+Monte Carlo fold, for plain samples and coupled pairs alike: a solve
+block of items comes back as one array of shape (items, draws,
+quantities, n), and each (item, draw) row stack is one update of the
+Welford recurrence in the accumulator of its fixed-size block of items,
+a row per quantity.  The blocks are merged as they arrive by a fixed
+binary tree over block index, so memory is flat in the number of items.
+Quadrature estimation accumulates first and second weighted moments in
+rule order.
 
 Samples and coupled pairs are solved in fixed blocks of `SOLVE_BLOCK`
 consecutive items, and quadrature nodes, one column each, in blocks of
@@ -34,7 +36,7 @@ from math import comb
 import numpy as np
 
 from .errors import DomainUQError, MeshMismatch, NonPositiveData, WorkerDied
-from .fem import NodalField, h1_norm, l2_norm, w11_norm
+from .fem import h1_norm, l2_norm, w11_norm
 from .fields import SQRT3, draw_sample
 from .mesh import Mesh
 from .textio import fmt
@@ -54,7 +56,7 @@ QUADRATURE_BLOCK = 8
 
 @dataclass
 class Statistics:
-    """First and second moments of a nodal field.
+    """First and second moments of a nodal field, as arrays of node values.
 
     For sample statistics (`weighted` False) `weight` is the sample count
     and `second_central` the running sum of squared deviations; for
@@ -64,20 +66,14 @@ class Statistics:
     """
 
     weight: float
-    mean: NodalField
-    second_central: NodalField
+    mean: np.ndarray
+    second_central: np.ndarray
     weighted: bool
 
-    @property
-    def level(self) -> int:
-        return self.mean.level
-
-    def variance(self) -> NodalField:
+    def variance(self) -> np.ndarray:
         if self.weighted:
-            return NodalField(np.maximum(self.second_central.values, 0.0),
-                              self.level)
-        return NodalField(self.second_central.values / (self.weight - 1.0),
-                          self.level)
+            return np.maximum(self.second_central, 0.0)
+        return self.second_central / (self.weight - 1.0)
 
 
 class RunningMoments:
@@ -218,54 +214,66 @@ def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
     """Monte Carlo mean and variance over i.i.d. draws of (y, z).
 
     `solver(samples)` takes a list of up to `SOLVE_BLOCK` consecutive
-    samples (see `solve_blocks`) and returns, per sample, one list of
-    NodalFields per quantity, the same number of quantities every time (a
-    plain sample brings one field per quantity, an antithetic pair two).
-    Each quantity of a sample brings as many fields, all of one length.
-    Each block of `MC_BLOCK_SIZE` consecutive samples folds into one
-    Welford accumulator with a row per quantity, field k of a sample as
-    the stack of every quantity's field k, in the order given, and
+    samples (see `solve_blocks`) and returns one float array of shape
+    (len(samples), draws, quantities, n): a plain sample brings one draw
+    of each quantity, an antithetic pair two.  Each block of
+    `MC_BLOCK_SIZE` consecutive samples folds into one Welford
+    accumulator with a row per quantity, draw k of a sample as the
+    (quantities, n) stack of its row k, in the order given, and
     `tree_merge` merges the blocks as they arrive.  The result is a list
     of Statistics, one per quantity.
 
     Sample i is generated from the stream (seed, i), so the estimate is a
     pure function of (seed, n_samples) regardless of the thread count.
-    Solver errors abort naming the failing sample as `label i`, and so
-    does a MeshMismatch for a field whose length differs from sample 0's
-    first field.  ValueError if a sample's quantities bring different
-    numbers of fields, or unless every quantity folds two or more.
+    Solver errors abort naming the failing sample as `label i`, and a
+    block whose fields have another length than those of the first block
+    raises MeshMismatch naming its first sample.  ValueError for a block
+    of another rank or row count, or of other draws or quantities than
+    the first one, and unless the draws number two or more in all.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     n_y, n_z = dims
-    f0 = None
+
+    def solve(indices: range) -> np.ndarray:
+        block = np.asarray(solver([draw_sample(n_y, n_z, seed, i)
+                                   for i in indices]), dtype=float)
+        if block.ndim != 4 or len(block) != len(indices):
+            raise ValueError(
+                f"{label}s {indices[0]} to {indices[-1]}: solver gave an "
+                f"array of shape {block.shape}, not ({len(indices)}, draws, "
+                "quantities, n)")
+        return block
+
+    shape = None
 
     def blocks(outputs):
-        nonlocal f0
-        for i, quantities in enumerate(outputs):
+        nonlocal shape
+        for i, draws in enumerate(outputs):
             if i == 0:
-                f0 = quantities[0][0]
+                shape = draws.shape
+            elif draws.shape != shape:
+                # a block is one array, so i is the first sample of its block
+                if draws.shape[-1] != shape[-1]:
+                    raise MeshMismatch(
+                        f"{label} {i}: field of {draws.shape[-1]} values, "
+                        f"{label} 0 gave {shape[-1]}")
+                raise ValueError(f"{label} {i}: (draws, quantities) "
+                                 f"{draws.shape[:2]}, {label} 0 gave "
+                                 f"{shape[:2]}")
             if i % MC_BLOCK_SIZE == 0:
                 if i:
                     yield acc
-                acc = RunningMoments((len(quantities), f0.n))
-            for fields in zip(*quantities, strict=True):
-                for f in fields:
-                    if f.n != f0.n:
-                        raise MeshMismatch(f"{label} {i}: field of {f.n} "
-                                           f"values, {label} 0 gave {f0.n}")
-                acc.update(np.stack([f.values for f in fields]))
+                acc = RunningMoments(shape[1:])
+            for x in draws:
+                acc.update(x)
         yield acc
 
-    with closing(solve_blocks(
-            lambda indices: solver([draw_sample(n_y, n_z, seed, i)
-                                    for i in indices]),
-            n_samples, label, threads)) as outputs:
+    with closing(solve_blocks(solve, n_samples, label, threads)) as outputs:
         merged = tree_merge(blocks(outputs))
     if merged.count < 2:
-        raise ValueError("every quantity needs at least two fields")
-    return [Statistics(float(merged.count), NodalField(mean, f0.level),
-                       NodalField(m2, f0.level), weighted=False)
+        raise ValueError("the samples need two or more draws in all")
+    return [Statistics(float(merged.count), mean, m2, weighted=False)
             for mean, m2 in zip(merged.mean, merged.m2)]
 
 
@@ -274,8 +282,8 @@ def quadrature_estimate(solver, rule: "QuadratureRule",
     """Weighted mean and centered-second-moment variance over a rule.
 
     `solver(nodes)` takes an array of up to `QUADRATURE_BLOCK`
-    consecutive nodes (see `solve_blocks`) and returns one NodalField per
-    node.
+    consecutive nodes (see `solve_blocks`) and returns a
+    (len(nodes), n) float array, one row of node values per node.
 
     The mean is sum_i w_i u(node_i) and the second moment
     sum_i w_i u(node_i)^2 - mean^2, accumulated in rule order; the
@@ -291,13 +299,11 @@ def quadrature_estimate(solver, rule: "QuadratureRule",
             QUADRATURE_BLOCK)) as outputs:
         for w, u in zip(rule.weights, outputs):
             if s1 is None:
-                s1, s2, level = np.zeros(u.n), np.zeros(u.n), u.level
-            s1 += w * u.values
-            s2 += w * (u.values * u.values)
-    return Statistics(weight=float(rule.weights.sum()),
-                      mean=NodalField(s1, level),
-                      second_central=NodalField(s2 - s1 * s1, level),
-                      weighted=True)
+                s1, s2 = np.zeros(len(u)), np.zeros(len(u))
+            s1 += w * u
+            s2 += w * (u * u)
+    return Statistics(weight=float(rule.weights.sum()), mean=s1,
+                      second_central=s2 - s1 * s1, weighted=True)
 
 
 @dataclass
@@ -381,7 +387,7 @@ def smolyak_rule(dim: int, level: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes.reshape(len(nodes), dim), weights=wts)
 
 
-def norm_by_name(mesh: Mesh, v: NodalField, norm: str) -> float:
+def norm_by_name(mesh: Mesh, v: np.ndarray, norm: str) -> float:
     if norm == "h1":
         return h1_norm(mesh, v)
     if norm == "w11":
@@ -401,17 +407,18 @@ def slope_fit(points) -> float:
     return float(np.polyfit(np.log(pts[:, 0]), np.log(pts[:, 1]), 1)[0])
 
 
-def statistics_to_text(stats: Statistics) -> str:
+def statistics_to_text(stats: Statistics, level: int) -> str:
+    """The text of `stats`, with the refinement level of its mesh."""
     kind = "quad" if stats.weighted else "mc"
-    n = stats.mean.n
-    lines = [f"stats nodes {n} level {stats.level} weight {fmt(stats.weight)} kind {kind}"]
+    n = len(stats.mean)
+    lines = [f"stats nodes {n} level {level} weight {fmt(stats.weight)} kind {kind}"]
     lines.append(f"field {n}")
-    lines.extend(fmt(x) for x in stats.mean.values)
+    lines.extend(fmt(x) for x in stats.mean)
     lines.append(f"field {n}")
-    lines.extend(fmt(x) for x in stats.variance().values)
+    lines.extend(fmt(x) for x in stats.variance())
     return "\n".join(lines) + "\n"
 
 
-def save_statistics(stats: Statistics, path) -> None:
+def save_statistics(stats: Statistics, level: int, path) -> None:
     with open(path, "w") as f:
-        f.write(statistics_to_text(stats))
+        f.write(statistics_to_text(stats, level))

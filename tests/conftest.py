@@ -85,12 +85,10 @@ def unit_triangle():
     )
 
 
-def freeze(acc, level):
-    """The Statistics of a vector `uq.RunningMoments` on a mesh level."""
-    return Statistics(weight=float(acc.count),
-                      mean=dq.NodalField(acc.mean.copy(), level),
-                      second_central=dq.NodalField(acc.m2.copy(), level),
-                      weighted=False)
+def freeze(acc):
+    """The Statistics of a vector `uq.RunningMoments`."""
+    return Statistics(weight=float(acc.count), mean=acc.mean.copy(),
+                      second_central=acc.m2.copy(), weighted=False)
 
 
 class DenseOracle:

@@ -14,7 +14,7 @@ import pytest
 from scipy.sparse import diags
 
 import domainuq as dq
-from domainuq.fem import NodalField, h1_norm, w11_norm
+from domainuq.fem import h1_norm, w11_norm
 from domainuq.fields import (eval_displacement, eval_mean, eval_rough,
                              rng_stream, sample_uniform)
 from domainuq.lowrank import pivoted_cholesky, reduced_eigs
@@ -45,7 +45,7 @@ def test_criterion_1_fem_order():
         b = conftest.reference_load(mesh, lambda p: 1.0)
         u = conftest.matrix_solve(K, b, mesh)
         areas, grads, qpts, _ = conftest.reference_geometry(mesh)
-        vt = u.values[mesh.triangles]
+        vt = u[mesh.triangles]
         vmid = 0.5 * (vt.sum(axis=1)[:, None] - vt)
         grad_u = np.einsum("mi,mid->md", vt, grads)
         uex = 0.25 * (1.0 - np.sum(qpts ** 2, axis=2))
@@ -129,18 +129,17 @@ def test_criterion_5_statistics_convergence():
         s = dq.draw_sample(sf.n_modes, vf.n_modes, seed, p)
         (fields,), _ = solve_block(mesh, vf, sf, [s.z], [s.y],
                                    [0.0] + amplitudes)
-        u0 = fields[0].values
+        u0 = fields[0]
         for j, u in enumerate(fields[1:]):
             ei = j % n_eps
-            accD[ei].update(u.values - u0)
-            accE[ei].update(u.values)
+            accD[ei].update(u - u0)
+            accE[ei].update(u)
             acc0[ei].update(u0)
 
     mean_points, var_points = [], []
     for ei, eps in enumerate(eps_list):
-        err_mean = h1_norm(mesh, NodalField(accD[ei].mean, mesh.level))
-        vdiff = (freeze(accE[ei], mesh.level).variance()
-                 - freeze(acc0[ei], mesh.level).variance())
+        err_mean = h1_norm(mesh, accD[ei].mean)
+        vdiff = freeze(accE[ei]).variance() - freeze(acc0[ei]).variance()
         err_var = w11_norm(mesh, vdiff)
         mean_points.append((eps, err_mean))
         var_points.append((eps, err_var))
@@ -167,9 +166,9 @@ def test_criterion_6_centeredness_identities():
         for node, w in zip(rule.nodes, rule.weights):
             _, (d,) = solve_block(mesh, vf, sf, [s.z], [node], [0.0],
                                   with_delta=True)
-            acc += w * d.values
+            acc += w * d
             largest = max(largest, h1_norm(mesh, d))
-        ratio = h1_norm(mesh, NodalField(acc, mesh.level)) / largest
+        ratio = h1_norm(mesh, acc) / largest
         worst_ratio = max(worst_ratio, ratio)
 
     rng = rng_stream(3, 0)

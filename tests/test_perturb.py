@@ -12,7 +12,7 @@ from conftest import (interior_gather, matrix_solve, reference_geometry,
                       reference_load, reference_realization,
                       reference_scatter, taylor_remainders)
 from domainuq.fields import HoldAllGrid
-from domainuq.fem import NodalField, h1_norm
+from domainuq.fem import h1_norm
 from domainuq.fields import (SQRT3, VectorFieldKL, eval_displacement,
                              eval_mean, eval_rough, rng_stream,
                              sample_uniform)
@@ -52,20 +52,19 @@ class TestSmoothSolve:
     def test_unit_coefficient_matches_poisson(self, mesh4, vf4,
                                               unit_coefficient):
         u = smooth_solve(mesh4, vf4, unit_coefficient, np.zeros(vf4.n_modes))
-        assert abs(u.values[0] - 0.25) < 5e-3
+        assert abs(u[0] - 0.25) < 5e-3
 
     def test_even_symmetry_at_nominal_domain(self, mesh3, vf3, sf64):
         u = smooth_solve(mesh3, vf3, sf64, np.zeros(vf3.n_modes))
         partner = negation_partner(mesh3)
-        assert np.abs(u.values - u.values[partner]).max() <= 1e-8
+        assert np.abs(u - u[partner]).max() <= 1e-8
 
     def test_load_scaling(self, mesh3, vf3, sf64):
         z = sample_uniform(vf3.n_modes, rng_stream(0, 0))
         dp = DeformedProblem(mesh3, vf3, sf64, z)
         u1, u2 = fem.solve_dirichlet(np.stack([dp.K_s, dp.K_s]),
                                      np.stack([dp.b, 2.0 * dp.b]), mesh3)
-        assert np.abs(u2.values - 2.0 * u1.values).max() <= 1e-8 * np.abs(
-            u1.values).max()
+        assert np.abs(u2 - 2.0 * u1).max() <= 1e-8 * np.abs(u1).max()
 
 
 class TestDerivativeSolve:
@@ -73,13 +72,13 @@ class TestDerivativeSolve:
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 1, 0)
         (d,) = derivative_solves(mesh3, vf3, sf64, s.z,
                                  [np.zeros(sf64.n_modes)])
-        assert np.array_equal(d.values, np.zeros(mesh3.n_nodes))
+        assert np.array_equal(d, np.zeros(mesh3.n_nodes))
 
     def test_exact_negation(self, mesh3, vf3, sf64):
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 5, 3)
         d_plus, d_minus = derivative_solves(mesh3, vf3, sf64, s.z,
                                             [s.y, -s.y])
-        assert np.array_equal(d_minus.values, -d_plus.values)
+        assert np.array_equal(d_minus, -d_plus)
 
     def test_superposition(self, mesh3, vf3, sf64):
         rng = rng_stream(6, 0)
@@ -89,8 +88,7 @@ class TestDerivativeSolve:
         d12, d1, d2 = derivative_solves(mesh3, vf3, sf64, s.z,
                                         [y1 + y2, y1, y2])
         scale = h1_norm(mesh3, d12)
-        diff = h1_norm(mesh3, d12 - NodalField(d1.values + d2.values,
-                                               d1.level))
+        diff = h1_norm(mesh3, d12 - (d1 + d2))
         assert diff <= 1e-9 * max(scale, 1e-12) + 1e-14
 
 
@@ -99,15 +97,15 @@ class TestFullSolve:
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 7, 2)
         u0 = smooth_solve(mesh3, vf3, sf64, s.z)
         ue = full_solve(mesh3, vf3, sf64, s.z, s.y, 0.0)
-        assert np.array_equal(ue.values, u0.values)
+        assert np.array_equal(ue, u0)
 
     def test_full_amplitude_sample_sweep(self, mesh3, vf3, sf64):
         interior = np.setdiff1d(np.arange(mesh3.n_nodes), mesh3.boundary)
         for i in range(100):
             s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 77, i)
             u = full_solve(mesh3, vf3, sf64, s.z, s.y, 1.0)
-            assert (u.values[interior] > 0.0).all()
-            assert np.array_equal(u.values[mesh3.boundary],
+            assert (u[interior] > 0.0).all()
+            assert np.array_equal(u[mesh3.boundary],
                                   np.zeros(len(mesh3.boundary)))
 
     def test_rejects_coefficient_sign_loss(self, mesh3, vf3, sf64):
@@ -135,8 +133,8 @@ class TestFullSolve:
             one = {}
             single = full_solve(mesh4, vf4, sf64, s.z, s.y, eps, one)
             assert iterations == one["iterations"]
-            assert (np.abs(u.values - single.values).max()
-                    <= 1e-12 * np.abs(single.values).max())
+            assert (np.abs(u - single).max()
+                    <= 1e-12 * np.abs(single).max())
 
     def test_nonpositive_amplitude_is_named(self, mesh3, vf3, sf64):
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 22, 0)
@@ -173,12 +171,11 @@ class TestFullSolve:
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 25, 0)
         (u,), _ = solve_block(mesh3, vf3, sf64, [s.z], [s.y],
                               [0.0, -0.5, 0.5], with_delta=True)
-        minus = full_solve(mesh3, vf3, sf64, s.z, -s.y, 0.5).values
-        assert (np.abs(u[1].values - minus).max()
+        minus = full_solve(mesh3, vf3, sf64, s.z, -s.y, 0.5)
+        assert (np.abs(u[1] - minus).max()
                 <= 1e-12 * np.abs(minus).max())
-        smooth = smooth_solve(mesh3, vf3, sf64, s.z).values
-        assert np.abs(u[0].values - smooth).max() <= 1e-12 * np.abs(
-            smooth).max()
+        smooth = smooth_solve(mesh3, vf3, sf64, s.z)
+        assert np.abs(u[0] - smooth).max() <= 1e-12 * np.abs(smooth).max()
         assert len(u) == 3
 
 
@@ -198,6 +195,9 @@ class TestSolveBlock:
                                [s.y for s in samples], self.AMPLITUDES,
                                with_delta=True, diag_out=diag)
         k = len(self.AMPLITUDES)
+        assert u.dtype == delta.dtype == float
+        assert u.shape == (len(samples), k, mesh4.n_nodes)
+        assert delta.shape == (len(samples), mesh4.n_nodes)
         for i, s in enumerate(samples):
             one = {}
             (single,), (d,) = solve_block(mesh4, vf4, sf64, [s.z], [s.y],
@@ -208,19 +208,18 @@ class TestSolveBlock:
             assert (diag["delta"]["column_iterations"][i]
                     == one["delta"]["column_iterations"][0])
             for got, want in zip(u[i], single):
-                assert (np.abs(got.values - want.values).max()
-                        <= 1e-12 * np.abs(want.values).max())
-            assert (np.abs(delta[i].values - d.values).max()
-                    <= 1e-12 * np.abs(d.values).max())
+                assert (np.abs(got - want).max()
+                        <= 1e-12 * np.abs(want).max())
+            assert (np.abs(delta[i] - d).max()
+                    <= 1e-12 * np.abs(d).max())
 
     def test_smooth_block_matches_u0(self, mesh3, vf3, sf64):
         zs = [s.z for s in self.samples(vf3, sf64, seed=42)]
         u, delta = solve_block(mesh3, vf3, sf64, zs)
         assert delta is None
         for z, fields in zip(zs, u):
-            want = smooth_solve(mesh3, vf3, sf64, z).values
-            assert np.abs(fields[0].values - want).max() <= 1e-12 * np.abs(
-                want).max()
+            want = smooth_solve(mesh3, vf3, sf64, z)
+            assert np.abs(fields[0] - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("bad", ["nan", "negative"])
     def test_third_realization_failure_is_indexed(self, mesh3, vf3, sf64,
@@ -309,9 +308,9 @@ class TestCenteredness:
             acc = np.zeros(mesh3.n_nodes)
             largest = 0.0
             for d, w in zip(deltas, rule.weights):
-                acc += w * d.values
+                acc += w * d
                 largest = max(largest, h1_norm(mesh3, d))
-            total = h1_norm(mesh3, NodalField(acc, mesh3.level))
+            total = h1_norm(mesh3, acc)
             assert total <= 1e-12 * largest
 
 
@@ -321,16 +320,16 @@ class TestSecondOrderCorrection:
         s = dq.draw_sample(sf64.n_modes, vf3.n_modes, 21, 0)
         # the derivative is linear in the unit-variance parameters: its
         # second moment is the sum of the squared per-mode solves
-        direct = sum(d.values ** 2 for d in derivative_solves(
+        direct = sum(d ** 2 for d in derivative_solves(
             mesh3, vf3, sf64, s.z, np.eye(sf64.n_modes)))
         # a level-1 rule integrates the diagonal quadratic terms exactly and
         # kills the mixed ones at every node
         rule = smolyak_rule(sf64.n_modes, 1)
         qstats = quadrature_estimate(
-            lambda ys: [NodalField(d.values ** 2, mesh3.level) for d in
+            lambda ys: [d ** 2 for d in
                         derivative_solves(mesh3, vf3, sf64, s.z, ys)],
             rule)
-        assert np.allclose(qstats.mean.values, direct, rtol=1e-7,
+        assert np.allclose(qstats.mean, direct, rtol=1e-7,
                            atol=1e-14)
 
 
@@ -410,10 +409,9 @@ class TestDiagnostics:
         ss = solve_sample(mesh4, vf4, sf64, s, 0.5)
         (u,), (delta,) = solve_block(mesh4, vf4, sf64, [s.z], [s.y],
                                      [0.0, 0.5], with_delta=True)
-        for got, want in ((ss.u0, u[0].values), (ss.u_eps, u[1].values),
-                          (ss.delta_u, delta.values)):
-            assert np.abs(got.values - want).max() <= 1e-12 * np.abs(
-                want).max()
+        for got, want in ((ss.u0, u[0]), (ss.u_eps, u[1]),
+                          (ss.delta_u, delta)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         one = {"u0": {}, "u_eps": {}, "delta_u": {}}
         smooth_solve(mesh4, vf4, sf64, s.z, one["u0"])
         full_solve(mesh4, vf4, sf64, s.z, s.y, 0.5, one["u_eps"])
@@ -565,7 +563,7 @@ class TestMultigridPCG:
         interior = np.setdiff1d(np.arange(mesh3.n_nodes), mesh3.boundary)
         assert np.array_equal(ref.interior, interior)
         direct = np.linalg.solve(K, dp.b)
-        assert (np.abs(u.values[interior] - direct).max()
+        assert (np.abs(u[interior] - direct).max()
                 <= 1e-9 * np.abs(direct).max())
 
     def test_shared_mesh_builds_hierarchy_once(self, vf4, sf64, monkeypatch):
@@ -584,7 +582,7 @@ class TestMultigridPCG:
 
         def work(k):
             start.wait(timeout=30)
-            fields[k] = full_solve(mesh, vf4, sf64, s.z, s.y, 1.0).values
+            fields[k] = full_solve(mesh, vf4, sf64, s.z, s.y, 1.0)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -601,4 +599,4 @@ class TestMultigridPCG:
         assert len(builds) == 1
         serial = full_solve(mesh, vf4, sf64, s.z, s.y, 1.0)
         for values in fields:
-            assert np.array_equal(values, serial.values)
+            assert np.array_equal(values, serial)
