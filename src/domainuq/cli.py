@@ -272,20 +272,16 @@ class SyntheticModel:
         self.q = 0.05 * self.base
         self.coeffs = 0.1 / (1.0 + np.arange(self.N_Y))
 
-    def u0_values(self, z) -> np.ndarray:
-        return self.base * (1.0 + 0.2 * float(np.mean(z)) / np.sqrt(3.0))
-
     def u0(self, zs) -> np.ndarray:
-        return np.array([self.u0_values(z) for z in zs])
+        return np.array([self.base * (1.0 + 0.2 * float(np.mean(z))
+                                      / np.sqrt(3.0)) for z in zs])
 
     def pairs(self, samples, amplitudes, with_delta=False):
-        u = np.empty((len(samples), len(amplitudes), len(self.base)))
-        deltas = np.empty((len(samples), len(self.base)))
-        for i, sample in enumerate(samples):
-            u0 = self.u0_values(sample.z)
-            deltas[i] = self.base * float(self.coeffs @ sample.y)
-            for j, c in enumerate(amplitudes):
-                u[i, j] = u0 + c * deltas[i] + c * c * self.q
+        u0 = self.u0([s.z for s in samples])[:, None]
+        deltas = np.array([self.base * float(self.coeffs @ s.y)
+                           for s in samples])
+        c = np.array(amplitudes, dtype=float)[:, None]
+        u = u0 + c * deltas[:, None] + c * c * self.q
         return u, (deltas if with_delta else None)
 
 
@@ -378,8 +374,8 @@ def _paired_sweep(cfg: ExperimentConfig, dims: tuple[int, int], factory,
         u0 = u[:, None, 0]
         out[:, :, 0] = u0
         for e, cols in enumerate(columns):
-            np.subtract(u[:, cols], u0, out=out[:, :, 1 + 2 * e])
-            out[:, :, 2 + 2 * e] = u[:, cols]
+            out[:, :, 2 + 2 * e] = ue = u[:, cols]
+            np.subtract(ue, u0, out=out[:, :, 1 + 2 * e])
         if with_delta:
             for d, sign in enumerate(signs):
                 out[:, d, -1] = delta * sign

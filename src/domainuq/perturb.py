@@ -24,10 +24,9 @@ through a second call.  The solutions come back as plain float arrays of
 node values: an (r, k, n) block for r realizations at k amplitudes, and
 an (r, n) block of derivative solves.  Monte Carlo samples, coupled
 pairs, quadrature nodes and the three solves of `solve_sample` all go
-this way.  Every
-solve passes the reference mesh to `solve_dirichlet`, whose multigrid
-preconditioner and interior layout are built once for the topology that
-all deformed meshes share.
+this way.  Every solve passes the reference mesh to `solve_dirichlet`,
+whose multigrid preconditioner and interior layout are built once for
+the topology that all deformed meshes share.
 """
 
 from __future__ import annotations

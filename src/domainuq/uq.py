@@ -209,6 +209,19 @@ def solve_blocks(fn, n_items: int, label: str, threads: int = 1,
             yield from block_outputs
 
 
+def _block_array(block, indices: range, label: str,
+                 axes: tuple[str, ...]) -> np.ndarray:
+    """`block` as a float array of one row per index, each row of the
+    named `axes`; ValueError for another rank or row count."""
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 1 + len(axes) or len(block) != len(indices):
+        layout = ", ".join((str(len(indices)), *axes))
+        raise ValueError(f"{label}s {indices[0]} to {indices[-1]}: solver "
+                         f"gave an array of shape {block.shape}, not "
+                         f"({layout})")
+    return block
+
+
 def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
                 threads: int = 1, label: str = "sample"):
     """Monte Carlo mean and variance over i.i.d. draws of (y, z).
@@ -236,19 +249,11 @@ def mc_estimate(solver, dims: tuple[int, int], n_samples: int, seed: int,
     n_y, n_z = dims
 
     def solve(indices: range) -> np.ndarray:
-        block = np.asarray(solver([draw_sample(n_y, n_z, seed, i)
-                                   for i in indices]), dtype=float)
-        if block.ndim != 4 or len(block) != len(indices):
-            raise ValueError(
-                f"{label}s {indices[0]} to {indices[-1]}: solver gave an "
-                f"array of shape {block.shape}, not ({len(indices)}, draws, "
-                "quantities, n)")
-        return block
-
-    shape = None
+        return _block_array(solver([draw_sample(n_y, n_z, seed, i)
+                                    for i in indices]),
+                            indices, label, ("draws", "quantities", "n"))
 
     def blocks(outputs):
-        nonlocal shape
         for i, draws in enumerate(outputs):
             if i == 0:
                 shape = draws.shape
@@ -288,18 +293,25 @@ def quadrature_estimate(solver, rule: "QuadratureRule",
     The mean is sum_i w_i u(node_i) and the second moment
     sum_i w_i u(node_i)^2 - mean^2, accumulated in rule order; the
     variance accessor clamps it at zero.  Solver errors abort with the
-    failing node index.
+    failing node index, and so does a MeshMismatch for a row whose length
+    differs from node 0's.  ValueError for a block of another rank or row
+    count.
     """
     if len(rule.nodes) == 0:
         raise ValueError("quadrature rule is empty")
+    label = "quadrature node"
     s1 = s2 = None
     with closing(solve_blocks(
-            lambda indices: solver(rule.nodes[indices.start:indices.stop]),
-            len(rule.nodes), "quadrature node", threads,
-            QUADRATURE_BLOCK)) as outputs:
-        for w, u in zip(rule.weights, outputs):
+            lambda indices: _block_array(
+                solver(rule.nodes[indices.start:indices.stop]), indices,
+                label, ("n",)),
+            len(rule.nodes), label, threads, QUADRATURE_BLOCK)) as outputs:
+        for i, (w, u) in enumerate(zip(rule.weights, outputs)):
             if s1 is None:
                 s1, s2 = np.zeros(len(u)), np.zeros(len(u))
+            elif len(u) != len(s1):
+                raise MeshMismatch(f"{label} {i}: field of {len(u)} values, "
+                                   f"{label} 0 gave {len(s1)}")
             s1 += w * u
             s2 += w * (u * u)
     return Statistics(weight=float(rule.weights.sum()), mean=s1,

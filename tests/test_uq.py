@@ -566,6 +566,31 @@ class TestQuadratureEstimate:
                            match="^quadrature node 14: negative$"):
             quadrature_estimate(block_solver, rule)
 
+    @pytest.mark.parametrize("length", [1, 3], ids=["1", "3"])
+    def test_row_of_another_length_names_the_node(self, length):
+        """Rows of the second block shorter (numpy would broadcast them)
+        or longer than node 0's two values."""
+        rule = smolyak_rule(1, 16)
+
+        def solver(nodes):
+            n = length if nodes[0, 0] == rule.nodes[8, 0] else 2
+            return np.zeros((len(nodes), n))
+
+        with pytest.raises(MeshMismatch,
+                           match=f"^quadrature node 8: field of {length} "
+                                 "values, quadrature node 0 gave 2$"):
+            quadrature_estimate(solver, rule)
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 2, 2), (7, 2)],
+                             ids=["rank-1", "rank-3", "rows"])
+    def test_block_of_another_rank_or_row_count_is_refused(self, shape):
+        """A block of 8 nodes must be an (8, n) array."""
+        with pytest.raises(ValueError, match=re.escape(
+                "quadrature nodes 0 to 7: solver gave an array of shape "
+                f"{shape}, not (8, n)")):
+            quadrature_estimate(lambda nodes: np.zeros(shape),
+                                smolyak_rule(1, 16))
+
     def test_quadrature_matches_mc_for_smooth_problem(self, mesh3, vf3, sf64):
         rule = smolyak_rule(vf3.n_modes, 1)
         qstats = quadrature_estimate(

@@ -23,10 +23,13 @@ import json
 import platform
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import scipy
+
+from domainuq.cli import main as domainuq_main
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_DIR = ROOT / "tests" / "reference"
@@ -77,9 +80,8 @@ def fingerprint() -> dict:
 
 
 def _main(argv: list[str]) -> None:
-    from domainuq.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
-        status = main(argv)
+        status = domainuq_main(argv)
     if status != 0:
         raise RuntimeError(f"domainuq {' '.join(argv)} exited {status}")
 
@@ -152,7 +154,6 @@ def record(name: str, work: Path) -> dict:
 
 
 def main() -> int:
-    import tempfile
     REFERENCE_DIR.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in CONFIGS:
