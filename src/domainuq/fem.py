@@ -12,10 +12,14 @@ terms into the edges of `mesh.edges`, one `np.bincount` each.  The solver
 consumes interior CSR data, one gather from the term vector through the
 topology's `ReferenceSolver`, and interior loads summed straight into the
 interior layout, so a domain realization builds no matrix.  The mass
-matrix and the H1 gram matrix of the norms are full CSR matrices.  scipy
-is imported on first use, by the code that builds or applies its sparse
-matrices (the norms, `assemble_mass` and the `ReferenceSolver`), so the KL
-build, which takes the mass as plain `CSRArrays`, never loads it.
+matrix and the H1 gram matrix of the norms are full CSR matrices.
+
+Every sparse product runs one of scipy's compiled CSR kernels on
+`CSRArrays`, called as scipy's own operators call them, so every result
+has the bits scipy's `@`, `-`, `.T` and `.toarray()` give.  `_kernels`
+loads the extension module that holds them, `scipy.sparse._sparsetools`,
+on first use and on its own: the commands never import `scipy` or
+`scipy.sparse`, whose import costs more than a small run's solves.
 
 Dirichlet problems are solved by conjugate gradients preconditioned with a
 geometric multigrid V-cycle for the unit-coefficient Laplacian on the
@@ -40,6 +44,11 @@ such row.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -81,6 +90,112 @@ class CSRArrays(NamedTuple):
         from scipy.sparse import csr_matrix
         return csr_matrix((self.data, self.indices, self.indptr),
                           shape=self.shape)
+
+
+#: The extension module of scipy's compiled sparse kernels.
+KERNELS_MODULE = "scipy.sparse._sparsetools"
+
+
+@functools.cache
+def _kernels():
+    """scipy's compiled sparse kernels, `scipy.sparse._sparsetools`.
+
+    The module already imported with `scipy.sparse`, if there is one;
+    otherwise the extension file itself, found through the location of
+    the `scipy` package (which `find_spec` does not run) and loaded under
+    its own name, so `scipy` and `scipy.sparse` stay unimported.  The
+    kernels check no sizes, and every index array handed to them here is
+    int32, so none is converted.
+
+    Raises ImportError if scipy's `sparse` folder holds no such extension.
+    """
+    loaded = sys.modules.get(KERNELS_MODULE)
+    if loaded is not None:
+        return loaded
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    folder = os.path.join(spec.submodule_search_locations[0], "sparse")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(KERNELS_MODULE,
+                                                             path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(KERNELS_MODULE, loader))
+            loader.exec_module(module)
+            sys.modules[KERNELS_MODULE] = module
+            return module
+    raise ImportError(f"no compiled {KERNELS_MODULE} in {folder}")
+
+
+def _arrays(a) -> tuple:
+    """`(indptr, indices, data)` of a CSR matrix (`CSRArrays` or scipy's),
+    in the order the kernels take them."""
+    return a.indptr, a.indices, a.data
+
+
+def _kernel_csr(name: str, shape: tuple, nnz: int, *args) -> CSRArrays:
+    """The CSR matrix of `shape` that the kernel `name` writes, called
+    with `args` and then arrays with room for `nnz` entries, cut to the
+    entries it wrote."""
+    indptr = np.empty(shape[0] + 1, dtype=np.int32)
+    indices = np.empty(nnz, dtype=np.int32)
+    data = np.empty(nnz)
+    getattr(_kernels(), name)(*args, indptr, indices, data)
+    nnz = indptr[-1]
+    return CSRArrays(data[:nnz].copy(), indices[:nnz].copy(), indptr, shape)
+
+
+def _matmat(a: CSRArrays, b: CSRArrays) -> CSRArrays:
+    """`a @ b`, as scipy's `csr_matmat` leaves it: each row's columns in
+    the reverse order of their first contribution, exact zeros dropped."""
+    (m, _), (_, n) = a.shape, b.shape
+    nnz = _kernels().csr_matmat_maxnnz(m, n, a.indptr, a.indices, b.indptr,
+                                       b.indices)
+    return _kernel_csr("csr_matmat", (m, n), nnz, m, n, *_arrays(a),
+                       *_arrays(b))
+
+
+def _minus(a: CSRArrays, b: CSRArrays) -> CSRArrays:
+    """`a - b` on matrices of one shape, as scipy's `csr_minus_csr` leaves
+    it (exact zeros dropped)."""
+    return _kernel_csr("csr_minus_csr", a.shape, len(a.data) + len(b.data),
+                       *a.shape, *_arrays(a), *_arrays(b))
+
+
+def _transpose(a: CSRArrays) -> CSRArrays:
+    """`a.T` in CSR, as scipy's `csr_tocsc` writes it: each row's columns
+    ascending, in the order of `a`'s rows."""
+    return _kernel_csr("csr_tocsc", a.shape[::-1], len(a.data), *a.shape,
+                       *_arrays(a))
+
+
+def _diagonal_matrix(values: np.ndarray) -> CSRArrays:
+    """The diagonal matrix of the non-zero `values`, as scipy's
+    `diags(values).tocsr()`."""
+    index = np.arange(len(values) + 1, dtype=np.int32)
+    return CSRArrays(values, index[:-1], index, (len(values), len(values)))
+
+
+def csr_product(a: CSRArrays, x: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Add `a @ x` into `out` (zeros if not given) and return it, for a
+    vector or a block of columns `x`, with the bits of scipy's `@`: its
+    kernel `csr_matvec` for a vector or a single column, `csr_matvecs` for
+    more.  The kernels write into `out` in place, so it must be C-ordered;
+    sizes are not checked."""
+    m, n = a.shape
+    if out is None:
+        out = np.zeros((m,) + x.shape[1:])
+    elif not out.flags.c_contiguous:
+        raise ValueError("the product is written into a C-ordered array")
+    if x.ndim == 1 or x.shape[1] == 1:
+        _kernels().csr_matvec(m, n, *_arrays(a), x.ravel(), out.ravel())
+    else:
+        _kernels().csr_matvecs(m, n, x.shape[1], *_arrays(a), x.ravel(),
+                               out.ravel())
+    return out
 
 
 @dataclass(frozen=True)
@@ -219,25 +334,30 @@ def perturbation_load_from_qvalues(mesh: Mesh, aq: np.ndarray,
 
 
 def _prolongation(edges: np.ndarray, n_coarse: int, fine_interior: np.ndarray,
-                  coarse_interior: np.ndarray) -> csr_matrix:
+                  coarse_interior: np.ndarray) -> CSRArrays:
     """Interpolation from coarse to fine interior nodes of one refinement.
 
     A parent node keeps its value; a midpoint takes the mean of its edge
-    endpoints, where boundary endpoints carry the Dirichlet zero.
+    endpoints, where boundary endpoints carry the Dirichlet zero.  Each
+    row holds its columns ascending, as scipy's COO-to-CSR conversion
+    leaves them.
     """
-    from scipy.sparse import coo_matrix
-    column = np.full(n_coarse, -1)
+    column = np.full(n_coarse, -1, dtype=np.int32)
     column[coarse_interior] = np.arange(len(coarse_interior))
     n_parents = len(coarse_interior)  # fine_interior lists them first
     mids = fine_interior[n_parents:]
-    ends = column[edges[mids - n_coarse]]
+    ends = np.sort(column[edges[mids - n_coarse]], axis=1)
     rows = np.concatenate([np.arange(n_parents),
                            np.repeat(n_parents + np.arange(len(mids)), 2)])
-    cols = np.concatenate([np.arange(n_parents), ends.reshape(-1)])
+    cols = np.concatenate([np.arange(n_parents, dtype=np.int32),
+                           ends.reshape(-1)])
     vals = np.concatenate([np.ones(n_parents), np.full(ends.size, 0.5)])
     keep = cols >= 0
-    return coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                      shape=(len(fine_interior), n_parents)).tocsr()
+    indptr = np.zeros(len(fine_interior) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows[keep], minlength=len(fine_interior)),
+              out=indptr[1:])
+    return CSRArrays(vals[keep], cols[keep], indptr,
+                     (len(fine_interior), n_parents))
 
 
 class ReferenceSolver:
@@ -269,16 +389,17 @@ class ReferenceSolver:
       into two sparse matrices, so one level of a V-cycle `V` applied to
       `r` is `S r + G V_coarse(G^T r)`, with `S = 2W - W A W` and
       `G = (I - W A) P`: three sparse products per level instead of four
-      and a handful of vector updates.
+      and a handful of vector updates.  `_levels` holds `(S, G, G^T)` per
+      level as `CSRArrays`, built by the kernels that scipy's operators
+      call for `2 * W - W @ A @ W`, `P - W @ A @ P` and `G.T.tocsr()`, in
+      their order, so they hold scipy's entries in scipy's order.
 
     A mesh without a refinement chain (one read from text, say) is its
     own coarsest level, inverted densely.
     """
 
     def __init__(self, mesh: Mesh):
-        from scipy.sparse import diags
-        from scipy.sparse._sparsetools import csr_matvec
-        self._csr_matvec = csr_matvec
+        kernels = _kernels()
         pattern = _pattern(mesh)
         n = mesh.n_nodes
         self.n_nodes = n
@@ -298,8 +419,9 @@ class ReferenceSolver:
 
         reference = compute_geometry(mesh.topology.reference_nodes,
                                      mesh.triangles)
-        A = self.interior_matrix(_stiffness_terms(
-            mesh, reference, reference.areas)[self.slots])
+        A = CSRArrays(_stiffness_terms(mesh, reference,
+                                       reference.areas)[self.slots],
+                      self.indices, self.indptr, (m, m))
         steps = max(0, min(len(mesh.refinements), mesh.level - COARSE_LEVEL))
         self._levels = []
         fine_interior, n_fine = self.interior, n
@@ -307,19 +429,20 @@ class ReferenceSolver:
             n_coarse = n_fine - len(edges)
             coarse_interior = fine_interior[fine_interior < n_coarse]
             P = _prolongation(edges, n_coarse, fine_interior, coarse_interior)
-            W = diags(SMOOTHING_WEIGHT / A.diagonal())
-            WA = W @ A
-            G = (P - WA @ P).tocsr()
-            self._levels.append(((2.0 * W - WA @ W).tocsr(), G, G.T.tocsr()))
-            A = (P.T.tocsr() @ A @ P).tocsr()
+            diagonal = np.empty(A.shape[0])
+            kernels.csr_diagonal(0, *A.shape, *_arrays(A), diagonal)
+            weights = SMOOTHING_WEIGHT / diagonal
+            W = _diagonal_matrix(weights)
+            WA = _matmat(W, A)
+            G = _minus(P, _matmat(WA, P))
+            S = _minus(_diagonal_matrix(2.0 * weights), _matmat(WA, W))
+            self._levels.append((S, G, _transpose(G)))
+            A = _matmat(_matmat(_transpose(P), A), P)
             fine_interior, n_fine = coarse_interior, n_coarse
-        inverse = np.linalg.inv(A.toarray())
+        dense = np.zeros(A.shape)
+        kernels.csr_todense(*A.shape, *_arrays(A), dense)
+        inverse = np.linalg.inv(dense)
         self._coarse_inverse = 0.5 * (inverse + inverse.T)
-
-    def interior_matrix(self, data: np.ndarray) -> csr_matrix:
-        """The interior matrix with interior CSR data `data`."""
-        m = len(self.interior)
-        return CSRArrays(data, self.indices, self.indptr, (m, m)).tocsr()
 
     def interior_vector(self, local: np.ndarray) -> np.ndarray:
         """Interior entries of the sum of (m, 3) element vectors."""
@@ -329,7 +452,7 @@ class ReferenceSolver:
     def matvec(self, data: np.ndarray, rows, x: np.ndarray) -> np.ndarray:
         """Row i of the (len(x), m) result is the interior matrix with the
         CSR data `data[rows[i]]` applied to `x[i]`, bit for bit what
-        `interior_matrix(data[rows[i]]) @ x[i]` gives: both call scipy's
+        scipy's `@` of that matrix and `x[i]` gives: both call
         `csr_matvec` into zeros.  `x` must be a C-ordered float block, and
         each row of `data` a contiguous float vector.  Raises MeshMismatch
         unless their sizes are the topology's, which the kernel does not
@@ -341,7 +464,7 @@ class ReferenceSolver:
                 f"topology has {len(self.indices)} interior entries and "
                 f"{m} interior nodes")
         out = np.zeros((len(x), m))
-        csr_matvec = self._csr_matvec
+        csr_matvec = _kernels().csr_matvec
         for i, j in enumerate(rows):
             csr_matvec(m, m, self.indptr, self.indices, data[j], x[i], out[i])
         return out
@@ -355,8 +478,8 @@ class ReferenceSolver:
         if k == len(self._levels):
             return self._coarse_inverse @ r
         S, G, Gt = self._levels[k]
-        x = S @ r
-        x += G @ self._vcycle(k + 1, Gt @ r)
+        x = csr_product(S, r)
+        x += csr_product(G, self._vcycle(k + 1, csr_product(Gt, r)))
         return x
 
 
@@ -494,11 +617,11 @@ def solve_dirichlet(K: np.ndarray, b: np.ndarray, mesh: Mesh,
     return u
 
 
-def _h1_gram(mesh: Mesh) -> csr_matrix:
+def _h1_gram(mesh: Mesh) -> CSRArrays:
     def build():
         g = geometry(mesh)
         return _matrix(mesh, _stiffness_terms(mesh, g, g.areas)
-                       + _mass_terms(mesh)).tocsr()
+                       + _mass_terms(mesh))
     return mesh.cached("h1_gram", build)
 
 
@@ -515,13 +638,14 @@ def _field(mesh: Mesh, v) -> np.ndarray:
 def h1_norm(mesh: Mesh, v) -> float:
     """Full H1 norm, sqrt(v^T (K_1 + M) v)."""
     x = _field(mesh, v)
-    return float(np.sqrt(max(x @ (_h1_gram(mesh) @ x), 0.0)))
+    return float(np.sqrt(max(x @ csr_product(_h1_gram(mesh), x), 0.0)))
 
 
 def l2_norm(mesh: Mesh, v) -> float:
+    """L2 norm, sqrt(v^T M v)."""
     x = _field(mesh, v)
-    mass = mesh.cached("mass", lambda: assemble_mass(mesh))
-    return float(np.sqrt(max(x @ (mass @ x), 0.0)))
+    mass = mesh.cached("mass", lambda: mass_arrays(mesh))
+    return float(np.sqrt(max(x @ csr_product(mass, x), 0.0)))
 
 
 def w11_norm(mesh: Mesh, v) -> float:

@@ -10,8 +10,9 @@ only the modes it keeps are lifted back to the n nodal values, one mass
 block of rows at a time.  So the KL build holds at most two factor-sized
 arrays at once: the factorization's column buffer, at most
 `INITIAL_BUFFER_COLUMNS` wider than the rank, with the final factor, and
-then the factor with either `M_hat L` or the kept modes.  `M_hat L` is a
-numpy CSR product (`mass_product`), so the KL build needs no scipy.
+then the factor with either `M_hat L` or the kept modes.  `M_hat L` is
+formed by scipy's compiled CSR kernels (`fem.csr_product`), which `fem`
+loads without importing scipy.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigFailed, NotPSD
+from .fem import csr_product
 
 #: Pivot diagonals below -NEG_TOL_FACTOR * trace(C) mean C is not PSD.
 NEG_TOL_FACTOR = 1e-12
@@ -28,10 +30,6 @@ NEG_TOL_FACTOR = 1e-12
 #: Width of the first column buffer of `pivoted_cholesky`, and of each step
 #: by which a full buffer grows.
 INITIAL_BUFFER_COLUMNS = 16
-
-#: `mass_product` takes the rows of a block in this many chunks, so its
-#: temporaries stay a fixed fraction of the block.
-PRODUCT_CHUNKS = 16
 
 
 @dataclass
@@ -166,66 +164,38 @@ def kept_count(mu: np.ndarray, tol: float) -> int:
     return int(np.argmax(suffix <= tol * total))
 
 
-def mass_product(mass, X: np.ndarray, out: np.ndarray) -> None:
-    """Add `mass @ X` into `out`, bit for bit as scipy's `csr_matvecs` does.
-
-    `mass` is a CSR matrix, anything with `indptr`, `indices`, `data` and
-    `shape` (a scipy `csr_matrix` or a `fem.CSRArrays`).  Each row adds
-    its entries in CSR order, one entry slot at a time: for slot s, every
-    row that has an s-th entry p adds `data[p] * X[indices[p]]`, rounded
-    as a product and then a sum, which is the kernel's arithmetic.  Rows
-    are taken in `PRODUCT_CHUNKS` chunks, so the temporaries are a few
-    chunk-sized arrays, not block-sized ones.
-    """
-    indptr = mass.indptr
-    n_rows = mass.shape[0]
-    chunk = max(1, -(-n_rows // PRODUCT_CHUNKS))
-    for start in range(0, n_rows, chunk):
-        stop = min(start + chunk, n_rows)
-        first = indptr[start:stop]
-        length = indptr[start + 1:stop + 1] - first
-        rows = out[start:stop]
-        for slot in range(int(length.max(initial=0))):
-            has = length > slot
-            if has.all():  # a slice, not a gather and scatter of the rows
-                p = first + slot
-                rows += mass.data[p][:, None] * X[mass.indices[p]]
-            else:
-                r = np.flatnonzero(has)
-                p = first[r] + slot
-                rows[r] += mass.data[p][:, None] * X[mass.indices[p]]
-
-
 def reduced_eigs(factor: LowRankFactor, mass, block: int,
                  tol: float | None = None) -> KLBasis:
     """Eigenpairs of the mass-weighted covariance restricted to range(L).
 
     Solves the dense symmetric problem (L^T M_hat L) v~ = mu v~, where
     M_hat is the block-diagonal matrix with `block` copies of the CSR
-    matrix `mass` (see `mass_product`), and lifts the eigenvectors by
-    v = L v~.  The lifted vectors satisfy v_i^T M_hat v_j = mu_i delta_ij.
+    matrix `mass` (anything with `indptr`, `indices`, `data` and `shape`:
+    a `fem.CSRArrays` or a scipy `csr_matrix`, with int32 indices), and
+    lifts the eigenvectors by v = L v~.  The lifted vectors satisfy
+    v_i^T M_hat v_j = mu_i delta_ij.
     With `tol`, only the leading pairs that `kept_count` keeps are lifted;
     without it, all `rank` are.
 
     Besides the (n, rank) factor L, the arrays live at once are M_hat L,
-    whose mass blocks `mass_product` adds into zeros in place, with its
-    chunk-sized temporaries, until L^T M_hat L is formed (it is freed
-    before the lift); then the (m, n) `modes` of the m kept eigenvectors,
-    lifted one mass block of rows at a time, with the (n / block, m) lift
-    of one block.  Both are bit for bit what `mass @ L[sl]` and the whole
-    lift `(L @ V[:, :m]).T` give.
+    each of whose mass blocks scipy's kernel (`fem.csr_product`) adds
+    into zeros in place, until L^T M_hat L is formed (it is freed before
+    the lift); then the (m, n) `modes` of the m kept eigenvectors, lifted
+    one mass block of rows at a time, with the (n / block, m) lift of one
+    block.  Both are bit for bit what `mass @ L[sl]` and the whole lift
+    `(L @ V[:, :m]).T` give.
     """
     L = factor.columns
     n_total, rank = L.shape
     n_mass = mass.shape[0]
-    # mass_product does not check sizes
+    # the kernel does not check sizes
     if mass.shape != (n_mass, n_mass) or n_total != block * n_mass:
         raise ValueError(f"a factor of {n_total} rows needs {block} blocks "
                          f"of a square mass matrix, not {mass.shape}")
     blocks = [slice(b * n_mass, (b + 1) * n_mass) for b in range(block)]
     ML = np.zeros((n_total, rank))
     for sl in blocks:
-        mass_product(mass, L[sl], ML[sl])
+        csr_product(mass, L[sl], out=ML[sl])
     S = L.T @ ML
     del ML
     S = 0.5 * (S + S.T)

@@ -242,6 +242,59 @@ def interior_gather(mesh, K):
     return K.data[inside[rows] & inside[indices]]
 
 
+def interior_matrix(ref, data):
+    """The scipy matrix of the interior CSR data `data` of `ref`, a
+    topology's `ReferenceSolver`."""
+    m = len(ref.interior)
+    return csr_matrix((data, ref.indices, ref.indptr), shape=(m, m))
+
+
+def scipy_prolongation(edges, n_coarse, fine_interior, coarse_interior):
+    """`fem._prolongation` as scipy's COO-to-CSR conversion builds it."""
+    from scipy.sparse import coo_matrix
+    column = np.full(n_coarse, -1)
+    column[coarse_interior] = np.arange(len(coarse_interior))
+    n_parents = len(coarse_interior)
+    mids = fine_interior[n_parents:]
+    ends = column[edges[mids - n_coarse]]
+    rows = np.concatenate([np.arange(n_parents),
+                           np.repeat(n_parents + np.arange(len(mids)), 2)])
+    cols = np.concatenate([np.arange(n_parents), ends.reshape(-1)])
+    vals = np.concatenate([np.ones(n_parents), np.full(ends.size, 0.5)])
+    keep = cols >= 0
+    return coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                      shape=(len(fine_interior), n_parents)).tocsr()
+
+
+def scipy_hierarchy(mesh):
+    """The V-cycle hierarchy of `mesh`'s topology built with scipy's
+    operators: the arguments of each level's `fem._prolongation` with
+    scipy's matrix of it, each level's `(S, G, G^T)`, with `S = 2W - W A W`
+    and `G = P - W A P`, and the coarse dense matrix."""
+    from scipy.sparse import diags
+    ref = fem.reference_solver(mesh)
+    g = fem.compute_geometry(mesh.topology.reference_nodes, mesh.triangles)
+    A = interior_matrix(ref, fem._stiffness_terms(mesh, g, g.areas)[
+        ref.slots])
+    steps = max(0, min(len(mesh.refinements),
+                       mesh.level - fem.COARSE_LEVEL))
+    prolongations, levels = [], []
+    fine_interior, n_fine = ref.interior, mesh.n_nodes
+    for edges in mesh.refinements[len(mesh.refinements) - steps:][::-1]:
+        n_coarse = n_fine - len(edges)
+        coarse_interior = fine_interior[fine_interior < n_coarse]
+        args = (edges, n_coarse, fine_interior, coarse_interior)
+        P = scipy_prolongation(*args)
+        W = diags(fem.SMOOTHING_WEIGHT / A.diagonal())
+        WA = W @ A
+        G = (P - WA @ P).tocsr()
+        levels.append(((2.0 * W - WA @ W).tocsr(), G, G.T.tocsr()))
+        prolongations.append((args, P))
+        A = (P.T.tocsr() @ A @ P).tocsr()
+        fine_interior, n_fine = coarse_interior, n_coarse
+    return prolongations, levels, A.toarray()
+
+
 def matrix_solve(K, b, mesh, diag_out=None):
     """Dirichlet solve of a full matrix for one (n,) load, or for each
     column of (n, k) loads, as a block of k copies of its interior data."""

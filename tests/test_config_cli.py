@@ -851,22 +851,58 @@ def test_solve_commands_pin_the_malloc_thresholds(command, pinned,
     assert calls == [command] * pinned
 
 
-def test_build_kl_never_loads_scipy(tiny_run, tmp_path):
-    """The KL build is numpy-only: neither importing the command line nor
-    a whole `build-kl` loads a scipy module."""
-    cfg, _ = tiny_run
+#: A level-4 config: its solves build the two-level V-cycle hierarchy.
+LEVEL4 = "mesh_level = 4\ngrid_cells = 16\nn_mc = 4\nn_taylor = 2\n"
+
+
+@pytest.fixture(scope="module")
+def level4_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("level4")
+    cfg = root / "l4.cfg"
+    cfg.write_text(LEVEL4)
+    out = root / "out"
+    assert main(["build-kl", "--config", str(cfg), "--out", str(out)]) == 0
+    return str(cfg), str(out)
+
+
+@pytest.mark.parametrize("command", ["build-kl", "solve-one", "mc", "taylor",
+                                     "convergence"])
+def test_commands_load_only_scipy_kernels(command, level4_run, tmp_path):
+    """Importing the command line loads no scipy module, and a whole run
+    of each command, its V-cycles and norms included, loads only scipy's
+    compiled sparse kernels: `scipy` and `scipy.sparse` stay unimported."""
+    cfg, _ = level4_run
+    if command == "build-kl":
+        out = str(tmp_path / "kl")
+    else:
+        cfg, out = artifacts_copy(level4_run, tmp_path / "out")
+    extra = ["--y", "0", "--z", "0", "--eps", "0.5"] * (command == "solve-one")
+    argv = [command, "--config", cfg, "--out", out, *extra]
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from domainuq.cli import main\n"
         "imported = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        f"assert main(['build-kl', '--config', {cfg!r}, '--out', "
-        f"{str(tmp_path / 'kl')!r}]) == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = main({argv!r})\n"
+        "assert status == 0, status\n"
         "print(imported, [m for m in sys.modules\n"
         "                 if m.split('.')[0] == 'scipy'])\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[] []"
+    assert proc.stdout.splitlines()[-1] == "[] ['scipy.sparse._sparsetools']"
+
+
+def test_model_loads_the_kernels_before_workers_fork(vf4, sf64):
+    """`FEModel` builds the V-cycle hierarchy in the command's process, so
+    forked workers inherit the loaded kernels and never load them."""
+    from domainuq import cli, fem
+    fem._kernels.cache_clear()
+    try:
+        cli.FEModel(cli.build_disc_mesh(4), vf4, sf64)  # a new topology
+        assert fem._kernels.cache_info().currsize == 1
+    finally:
+        fem._kernels.cache_clear()
 
 
 def test_blas_is_pinned_through_each_mapped_openblas(monkeypatch, tmp_path):

@@ -1,3 +1,8 @@
+import importlib.machinery
+import importlib.util
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +10,12 @@ from hypothesis import strategies as st
 
 import domainuq as dq
 import domainuq.fem as fem
-from conftest import (at_quadrature, interior_gather, matrix_solve,
-                      nodal_sum, reference_geometry, reference_load,
-                      reference_mass, reference_pattern,
+from conftest import (at_quadrature, interior_gather, interior_matrix,
+                      matrix_solve, nodal_sum, reference_geometry,
+                      reference_load, reference_mass, reference_pattern,
                       reference_perturbation_load, reference_scatter,
-                      reference_stiffness, smoothly_displaced)
+                      reference_stiffness, scipy_hierarchy,
+                      smoothly_displaced)
 from domainuq.errors import MeshMismatch, NonFiniteValue, SolverDiverged
 from domainuq.fem import (_h1_gram, _prolongation,
                           assemble_mass, field_to_text,
@@ -140,8 +146,8 @@ class TestAssembly:
 
     def test_stiffness_symmetric(self, mesh3):
         ref = reference_solver(mesh3)
-        K = ref.interior_matrix(
-            stiffness(mesh3, lambda p: 1.0 + 0.2 * p[..., 0]))
+        K = interior_matrix(
+            ref, stiffness(mesh3, lambda p: 1.0 + 0.2 * p[..., 0]))
         asym = np.abs((K - K.T).toarray()).max()
         assert asym <= 1e-12 * np.abs(K.toarray()).max()
 
@@ -204,12 +210,12 @@ class TestAssembly:
         want = interior_gather(reference, reference_scatter(
             reference, areas[:, None, None] * products))
         built = []
-        interior_matrix = fem.ReferenceSolver.interior_matrix
-        monkeypatch.setattr(fem.ReferenceSolver, "interior_matrix",
-                            lambda self, data: built.append(data)
-                            or interior_matrix(self, data))
-        fem.ReferenceSolver(moved)
-        assert len(built) == 1 and np.array_equal(built[0], want)
+        terms = fem._stiffness_terms
+        monkeypatch.setattr(fem, "_stiffness_terms",
+                            lambda *args: built.append(terms(*args))
+                            or built[-1])
+        ref = fem.ReferenceSolver(moved)
+        assert len(built) == 1 and np.array_equal(built[0][ref.slots], want)
 
 
 class TestPerturbationLoad:
@@ -490,7 +496,7 @@ class TestBlockSolve:
     @pytest.mark.parametrize("level", [3, 5])
     @pytest.mark.parametrize("k", [1, 5])
     def test_matvec_rows_are_interior_matrix_products(self, request, level,
-                                                      k):
+                                                      k, monkeypatch):
         mesh = request.getfixturevalue(f"mesh{level}")
         ref = reference_solver(mesh)
         data, _, _ = realization_block(mesh, 2 * k)
@@ -502,11 +508,13 @@ class TestBlockSolve:
             assert q.shape == x.shape
             for i, j in enumerate(rows):
                 assert np.array_equal(q[i],
-                                      ref.interior_matrix(block[j]) @ x[i])
-        with pytest.raises(MeshMismatch):  # csr_matvec reads past the end
-            ref.matvec(data[:, :-1], range(k), x)
-        with pytest.raises(MeshMismatch):
-            ref.matvec(data, range(k), x[:, :-1])
+                                      interior_matrix(ref, block[j]) @ x[i])
+        with monkeypatch.context() as patch:  # raised before any kernel
+            patch.setattr(fem, "_kernels", None)
+            with pytest.raises(MeshMismatch):  # csr_matvec reads past the end
+                ref.matvec(data[:, :-1], range(k), x)
+            with pytest.raises(MeshMismatch):
+                ref.matvec(data, range(k), x[:, :-1])
 
     def test_wide_block_adds_no_solver_arrays(self):
         def array_bytes(obj):
@@ -570,7 +578,7 @@ class TestReferenceSolver:
         coarse = interior[interior < n_coarse]
         P = _prolongation(edges, n_coarse, interior, coarse)
         g = lambda p: 0.3 + 2.0 * p[:, 0] - 1.5 * p[:, 1]
-        fine = P @ g(mesh5.nodes[coarse])
+        fine = fem.csr_product(P, g(mesh5.nodes[coarse]))
         # midpoints of edges that touch the rim see the Dirichlet zero there
         touches_rim = np.zeros(mesh5.n_nodes, dtype=bool)
         touches_rim[n_coarse:] = np.isin(edges, mesh5.boundary).any(axis=1)
@@ -580,12 +588,77 @@ class TestReferenceSolver:
         assert np.allclose(fine[rows], g(mesh5.nodes[exact]),
                            rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("level", [2, 4, 5, 6])
+    def test_hierarchy_bit_equal_to_scipy_operators(self, level):
+        """Every prolongation, each level's S, G and G^T, entry order
+        included, and the coarse inverse are what scipy's operators
+        build."""
+        mesh = build_disc_mesh(level)
+        ref = reference_solver(mesh)
+        transfers, levels, coarse = scipy_hierarchy(mesh)
+        assert len(ref._levels) == len(levels) == len(transfers)
+        pairs = [(_prolongation(*args), P) for args, P in transfers]
+        pairs += [pair for got, want in zip(ref._levels, levels)
+                  for pair in zip(got, want, strict=True)]
+        assert ref.indptr.dtype == ref.indices.dtype == np.int32
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert got.indptr.dtype == got.indices.dtype == np.int32
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        inverse = np.linalg.inv(coarse)
+        assert np.array_equal(ref._coarse_inverse,
+                              0.5 * (inverse + inverse.T))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_vcycle_bit_equal_to_scipy_operators(self, mesh5, k):
+        ref = reference_solver(mesh5)
+        _, levels, coarse = scipy_hierarchy(mesh5)
+        inverse = np.linalg.inv(coarse)
+        inverse = 0.5 * (inverse + inverse.T)
+
+        def vcycle(j, r):
+            if j == len(levels):
+                return inverse @ r
+            S, G, Gt = levels[j]
+            x = S @ r
+            x += G @ vcycle(j + 1, Gt @ r)
+            return x
+
+        r = np.random.default_rng(k).standard_normal((k, len(ref.interior)))
+        assert np.array_equal(ref.precondition(r), vcycle(0, r.T.copy()).T)
+
     def test_hierarchy_bottoms_out_at_coarse_level(self, mesh2, mesh5):
         # level 5 coarsens twice down to the 113 unknowns of level 3;
         # level 2 is inverted directly
         assert len(reference_solver(mesh5)._levels) == 2
         assert reference_solver(mesh5)._coarse_inverse.shape == (113, 113)
         assert reference_solver(mesh2)._levels == []
+
+
+class TestKernels:
+    @pytest.fixture(autouse=True)
+    def fresh_loader(self):
+        fem._kernels.cache_clear()
+        yield
+        fem._kernels.cache_clear()
+
+    def test_returns_the_module_scipy_sparse_imported(self):
+        from scipy.sparse import _sparsetools
+        assert fem._kernels() is _sparsetools
+        assert sys.modules[fem.KERNELS_MODULE] is _sparsetools
+
+    def test_missing_extension_names_the_folder(self, tmp_path, monkeypatch):
+        (tmp_path / "sparse").mkdir()
+        (tmp_path / "sparse" / "_sparsetools.py").write_text("")
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations.append(str(tmp_path))
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        monkeypatch.delitem(sys.modules, fem.KERNELS_MODULE)
+        with pytest.raises(ImportError,
+                           match=re.escape(str(tmp_path / "sparse"))):
+            fem._kernels()
 
 
 class TestNorms:

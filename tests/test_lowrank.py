@@ -3,17 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, diags, identity
-from scipy.sparse._sparsetools import csr_matvecs
 
 from conftest import DenseOracle
-from domainuq import lowrank
+from domainuq import fem, lowrank
 from domainuq.errors import NotPSD
 from domainuq.fem import mass_arrays
 from domainuq.fields import (CHOL_TOL_FACTOR, CoefficientCovariance,
                              HoldAllGrid, ScalarFieldKL, VectorFieldCovariance,
                              _grid_mass, load_scalar_field, save_scalar_field)
-from domainuq.lowrank import (KLBasis, kept_count, mass_product,
-                              pivoted_cholesky, reduced_eigs)
+from domainuq.lowrank import (KLBasis, kept_count, pivoted_cholesky,
+                              reduced_eigs)
 from domainuq.mesh import build_disc_mesh
 
 #: Trace-level truncation target of a KL build at the default tolerance 1e-2.
@@ -282,15 +281,15 @@ class TestKeptLift:
 
 
 def scipy_product(mass, X):
-    """Reference `mass @ X`: scipy's kernel `csr_matvecs` into zeros."""
-    out = np.zeros((mass.shape[0], X.shape[1]))
-    csr_matvecs(mass.shape[0], mass.shape[1], X.shape[1], mass.indptr,
-                mass.indices, mass.data, np.ascontiguousarray(X).ravel(),
-                out.ravel())
-    return out
+    """Reference `mass @ X`: scipy's `@` of its matrix on the CSR arrays."""
+    return csr_matrix((mass.data, mass.indices, mass.indptr),
+                      shape=mass.shape) @ X
 
 
 class TestMassProduct:
+    """`fem.csr_product`, which `reduced_eigs` adds each mass block through
+    into zeros, against scipy's `@`."""
+
     @pytest.mark.parametrize("level", [2, 3, 4, 5])
     def test_vector_mass_blocks_bit_equal_to_scipy(self, level):
         mass = mass_arrays(build_disc_mesh(level))
@@ -298,23 +297,25 @@ class TestMassProduct:
         L = np.random.default_rng(level).standard_normal((2 * n, 9))
         out = np.zeros_like(L)
         for sl in (slice(0, n), slice(n, 2 * n)):
-            mass_product(mass, L[sl], out[sl])
+            fem.csr_product(mass, L[sl], out=out[sl])
         assert np.array_equal(out, np.vstack([scipy_product(mass, L[:n]),
                                               scipy_product(mass, L[n:])]))
 
     @pytest.mark.parametrize("cells", [16, 64, 256])
     def test_grid_mass_bit_equal_to_scipy(self, cells):
         mass = _grid_mass(HoldAllGrid(cells))
-        X = np.random.default_rng(cells).standard_normal((mass.shape[0], 5))
-        out = np.zeros_like(X)
-        mass_product(mass, X, out)
-        assert np.array_equal(out, scipy_product(mass, X))
+        rng = np.random.default_rng(cells)
+        for X in (rng.standard_normal((mass.shape[0], 5)),
+                  rng.standard_normal((mass.shape[0], 1)),
+                  rng.standard_normal(mass.shape[0])):
+            assert np.array_equal(fem.csr_product(mass, X),
+                                  scipy_product(mass, X))
 
     def test_rank_zero_block(self):
         mass = _grid_mass(HoldAllGrid(16))
         X = np.zeros((mass.shape[0], 0))
         out = np.zeros_like(X)
-        mass_product(mass, X, out)
+        assert fem.csr_product(mass, X, out=out) is out
         assert np.array_equal(out, scipy_product(mass, X))
 
     def test_matrix_with_an_empty_row(self):
@@ -325,9 +326,11 @@ class TestMassProduct:
         assert mass.indptr[7] == mass.indptr[8]
         X = rng.standard_normal((40, 3))
         out = np.zeros_like(X)
-        mass_product(mass, X, out)
+        fem.csr_product(mass, X, out=out)
         assert np.array_equal(out, scipy_product(mass, X))
         assert not out[7].any()
+        with pytest.raises(ValueError):  # the kernel would write a copy
+            fem.csr_product(mass, X, out=np.zeros((3, 40)).T)
 
 
 def test_klbasis_roundtrip_bit_exact(tmp_path):

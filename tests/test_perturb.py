@@ -8,9 +8,10 @@ import pytest
 import domainuq as dq
 import domainuq.fem as fem
 import domainuq.mesh as mesh_module
-from conftest import (interior_gather, matrix_solve, reference_geometry,
-                      reference_load, reference_realization,
-                      reference_scatter, taylor_remainders)
+from conftest import (interior_gather, interior_matrix, matrix_solve,
+                      reference_geometry, reference_load,
+                      reference_realization, reference_scatter,
+                      taylor_remainders)
 from domainuq.fields import HoldAllGrid
 from domainuq.fem import h1_norm
 from domainuq.fields import (SQRT3, VectorFieldKL, eval_displacement,
@@ -558,8 +559,8 @@ class TestMultigridPCG:
         u = full_solve(mesh3, vf3, sf64, s.z, s.y, 1.0)
         dp = DeformedProblem(mesh3, vf3, sf64, s.z)
         ref = fem.reference_solver(mesh3)
-        K = ref.interior_matrix(
-            dp.K_s + dp.rough_stiffness(dp.rough_qvalues(s.y))).toarray()
+        K = interior_matrix(
+            ref, dp.K_s + dp.rough_stiffness(dp.rough_qvalues(s.y))).toarray()
         interior = np.setdiff1d(np.arange(mesh3.n_nodes), mesh3.boundary)
         assert np.array_equal(ref.interior, interior)
         direct = np.linalg.solve(K, dp.b)

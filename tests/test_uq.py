@@ -604,7 +604,7 @@ class TestQuadratureEstimate:
         mc_mean = fields.mean(axis=0)
         # H1 standard error of the MC mean from per-sample H1 deviations
         devs = fields - mc_mean
-        G = _h1_gram(mesh3)
+        G = _h1_gram(mesh3).tocsr()
         h1sq = np.einsum("ij,ij->i", devs, (G @ devs.T).T)
         se = np.sqrt(h1sq.sum() / (n - 1) / n)
         diff = h1_norm(mesh3, qstats.mean - mc_mean)
