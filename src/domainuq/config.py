@@ -8,7 +8,6 @@ effective settings, so comments and key order do not affect it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -123,5 +122,20 @@ def canonical_text(cfg: ExperimentConfig) -> str:
     return "\n".join(items) + "\n"
 
 
+def _sha256_hex(text: str) -> str:
+    """`hashlib.sha256(text.encode()).hexdigest()` from CPython's built-in
+    hash module (`_sha2` on 3.12+, `_sha256` before), which maps no
+    OpenSSL; `hashlib` only for an interpreter built without either."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(canonical_text(cfg).encode()).hexdigest()[:16]
+    """The first 16 hex digits of the sha256 of `canonical_text(cfg)`."""
+    return _sha256_hex(canonical_text(cfg))[:16]

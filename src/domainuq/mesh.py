@@ -298,7 +298,8 @@ def refine(mesh: Mesh) -> Mesh:
     circle.  Parent nodes keep their indices; new nodes are appended in
     the order of their (min index, max index) edge keys, i.e. of the
     parent's `edges`, whose `ends.T` is recorded as the new mesh's last
-    `refinements` entry.
+    `refinements` entry.  The new boundary is the parent's followed by the
+    new rim nodes, which keeps it sorted.
     """
     nodes = mesh.nodes
     tris = mesh.triangles
@@ -313,7 +314,8 @@ def refine(mesh: Mesh) -> Mesh:
         midpoints[on_rim] = rim / np.linalg.norm(rim, axis=1)[:, None]
 
     new_nodes = np.vstack([nodes, midpoints])
-    new_boundary = np.union1d(mesh.boundary, n + np.nonzero(on_rim)[0])
+    # sorted unique parts, new rim indices all >= n: np.union1d's array
+    new_boundary = np.concatenate([mesh.boundary, n + np.flatnonzero(on_rim)])
 
     # columns m01, m12, m20: the edges opposite vertices 2, 0 and 1
     mid = n + listed.of_element[:, [2, 0, 1]].astype(tris.dtype)

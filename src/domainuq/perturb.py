@@ -67,7 +67,8 @@ class DeformedProblem:
     coefficient grid once (a `Stencil` that the smooth part and every
     rough part reuse).  Coefficient values are kept
     per edge; an element's three values are a gather through
-    `Edges.of_element`.
+    `Edges.of_element`, taken with `np.take`, which reads the int32 table
+    as it is where fancy indexing would convert it to intp on every use.
 
     `K_s` is the interior CSR data of the smooth stiffness and `b` the
     interior unit load, both in the layout of the topology's
@@ -93,7 +94,7 @@ class DeformedProblem:
             raise NonPositiveCoefficient(
                 f"smooth coefficient minimum {self.a_s.min():.6e}")
         self.K_s = stiffness_from_qvalues(self.deformed,
-                                          self.a_s[self._of_element])
+                                          np.take(self.a_s, self._of_element))
         # unit load: the midpoint rule gives each corner a third of the area
         self.b = reference_solver(mesh).interior_vector(
             np.repeat(geometry(self.deformed).areas / 3.0, 3))
@@ -105,7 +106,8 @@ class DeformedProblem:
     def rough_stiffness(self, a_r: np.ndarray) -> np.ndarray:
         """Interior CSR data of the stiffness of the coefficient with the
         values `a_r` at the edge midpoints."""
-        return stiffness_from_qvalues(self.deformed, a_r[self._of_element])
+        return stiffness_from_qvalues(self.deformed,
+                                      np.take(a_r, self._of_element))
 
     def matrix_data(self, a_r: np.ndarray | None, K_r, amplitudes,
                     out: np.ndarray) -> None:
@@ -214,7 +216,7 @@ def solve_block(mesh: Mesh, vf: VectorFieldKL, sf: ScalarFieldKL, zs,
     j0 = amplitudes.index(0.0)
     for i, (deformed, a_r) in enumerate(kept):
         loads[i] = perturbation_load_from_qvalues(
-            deformed, a_r[edges(deformed).of_element], u[i, j0])
+            deformed, np.take(a_r, edges(deformed).of_element), u[i, j0])
     # the zero-amplitude rows hold the smooth operator K_s exactly
     delta_diag = None if diag_out is None else diag_out.setdefault("delta", {})
     return u, solve_dirichlet(data[j0::k], loads[:r], mesh,

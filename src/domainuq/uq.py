@@ -27,7 +27,6 @@ count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import BrokenExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import product
@@ -145,10 +144,10 @@ def map_blocks(fn, items, threads: int = 1):
     `items` at fork time, so `fn` may be a closure; results and exceptions
     travel back by pickle.  Results are yielded as soon as they and all
     earlier ones have arrived.  An exception raised by a task reaches the
-    caller, and a worker that dies raises `BrokenProcessPool` at the first
-    item whose result had not arrived (`solve_blocks` names that item's
-    block in a `WorkerDied`).  Otherwise `fn` runs in the calling process,
-    one item at a time.
+    caller, and a worker that dies raises `WorkerDied` at the first item
+    whose result had not arrived (`solve_blocks` names that item's block).
+    Otherwise `fn` runs in the calling process, one item at a time; only
+    the forking branch imports the process pool.
     """
     global _TASK
     items = list(items)
@@ -156,7 +155,8 @@ def map_blocks(fn, items, threads: int = 1):
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures.process import ProcessPoolExecutor
+            from concurrent.futures.process import (BrokenProcessPool,
+                                                    ProcessPoolExecutor)
             chunk = -(-len(items) // (workers * TASKS_PER_WORKER))
             _TASK = (fn, items)
             pool = ProcessPoolExecutor(
@@ -165,6 +165,9 @@ def map_blocks(fn, items, threads: int = 1):
             try:
                 yield from pool.map(_run_item, range(len(items)),
                                     chunksize=chunk)
+            except BrokenProcessPool as e:
+                raise WorkerDied("a worker process died before the outputs "
+                                 "of every item arrived") from e
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
                 _TASK = None
@@ -203,7 +206,7 @@ def solve_blocks(fn, n_items: int, label: str, threads: int = 1,
         for block in blocks:
             try:
                 block_outputs = next(outputs)
-            except BrokenExecutor as e:
+            except WorkerDied as e:
                 raise WorkerDied(f"{span(block)} and later: a worker process "
                                  "died before their outputs arrived") from e
             yield from block_outputs

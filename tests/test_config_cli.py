@@ -84,6 +84,28 @@ class TestConfigParsing:
         assert config_hash(replace(moved, mesh_level=np.int64(3),
                                    seed=np.int32(7), out_dir="out")) \
             == "7d252b4357d3a406"
+        ci_tiny = parse_config(
+            "mesh_level = 2\ngrid_cells = 16\nn_mc = 8\nquad_level = 1\n")
+        assert config_hash(ci_tiny) == "992a3dc647615bd4"
+
+    @pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")],
+                             ids=["builtin", "fallback"])
+    @pytest.mark.parametrize("text", ["seed=0\n", "out=Übung/δ\n", ""],
+                             ids=["ascii", "non-ascii", "empty"])
+    def test_sha256_is_hashlibs(self, text, blocked, monkeypatch):
+        """The built-in sha256 gives hashlib's digest, and so does the
+        hashlib fallback of an interpreter built without it."""
+        import hashlib
+
+        from domainuq import config
+        expected = hashlib.sha256(text.encode()).hexdigest()
+        calls, real = [], hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256",
+                            lambda data: calls.append(data) or real(data))
+        for name in blocked:
+            monkeypatch.setitem(sys.modules, name, None)
+        assert config._sha256_hex(text) == expected
+        assert calls == [text.encode()] * bool(blocked)
 
 
 def write_config(path, text):
@@ -792,23 +814,6 @@ def test_cli_entrypoint_runs():
     assert proc.returncode == 0
 
 
-def test_one_thread_never_loads_the_process_pool(tiny_run, tmp_path):
-    cfg, out = artifacts_copy(tiny_run, tmp_path / "p")
-    script = (
-        "import sys\n"
-        "from domainuq.cli import main\n"
-        f"common = ['--config', {cfg!r}, '--out', {out!r}]\n"
-        "assert main(['build-kl', *common]) == 0\n"
-        "for command in ('convergence', 'mc', 'taylor'):\n"
-        "    assert main([command, *common, '--threads', '1']) == 0\n"
-        "print([m for m in ('multiprocessing', 'concurrent.futures.process')\n"
-        "       if m in sys.modules])\n")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
-
-
 def test_malloc_thresholds_are_pinned_only_on_glibc(monkeypatch):
     from domainuq import cli
 
@@ -865,18 +870,32 @@ def level4_run(tmp_path_factory):
     return str(cfg), str(out)
 
 
+#: Modules that no command loads at `--threads 1`: `numpy.ma` and the
+#: process pool, with the `logging` that it imports.  `build-kl` and
+#: `solve-one` load no OpenSSL (`hashlib`) either; the sample commands do,
+#: through `numpy.random`.
+UNUSED_MODULES = ("numpy.ma", "concurrent.futures", "logging",
+                  "multiprocessing")
+UNUSED_WITHOUT_SAMPLES = ("hashlib", "_hashlib", *UNUSED_MODULES)
+
+
 @pytest.mark.parametrize("command", ["build-kl", "solve-one", "mc", "taylor",
                                      "convergence"])
 def test_commands_load_only_scipy_kernels(command, level4_run, tmp_path):
     """Importing the command line loads no scipy module, and a whole run
     of each command, its V-cycles and norms included, loads only scipy's
-    compiled sparse kernels: `scipy` and `scipy.sparse` stay unimported."""
+    compiled sparse kernels: `scipy` and `scipy.sparse` stay unimported.
+    Nor does it load any module it does not compute with; the sample
+    commands run at `--threads 1`, which starts no process pool."""
+    unused = (UNUSED_WITHOUT_SAMPLES if command in ("build-kl", "solve-one")
+              else UNUSED_MODULES)
     cfg, _ = level4_run
     if command == "build-kl":
         out = str(tmp_path / "kl")
     else:
         cfg, out = artifacts_copy(level4_run, tmp_path / "out")
-    extra = ["--y", "0", "--z", "0", "--eps", "0.5"] * (command == "solve-one")
+    extra = {"solve-one": ["--y", "0", "--z", "0", "--eps", "0.5"],
+             "build-kl": []}.get(command, ["--threads", "1"])
     argv = [command, "--config", cfg, "--out", out, *extra]
     script = (
         "import contextlib, io, sys\n"
@@ -886,11 +905,13 @@ def test_commands_load_only_scipy_kernels(command, level4_run, tmp_path):
         f"    status = main({argv!r})\n"
         "assert status == 0, status\n"
         "print(imported, [m for m in sys.modules\n"
-        "                 if m.split('.')[0] == 'scipy'])\n")
+        "                 if m.split('.')[0] == 'scipy'])\n"
+        f"print([m for m in {unused!r} if m in sys.modules])\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[] ['scipy.sparse._sparsetools']"
+    assert proc.stdout.splitlines()[-2:] == [
+        "[] ['scipy.sparse._sparsetools']", "[]"]
 
 
 def test_model_loads_the_kernels_before_workers_fork(vf4, sf64):

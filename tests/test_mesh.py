@@ -102,6 +102,22 @@ def test_refine_keeps_parent_nodes():
 
 
 @pytest.mark.parametrize("level", range(7))
+def test_boundary_is_the_union1d_of_parent_and_new_rim(level):
+    """`refine` concatenates the parent's boundary and the new rim nodes,
+    which gives `np.union1d`'s array of the two, in value and dtype."""
+    mesh = build_disc_mesh(level)
+    if level == 0:
+        expected = np.union1d(mesh.boundary, mesh.boundary)
+    else:
+        parent = build_disc_mesh(level - 1)
+        lone = np.bincount(edges(parent).of_element.reshape(-1)) == 1
+        expected = np.union1d(parent.boundary,
+                              parent.n_nodes + np.nonzero(lone)[0])
+    assert mesh.boundary.dtype == expected.dtype
+    assert np.array_equal(mesh.boundary, expected)
+
+
+@pytest.mark.parametrize("level", range(7))
 def test_structural_invariants(level):
     m = build_disc_mesh(level)
     assert m.n_triangles == 4 * 4 ** level

@@ -4,7 +4,9 @@
 Where the environment fingerprint matches the recorded one, every output
 file must keep its sha256.  Elsewhere the libraries or the processor
 differ, output bytes may move by rounding, and the numbers of the CSV
-outputs are compared at `RTOL` and the KL manifest's counts exactly.
+outputs and the summaries of the statistics and field dumps are compared
+at `RTOL`, and the KL manifest's counts and the value count of each field
+block exactly.
 """
 
 import importlib.util
@@ -78,6 +80,20 @@ def number_problems(want: dict, got: dict) -> list[str]:
                          f"reference {v!r}"
                          for k, v in ref["comments"].items()
                          if not _close(csv["comments"][k], v)]
+    if sorted(got["fields"]) != sorted(want["fields"]):
+        problems.append(f"field dumps {sorted(got['fields'])}, reference "
+                        f"{sorted(want['fields'])}")
+    for path, ref in want["fields"].items():
+        blocks = got["fields"].get(path, [])
+        if [b[0] for b in blocks] != [b[0] for b in ref]:
+            problems.append(f"{path}: blocks of {[b[0] for b in blocks]} "
+                            f"values, reference {[b[0] for b in ref]}")
+            continue
+        problems += [f"{path}: block {i} {what} is {a!r}, reference {b!r}"
+                     for i, (block, ref_block) in enumerate(zip(blocks, ref))
+                     for what, a, b in zip(("sum |v|", "max |v|"),
+                                           block[1:], ref_block[1:])
+                     if not _close(a, b)]
     return problems
 
 
@@ -111,10 +127,14 @@ def test_numbers_hold_where_the_bytes_do(recorded):
     moved = json.loads(json.dumps(got))
     moved["csv"][path]["rows"][0][1] *= 1.0 + 3.0 * RTOL
     moved["manifest"]["vector_modes"] += 1
+    dump = sorted(want["fields"])[-1]
+    moved["fields"][dump][-1][1] *= 1.0 - 3.0 * RTOL
     problems = number_problems(want, moved)
-    assert len(problems) == 2
+    assert len(problems) == 3
     assert problems[0].startswith("kl_manifest.txt: vector_modes=")
     assert problems[1].startswith(f"{path}: row 0 value 1")
+    assert problems[2].startswith(f"{dump}: block ")
+    assert " sum |v| is " in problems[2]
 
 
 def test_fingerprint_names_the_fields_that_differ():

@@ -434,8 +434,8 @@ class TestMapBlocks:
     def test_dead_worker_breaks_the_map_without_hanging(self):
         script = (
             "import os\n"
-            "from concurrent.futures.process import BrokenProcessPool\n"
             "from domainuq import uq\n"
+            "from domainuq.errors import WorkerDied\n"
             "uq._cpu_count = lambda: 2  # a pool even on a one-CPU host\n"
             "def fn(i):\n"
             "    if i == 3:\n"
@@ -443,12 +443,12 @@ class TestMapBlocks:
             "    return i\n"
             "try:\n"
             "    list(uq.map_blocks(fn, range(8), threads=2))\n"
-            "except BrokenProcessPool:\n"
-            "    print('broken')\n")
+            "except WorkerDied as e:\n"
+            "    print(type(e.__cause__).__name__)\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "broken"
+        assert proc.stdout.strip() == "BrokenProcessPool"
 
     def test_dead_worker_names_the_block_of_the_missing_outputs(self,
                                                                 tmp_path):

@@ -6,7 +6,8 @@ command line to.
 For each config of `CONFIGS` it runs `build-kl`, then every run of `RUNS`
 in a directory of its own that starts with the KL artifacts, and writes
 `tests/reference/<config>.json`: the environment fingerprint, the sha256
-of every file each command wrote, the numbers of the CSV outputs and the
+of every file each command wrote, the numbers of the CSV outputs, a
+summary of each field block of the statistics and field dumps, and the
 integer counts of the KL manifest.  Outputs depend on the numpy, scipy
 and BLAS builds and on the processor, so the test compares bytes only
 where the fingerprint matches, and numbers elsewhere.  A change that
@@ -20,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import platform
 import shutil
 import sys
@@ -56,6 +58,8 @@ RUNS = {
 
 KL_FILES = ("vector_field.txt", "coefficient.txt", "kl_manifest.txt")
 CSV_FILES = ("convergence.csv", "mc.csv", "taylor.csv")
+#: The statistics and field dumps, summarized by `field_summaries`.
+DUMP_FILES = ("*stats*.txt", "*.dat", "u0.txt", "u_eps.txt", "delta_u.txt")
 MANIFEST_COUNTS = ("mesh_level", "vector_modes", "vector_chol_rank",
                    "coeff_modes", "coeff_chol_rank")
 
@@ -123,6 +127,24 @@ def csv_numbers(text: str) -> dict:
     return {"rows": rows, "comments": comments}
 
 
+def _summary(values: list[str]) -> list:
+    magnitudes = [abs(float(v)) for v in values]
+    return [len(magnitudes), math.fsum(magnitudes),
+            max(magnitudes, default=0.0)]
+
+
+def field_summaries(text: str) -> list[list]:
+    """[count, sum of absolute values, max absolute value] of each field
+    block of a statistics or field dump (`field n` and the n values after
+    it), or of all the numbers of a table without one (`.dat`)."""
+    lines = text.splitlines()
+    heads = [i for i, line in enumerate(lines) if line.startswith("field ")]
+    if not heads:
+        return [_summary([v for line in lines for v in line.split()])]
+    return [_summary(lines[i + 1:i + 1 + int(lines[i].split()[1])])
+            for i in heads]
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -137,7 +159,7 @@ def record(name: str, work: Path) -> dict:
     _main(["build-kl", "--config", str(config), "--out", str(kl)])
     manifest = _manifest(kl / "kl_manifest.txt")
     sha256 = {"build-kl": {f: _sha256(kl / f) for f in KL_FILES}}
-    csv = {}
+    csv, dumps = {}, {}
     for run, argv in RUNS.items():
         out = work / run
         shutil.copytree(kl, out)
@@ -148,8 +170,11 @@ def record(name: str, work: Path) -> dict:
         sha256[run] = {p.name: _sha256(p) for p in written}
         csv.update({f"{run}/{p.name}": csv_numbers(p.read_text())
                     for p in written if p.name in CSV_FILES})
+        dumps.update({f"{run}/{p.name}": field_summaries(p.read_text())
+                      for p in written
+                      if any(p.match(pattern) for pattern in DUMP_FILES)})
     return {"config": CONFIGS[name], "fingerprint": fingerprint(),
-            "sha256": sha256, "csv": csv,
+            "sha256": sha256, "csv": csv, "fields": dumps,
             "manifest": {k: int(manifest[k]) for k in MANIFEST_COUNTS}}
 
 
